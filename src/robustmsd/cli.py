@@ -125,6 +125,10 @@ def _cmd_train(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     path = out / "trajectory.csv"
     write_trajectory_csv(path, result.trajectory)
+    if not result.trajectory:
+        # zero steps: no checkpoint is reached, so only the header is written
+        print(f"wrote {path}: 0 records")
+        return 0
     last = result.trajectory[-1]
     print(
         f"wrote {path}: {len(result.trajectory)} records; "

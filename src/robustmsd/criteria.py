@@ -10,6 +10,13 @@ the threshold a and the scale b.  Alongside it live the benchmark criteria
 parameter schedule that fixes (alpha, beta) before seeing data, and the
 evaluation-side mean-SD / mean-variance functionals.
 
+Each training objective reduces its batch to scalars plus one per-example
+weight on the loss gradients: (l_i - a)/sqrt((l_i - a)^2 + b^2) for the
+joint objective, 1 for the mean, the active indicator for CVaR and the
+positive part for the divergence dual.  The weight gradient grad_h is that
+weight contracted with the batch's score derivatives and design rows (see
+``model.LossBatch``), so no per-example gradient is ever materialised.
+
 Throughout, the per-example deviation term b*rho(r/b) is computed as
 r^2 / (sqrt(r^2 + b^2) + b), which is exact algebra but avoids the
 catastrophic cancellation of sqrt(r^2 + b^2) - b for large scales.
@@ -145,6 +152,24 @@ def _check_batch(losses: LossBatch):
         raise ValueError("empty loss batch")
 
 
+def _weighted_grad(losses: LossBatch, weight) -> np.ndarray:
+    """sum_i weight[i] * dscore[i] (x) rows[i], shape (K, d); None weighs all by 1.
+
+    Single-output batches scale the design rows first and then contract
+    over examples, the same multiply and sum order as building each
+    per-example gradient and reducing over the batch, so binary runs stay
+    bitwise reproducible.
+    """
+    dscore, rows = losses.dscore, losses.rows
+    if dscore.shape[1] == 1:
+        grads = dscore * rows
+        summed = grads.sum(axis=0) if weight is None else weight @ grads
+        return summed[None, :]
+    if weight is not None:
+        dscore = weight[:, None] * dscore
+    return dscore.T @ rows
+
+
 def sunhuber_objective(
     losses: LossBatch, state: JointState, params: CriterionParams
 ) -> ObjectiveEval:
@@ -154,25 +179,29 @@ def sunhuber_objective(
     _check_batch(losses)
     if state.b <= 0.0:
         raise ValueError("b must be positive")
+    n = len(losses)
     b = state.b
     r = losses.values - state.a
-    s = np.sqrt(r * r + b * b)
-    value = params.alpha * state.a + params.beta * b + params.lam * np.mean(
-        r * r / (s + b)
+    rr = r * r
+    s = np.sqrt(rr + b * b)
+    sb = s + b
+    value = params.alpha * state.a + params.beta * b + params.lam * (
+        (rr / sb).sum() / n
     )
     w = r / s
-    grad_a = params.alpha - params.lam * float(np.mean(w))
+    grad_a = params.alpha - params.lam * float(w.sum() / n)
     # beta + lam*mean(b/s - 1), written without the b/s - 1 cancellation
-    grad_b = params.beta - params.lam * float(np.mean(r * r / (s * (s + b))))
-    grad_h = params.lam * np.tensordot(w, losses.grads, axes=1) / len(losses)
+    grad_b = params.beta - params.lam * float((rr / (s * sb)).sum() / n)
+    grad_h = params.lam * _weighted_grad(losses, w) / n
     return ObjectiveEval(float(value), grad_h, grad_a, grad_b)
 
 
 def erm_objective(losses: LossBatch) -> ObjectiveEval:
     """Plain mean of the losses; gradient is the mean per-example gradient."""
     _check_batch(losses)
+    n = len(losses)
     return ObjectiveEval(
-        float(np.mean(losses.values)), np.mean(losses.grads, axis=0)
+        float(losses.values.sum() / n), _weighted_grad(losses, None) / n
     )
 
 
@@ -185,14 +214,14 @@ def cvar_objective(losses: LossBatch, a: float, xi: float) -> ObjectiveEval:
     if not 0.0 < xi < 1.0:
         raise ValueError(f"xi must lie in (0, 1), got {xi!r}")
     _check_batch(losses)
+    n = len(losses)
     inv = 1.0 / (1.0 - xi)
     pos = losses.values - a
     active = pos > 0.0
-    value = a + inv * float(np.mean(np.where(active, pos, 0.0)))
-    grad_a = 1.0 - inv * float(np.mean(active))
-    grad_h = inv * np.tensordot(active.astype(float), losses.grads, axes=1) / len(
-        losses
-    )
+    weight = active.astype(float)
+    value = a + inv * float(np.where(active, pos, 0.0).sum() / n)
+    grad_a = 1.0 - inv * float(weight.sum() / n)
+    grad_h = inv * _weighted_grad(losses, weight) / n
     return ObjectiveEval(value, grad_h, grad_a, None)
 
 
@@ -208,17 +237,18 @@ def chisq_dro_objective(
     if not 0.0 < eta_tilde < 1.0:
         raise ValueError(f"eta_tilde must lie in (0, 1), got {eta_tilde!r}")
     _check_batch(losses)
+    n = len(losses)
     eta = (1.0 / (1.0 - eta_tilde) - 1.0) / 2.0
     coef = math.sqrt(1.0 + 2.0 * eta)
     pos = np.maximum(losses.values - a, 0.0)
-    mean_sq = float(np.mean(pos * pos))
+    mean_sq = float((pos * pos).sum() / n)
     if mean_sq == 0.0:
-        grad_h = np.zeros_like(losses.grads[0])
+        grad_h = np.zeros((losses.dscore.shape[1], losses.rows.shape[1]))
         return ObjectiveEval(float(a), grad_h, 1.0, None)
     root = math.sqrt(mean_sq)
     value = a + coef * root
-    grad_a = 1.0 - coef * float(np.mean(pos)) / root
-    grad_h = coef * np.tensordot(pos, losses.grads, axes=1) / (len(losses) * root)
+    grad_a = 1.0 - coef * float(pos.sum() / n) / root
+    grad_h = coef * _weighted_grad(losses, pos) / (n * root)
     return ObjectiveEval(value, grad_h, grad_a, None)
 
 
@@ -238,31 +268,36 @@ def evaluate_objective(
 def criterion_value(values, state: JointState, params: CriterionParams) -> float:
     """Objective value only, from raw loss values (no gradients needed)."""
     values = np.asarray(values, dtype=float)
-    if values.size == 0:
+    n = values.size
+    if n == 0:
         raise ValueError("empty loss values")
     if params.kind == "erm":
-        return float(np.mean(values))
+        return float(values.sum() / n)
     if params.kind == "cvar":
         pos = np.maximum(values - state.a, 0.0)
-        return state.a + float(np.mean(pos)) / (1.0 - params.xi)
+        return state.a + float(pos.sum() / n) / (1.0 - params.xi)
     if params.kind == "chisq_dro":
         eta = (1.0 / (1.0 - params.eta_tilde) - 1.0) / 2.0
         pos = np.maximum(values - state.a, 0.0)
-        return state.a + math.sqrt((1.0 + 2.0 * eta) * float(np.mean(pos * pos)))
+        return state.a + math.sqrt((1.0 + 2.0 * eta) * float((pos * pos).sum() / n))
     b = state.b
     r = values - state.a
     dev = r * r / (np.sqrt(r * r + b * b) + b)
-    return params.alpha * state.a + params.beta * b + params.lam * float(np.mean(dev))
+    return params.alpha * state.a + params.beta * b + params.lam * float(dev.sum() / n)
 
 
 def mean_sd(values, lam: float = 1.0) -> float:
     """Sample mean plus sqrt(lam * sample variance), variance with divisor n."""
     values = np.asarray(values, dtype=float)
-    if values.size == 0:
+    n = values.size
+    if n == 0:
         raise ValueError("mean_sd requires at least one loss")
     if lam < 0.0:
         raise ValueError(f"lam must be nonnegative, got {lam!r}")
-    return float(np.mean(values)) + math.sqrt(lam * float(np.var(values)))
+    # the sums and divisions of np.mean and np.var, without their call overhead
+    mean = values.sum() / n
+    dev = values - mean
+    return float(mean) + math.sqrt(lam * float((dev * dev).sum() / n))
 
 
 def mean_variance(values) -> float:

@@ -2,8 +2,15 @@
 
 Binary models use a single weight row and labels in {-1, +1}; multiclass
 models keep one weight row per class and integer class labels.  The bias is
-folded in as a constant-1 feature appended at evaluation time, so gradients
+folded in as a constant-1 feature appended to the design rows, so gradients
 always have the same shape as the weight matrix.
+
+The batch loss layer returns each example's loss and its derivative with
+respect to the K scores; since the scores are linear in the weights, that
+derivative and the design rows determine every per-example gradient, and a
+criterion's gradient is one weighted contraction of the two.  Metrics work
+from one scoring pass: ``score_rows`` then ``losses_from_scores`` and
+``classes_from_scores``.
 """
 
 from dataclasses import dataclass
@@ -14,6 +21,10 @@ from scipy.special import expit, logsumexp
 __all__ = [
     "LinearModel",
     "LossBatch",
+    "design_rows",
+    "score_rows",
+    "losses_from_scores",
+    "classes_from_scores",
     "binary_logistic",
     "multiclass_logistic",
     "loss_batch",
@@ -47,27 +58,46 @@ class LinearModel:
 
 @dataclass
 class LossBatch:
-    """Per-example losses and per-example loss gradients at a fixed model."""
+    """Per-example losses and their derivatives with respect to the scores.
 
-    values: np.ndarray
-    grads: np.ndarray  # shape (n,) + weights.shape
+    Example i is scored as ``s_i = W @ rows[i]``, so the gradient of its loss
+    in the weights is the outer product ``dscore[i] (x) rows[i]`` of shape
+    (K, d).  The batch keeps the two factors and never builds the (n, K, d)
+    tensor of per-example gradients; a criterion contracts its per-example
+    weights with them (see ``criteria``).
+    """
+
+    values: np.ndarray  # (n,) losses
+    dscore: np.ndarray  # (n, K) derivative of each loss in its scores
+    rows: np.ndarray  # (n, d) design rows the scores were computed from
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=float)
-        self.grads = np.asarray(self.grads, dtype=float)
-        if self.values.shape[0] != self.grads.shape[0]:
+        self.dscore = np.asarray(self.dscore, dtype=float)
+        self.rows = np.asarray(self.rows, dtype=float)
+        n = self.values.shape[0]
+        if self.dscore.ndim != 2 or self.rows.ndim != 2:
+            raise ValueError("dscore and rows must be 2-D")
+        if self.dscore.shape[0] != n or self.rows.shape[0] != n:
             raise ValueError(
-                f"values and grads length mismatch: "
-                f"{self.values.shape[0]} vs {self.grads.shape[0]}"
+                f"values, dscore and rows length mismatch: "
+                f"{n}, {self.dscore.shape[0]}, {self.rows.shape[0]}"
             )
 
     def __len__(self) -> int:
         return self.values.shape[0]
 
 
-def _augment_rows(model: LinearModel, features: np.ndarray) -> np.ndarray:
-    """Bring features to shape (n, d), appending the bias column if needed."""
-    X = np.atleast_2d(np.asarray(features, dtype=float))
+def design_rows(model: LinearModel, features) -> np.ndarray:
+    """Bring features to the model's design shape (n, d), appending the bias column.
+
+    A loop that evaluates the same examples many times builds these rows
+    once and scores them with ``LinearModel(weights, includes_bias=False)``,
+    which takes them as they are.
+    """
+    X = np.asarray(features, dtype=float)
+    if X.ndim < 2:
+        X = np.atleast_2d(X)
     if model.includes_bias:
         X = np.hstack([X, np.ones((X.shape[0], 1))])
     if X.shape[1] != model.weights.shape[1]:
@@ -88,7 +118,7 @@ def binary_logistic(model: LinearModel, features, label: int):
         raise ValueError(f"binary label must be -1 or +1, got {label!r}")
     if model.n_outputs != 1:
         raise ValueError("binary_logistic requires a single-output model")
-    x = _augment_rows(model, features)[0]
+    x = design_rows(model, features)[0]
     t = -label * float(x @ model.weights[0])
     loss = float(np.logaddexp(0.0, t))
     grad = (-label * expit(t)) * x
@@ -102,7 +132,7 @@ def multiclass_logistic(model: LinearModel, features, label: int):
         raise ValueError("multiclass_logistic requires >= 2 output rows")
     if not 0 <= int(label) < k:
         raise ValueError(f"label {label!r} out of range [0, {k})")
-    x = _augment_rows(model, features)[0]
+    x = design_rows(model, features)[0]
     scores = model.weights @ x
     lse = logsumexp(scores)
     loss = float(lse - scores[int(label)])
@@ -111,58 +141,65 @@ def multiclass_logistic(model: LinearModel, features, label: int):
     return loss, np.outer(p, x)
 
 
-def _binary_batch(model, X, labels):
-    # class indices {0, 1} -> signs {-1, +1}
-    y = 2.0 * np.asarray(labels, dtype=float) - 1.0
-    t = -y * (X @ model.weights[0])
-    values = np.logaddexp(0.0, t)
-    grads = ((-y * expit(t))[:, None] * X)[:, None, :]
-    return values, grads
+def _negated_signs(labels) -> np.ndarray:
+    # class indices {0, 1} -> -y for signs y in {-1, +1}
+    return 1.0 - 2.0 * np.asarray(labels)
 
 
-def _multiclass_batch(model, X, labels):
-    labels = np.asarray(labels, dtype=int)
-    scores = X @ model.weights.T
-    lse = logsumexp(scores, axis=1)
-    values = lse - scores[np.arange(len(labels)), labels]
-    p = np.exp(scores - lse[:, None])
-    p[np.arange(len(labels)), labels] -= 1.0
-    grads = p[:, :, None] * X[:, None, :]
-    return values, grads
-
-
-def loss_batch(model: LinearModel, features, labels) -> LossBatch:
-    """Vectorized per-example losses and gradients over a feature matrix.
-
-    ``labels`` are class indices (0..K-1); for single-output models index 1
-    is mapped to +1 and index 0 to -1 before applying the binary loss.
-    """
-    X = _augment_rows(model, features)
+def score_rows(model: LinearModel, X: np.ndarray) -> np.ndarray:
+    """Scores of design rows: shape (n,) for binary models, (n, K) otherwise."""
     if model.n_outputs == 1:
-        values, grads = _binary_batch(model, X, labels)
-    else:
-        values, grads = _multiclass_batch(model, X, labels)
-    return LossBatch(values=values, grads=grads)
+        return X @ model.weights[0]
+    return X @ model.weights.T
 
 
-def loss_values(model: LinearModel, features, labels) -> np.ndarray:
-    """Per-example loss values only (no gradients); used for metrics."""
-    X = _augment_rows(model, features)
-    if model.n_outputs == 1:
-        y = 2.0 * np.asarray(labels, dtype=float) - 1.0
-        return np.logaddexp(0.0, -y * (X @ model.weights[0]))
-    scores = X @ model.weights.T
+def losses_from_scores(scores: np.ndarray, labels) -> np.ndarray:
+    """Per-example logistic losses from ``score_rows`` output and class indices."""
+    if scores.ndim == 1:
+        return np.logaddexp(0.0, _negated_signs(labels) * scores)
     lse = logsumexp(scores, axis=1)
     return lse - scores[np.arange(scores.shape[0]), np.asarray(labels, dtype=int)]
 
 
+def classes_from_scores(scores: np.ndarray) -> np.ndarray:
+    """Predicted class indices from ``score_rows`` output; ties go to the lowest index."""
+    if scores.ndim == 1:
+        # score exactly 0 predicts class 0 (the lower index)
+        return (scores > 0.0).astype(int)
+    return np.argmax(scores, axis=1)
+
+
+def loss_batch(model: LinearModel, features, labels) -> LossBatch:
+    """Per-example losses and their score derivatives over a feature matrix.
+
+    ``labels`` are class indices (0..K-1); for single-output models index 1
+    is mapped to +1 and index 0 to -1 before applying the binary loss.
+    """
+    X = design_rows(model, features)
+    scores = score_rows(model, X)
+    if scores.ndim == 1:
+        neg_y = _negated_signs(labels)
+        t = neg_y * scores
+        values = np.logaddexp(0.0, t)
+        dscore = (neg_y * expit(t))[:, None]
+    else:
+        labels = np.asarray(labels, dtype=int)
+        lse = logsumexp(scores, axis=1)
+        picked = np.arange(len(labels)), labels
+        values = lse - scores[picked]
+        dscore = np.exp(scores - lse[:, None])
+        dscore[picked] -= 1.0
+    return LossBatch(values=values, dscore=dscore, rows=X)
+
+
+def loss_values(model: LinearModel, features, labels) -> np.ndarray:
+    """Per-example loss values only (no derivatives); used for metrics."""
+    return losses_from_scores(score_rows(model, design_rows(model, features)), labels)
+
+
 def predict_classes(model: LinearModel, features) -> np.ndarray:
     """Predicted class indices; ties resolve to the lowest class index."""
-    X = _augment_rows(model, features)
-    if model.n_outputs == 1:
-        # score exactly 0 predicts class 0 (the lower index)
-        return (X @ model.weights[0] > 0.0).astype(int)
-    return np.argmax(X @ model.weights.T, axis=1)
+    return classes_from_scores(score_rows(model, design_rows(model, features)))
 
 
 def zero_one_error(model: LinearModel, features, labels) -> float:

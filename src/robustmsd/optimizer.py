@@ -10,6 +10,7 @@ Shuffling uses numpy's PCG64 generator; the algorithm identifier is recorded
 in every RunResult so trajectories can be reproduced bit-for-bit.
 """
 
+import math
 import time
 from dataclasses import dataclass
 from typing import List, Optional
@@ -24,7 +25,14 @@ from .criteria import (
     mean_sd,
 )
 from .data import Dataset
-from .model import LinearModel, loss_batch, loss_values, zero_one_error
+from .model import (
+    LinearModel,
+    classes_from_scores,
+    design_rows,
+    loss_batch,
+    losses_from_scores,
+    score_rows,
+)
 
 __all__ = [
     "DivergenceError",
@@ -120,11 +128,21 @@ def initial_joint_state(h0, initial_losses) -> JointState:
     )
 
 
-def _guard(value: float, h: np.ndarray, context: str):
+def _guard(value: float, h: np.ndarray, where: str, *args):
+    """Raise DivergenceError on a non-finite objective or runaway weights.
+
+    One norm covers the common case: it is finite and within the limit only
+    when every weight is finite.  ``where`` is formatted with ``args`` into
+    the error's context only when the guard trips.
+    """
+    flat = h.ravel()
+    norm = math.sqrt(flat @ flat)
+    if norm <= H_NORM_LIMIT and math.isfinite(value):
+        return
+    context = where.format(*args)
     if not np.isfinite(value) or not np.all(np.isfinite(h)):
         raise DivergenceError(f"non-finite objective at {context}")
-    if np.linalg.norm(h.ravel()) > H_NORM_LIMIT:
-        raise DivergenceError(f"weight norm exceeded {H_NORM_LIMIT:g} at {context}")
+    raise DivergenceError(f"weight norm exceeded {H_NORM_LIMIT:g} at {context}")
 
 
 def _step(state: JointState, ev, params: CriterionParams, config: OptConfig):
@@ -137,28 +155,30 @@ def _step(state: JointState, ev, params: CriterionParams, config: OptConfig):
 
 def _checkpoint_records(
     checkpoint: int,
-    dataset: Dataset,
+    splits,
     model: LinearModel,
     state: JointState,
     params: CriterionParams,
 ) -> List[TrajectoryRecord]:
+    """One record per (name, design rows, labels) split, each scored once."""
     records = []
     rec_a = state.a if params.kind in ("sunhuber", "cvar", "chisq_dro") else float("nan")
     rec_b = state.b if params.kind == "sunhuber" else float("nan")
     norm = float(np.linalg.norm(state.h.ravel()))
-    for split in dataset.splits_present():
-        idx = dataset.split_indices(split)
-        values = loss_values(model, dataset.features[idx], dataset.labels[idx])
+    for split, X, labels in splits:
+        n = labels.size
+        scores = score_rows(model, X)
+        values = losses_from_scores(scores, labels)
         obj = criterion_value(values, state, params)
-        _guard(obj, state.h, f"checkpoint {checkpoint} ({split})")
+        _guard(obj, state.h, "checkpoint {} ({})", checkpoint, split)
         records.append(
             TrajectoryRecord(
                 checkpoint=checkpoint,
                 split=split,
                 mean_sd=mean_sd(values, 1.0),
-                mean_loss=float(np.mean(values)),
-                error_rate=zero_one_error(
-                    model, dataset.features[idx], dataset.labels[idx]
+                mean_loss=float(values.sum() / n),
+                error_rate=float(
+                    np.count_nonzero(classes_from_scores(scores) != labels) / n
                 ),
                 model_norm=norm,
                 objective=obj,
@@ -169,7 +189,12 @@ def _checkpoint_records(
     return records
 
 
-def _bind_model(state: JointState, dataset: Dataset) -> LinearModel:
+def _bind_run(state: JointState, dataset: Dataset):
+    """Bias-free model over the dataset's design rows, built once per run.
+
+    Returns the model, the design rows of every example, the train indices
+    and the (name, rows, labels) triple of every split present.
+    """
     model = LinearModel(weights=state.h, includes_bias=True)
     # re-validate against the dataset once up front
     if model.weights.shape[1] != dataset.n_features + 1:
@@ -177,7 +202,16 @@ def _bind_model(state: JointState, dataset: Dataset) -> LinearModel:
             f"weights expect {model.weights.shape[1] - 1} features, "
             f"dataset has {dataset.n_features}"
         )
-    return model
+    design = design_rows(model, dataset.features)
+    train = dataset.split_indices("train")
+    if train.size == 0:
+        raise ValueError("dataset has no training examples")
+    splits = []
+    for split in dataset.splits_present():
+        idx = dataset.split_indices(split)
+        splits.append((split, design[idx], dataset.labels[idx]))
+    bias_free = LinearModel(weights=state.h, includes_bias=False)
+    return bias_free, design, train, splits
 
 
 def run_batch_gd(
@@ -196,20 +230,17 @@ def run_batch_gd(
         raise ValueError("run_batch_gd requires a batch-mode OptConfig")
     t0 = time.perf_counter()
     state = init.copy()
-    model = _bind_model(state, dataset)
-    train = dataset.split_indices("train")
-    if train.size == 0:
-        raise ValueError("dataset has no training examples")
-    X, y = dataset.features[train], dataset.labels[train]
+    model, design, train, splits = _bind_run(state, dataset)
+    X, y = design[train], dataset.labels[train]
     records: List[TrajectoryRecord] = []
     for t in range(1, config.iterations + 1):
         model.weights = state.h
         ev = evaluate_objective(loss_batch(model, X, y), state, criterion)
-        _guard(ev.value, state.h, f"iteration {t}")
+        _guard(ev.value, state.h, "iteration {}", t)
         _step(state, ev, criterion, config)
         if t % config.checkpoint_every == 0 or t == config.iterations:
             model.weights = state.h
-            records.extend(_checkpoint_records(t, dataset, model, state, criterion))
+            records.extend(_checkpoint_records(t, splits, model, state, criterion))
     return RunResult(
         final_state=state,
         trajectory=records,
@@ -236,14 +267,12 @@ def run_minibatch_sgd(
         raise ValueError("run_minibatch_sgd requires an sgd-mode OptConfig")
     t0 = time.perf_counter()
     state = init.copy()
-    model = _bind_model(state, dataset)
-    train = dataset.split_indices("train")
-    if train.size == 0:
-        raise ValueError("dataset has no training examples")
+    model, design, train, splits = _bind_run(state, dataset)
     if config.batch_size > train.size:
         raise ValueError(
             f"batch_size {config.batch_size} exceeds train size {train.size}"
         )
+    labels = dataset.labels
     rng = np.random.Generator(np.random.PCG64(config.seed))
     records: List[TrajectoryRecord] = []
     step_count = 0
@@ -252,13 +281,13 @@ def run_minibatch_sgd(
         for start in range(0, train.size, config.batch_size):
             idx = np.sort(perm[start : start + config.batch_size])
             model.weights = state.h
-            batch = loss_batch(model, dataset.features[idx], dataset.labels[idx])
+            batch = loss_batch(model, design[idx], labels[idx])
             ev = evaluate_objective(batch, state, criterion)
             step_count += 1
-            _guard(ev.value, state.h, f"epoch {epoch} step {step_count}")
+            _guard(ev.value, state.h, "epoch {} step {}", epoch, step_count)
             _step(state, ev, criterion, config)
         model.weights = state.h
-        records.extend(_checkpoint_records(epoch, dataset, model, state, criterion))
+        records.extend(_checkpoint_records(epoch, splits, model, state, criterion))
     return RunResult(
         final_state=state,
         trajectory=records,

@@ -44,6 +44,40 @@ def test_train_batch_mode_row_count(tmp_path):
     assert len(rows) == 1 + 1000 // 100  # header + one train record per checkpoint
 
 
+def test_train_zero_iterations_writes_header_only(tmp_path, capsys):
+    main(["synth", "--n", "100", "--seed", "3", "--out", str(tmp_path)])
+    code = main(
+        [
+            "train",
+            "--data", str(tmp_path / "synth.csv"),
+            "--criterion", "sunhuber",
+            "--iterations", "0",
+            "--out", str(tmp_path / "run"),
+        ]
+    )
+    assert code == 0
+    rows = list(csv.reader(open(tmp_path / "run" / "trajectory.csv")))
+    assert len(rows) == 1 and rows[0][0] == "checkpoint"
+    assert "0 records" in capsys.readouterr().out
+
+
+def test_experiment_zero_epochs_exits_1_before_training(tmp_path, capsys):
+    cfg = tmp_path / "cfg.ini"
+    cfg.write_text(
+        "[data]\n"
+        "path = bundled:credit690\n"
+        "\n"
+        "[experiment]\n"
+        "trials = 1\n"
+        "epochs = 0\n"
+        f"out = {tmp_path / 'exp'}\n",
+        encoding="utf-8",
+    )
+    assert main(["experiment", "--config", str(cfg)]) == 1
+    assert "epochs" in capsys.readouterr().err
+    assert not (tmp_path / "exp").exists()
+
+
 def test_train_runtime_error_exits_1(tmp_path):
     code = main(
         [

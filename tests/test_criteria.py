@@ -25,11 +25,12 @@ from robustmsd.criteria import (
 from robustmsd.model import LinearModel, LossBatch, loss_batch
 
 
-def make_batch(values, grads=None):
+def make_batch(values, rows=None):
+    """Single-output batch whose per-example gradients are the given rows."""
     values = np.asarray(values, dtype=float)
-    if grads is None:
-        grads = np.zeros((values.size, 1))
-    return LossBatch(values=values, grads=grads)
+    if rows is None:
+        rows = np.zeros((values.size, 1))
+    return LossBatch(values=values, dscore=np.ones((values.size, 1)), rows=rows)
 
 
 # ---------------------------------------------------------------- schedule
@@ -110,7 +111,7 @@ def test_erm_examples():
     assert erm_objective(make_batch([0.0, 0.0, 2.0, 2.0])).value == 1.0
     grads = np.array([[1.0, 0.0], [3.0, 2.0]])
     ev = erm_objective(make_batch([1.0, 3.0], grads))
-    np.testing.assert_allclose(ev.grad_h, [2.0, 1.0])
+    np.testing.assert_allclose(ev.grad_h, [[2.0, 1.0]])
     with pytest.raises(ValueError):
         erm_objective(make_batch([]))
 
@@ -155,7 +156,7 @@ def test_chisq_dro_zero_positive_part_gradient():
     grads = np.ones((2, 3))
     ev = chisq_dro_objective(make_batch([1.0, 3.0], grads), 5.0, 0.2)
     assert ev.grad_a == 1.0
-    np.testing.assert_array_equal(ev.grad_h, np.zeros(3))
+    np.testing.assert_array_equal(ev.grad_h, np.zeros((1, 3)))
 
 
 # -------------------------------------------------- evaluation functionals

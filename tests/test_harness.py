@@ -119,6 +119,13 @@ def small_spec(out_dir, **kw):
     return ExperimentSpec(**base)
 
 
+@pytest.mark.parametrize("field", ["epochs", "batch_size"])
+def test_spec_rejects_nonpositive_epochs_and_batch_size(tmp_path, field):
+    with pytest.raises(ValueError, match=field):
+        small_spec(tmp_path / "exp", **{field: 0})
+    assert not (tmp_path / "exp").exists()
+
+
 def test_run_experiment_manifest_structure(tmp_path):
     spec = small_spec(tmp_path / "exp")
     dataset = load_tabular(BUNDLED)

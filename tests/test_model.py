@@ -137,7 +137,8 @@ def test_batch_equals_single_example_evaluations():
         y = 1 if labels[i] == 1 else -1
         li, gi = binary_logistic(model, X[i], y)
         assert batch.values[i] == pytest.approx(li, rel=1e-12)
-        np.testing.assert_allclose(batch.grads[i], gi, rtol=1e-12)
+        gb = np.outer(batch.dscore[i], batch.rows[i])
+        np.testing.assert_allclose(gb, gi, rtol=1e-12)
     np.testing.assert_allclose(loss_values(model, X, labels), batch.values, rtol=0)
 
     Wm = rng.normal(size=(4, 4))
@@ -147,7 +148,8 @@ def test_batch_equals_single_example_evaluations():
     for i in range(12):
         li, gi = multiclass_logistic(model_m, X[i], int(labels_m[i]))
         assert batch_m.values[i] == pytest.approx(li, rel=1e-12)
-        np.testing.assert_allclose(batch_m.grads[i], gi, rtol=1e-12, atol=1e-15)
+        gb = np.outer(batch_m.dscore[i], batch_m.rows[i])
+        np.testing.assert_allclose(gb, gi, rtol=1e-12, atol=1e-15)
 
 
 def test_losses_nonnegative_and_finite():

@@ -13,6 +13,7 @@ from robustmsd.optimizer import (
     initial_joint_state,
     run_batch_gd,
     run_minibatch_sgd,
+    _guard,
     _step,
 )
 from robustmsd.criteria import criterion_value, evaluate_objective, mean_sd
@@ -86,8 +87,8 @@ def test_location_block_converges_to_mean_with_large_fixed_scale():
     data = np.array([1.0, 2.0, 3.0, 6.0])
     oracle = float(np.mean(data))
     params = CriterionParams("sunhuber", alpha=0.0, beta=0.0, lam=1.0)
-    batch = LossBatch(values=data, grads=np.zeros((4, 1)))
-    state = JointState(h=np.zeros(1), a=5.0, b=50.0)
+    batch = LossBatch(values=data, dscore=np.zeros((4, 1)), rows=np.zeros((4, 1)))
+    state = JointState(h=np.zeros((1, 1)), a=5.0, b=50.0)
     config = OptConfig(step_size=10.0, iterations=1)  # step reused manually
     for t in range(10_000):
         ev = evaluate_objective(batch, state, params)
@@ -103,8 +104,12 @@ def test_location_block_converges_to_mean_with_large_fixed_scale():
 def test_frozen_h_objective_nonincreasing_after_burn_in():
     """(a, b) descent on a fixed loss set: convex, so monotone for small steps."""
     params = CriterionParams("sunhuber", alpha=0.05, beta=0.1, lam=1.0)
-    batch = LossBatch(values=np.array([0.0, 1.0, 5.0, 10.0]), grads=np.zeros((4, 1)))
-    state = JointState(h=np.zeros(1), a=0.0, b=5.0)
+    batch = LossBatch(
+        values=np.array([0.0, 1.0, 5.0, 10.0]),
+        dscore=np.zeros((4, 1)),
+        rows=np.zeros((4, 1)),
+    )
+    state = JointState(h=np.zeros((1, 1)), a=0.0, b=5.0)
     config = OptConfig(step_size=0.05, iterations=1)
     values = []
     for _ in range(500):
@@ -247,6 +252,23 @@ def test_divergence_guard_trips_on_huge_step():
             ds,
             OptConfig(step_size=1e12, iterations=100, checkpoint_every=10),
         )
+
+
+def test_divergence_messages_name_the_quantity_and_context():
+    h = np.array([[1.0, -2.0, 0.5]])
+    _guard(0.3, h, "iteration {}", 7)  # finite and small: no error
+    with pytest.raises(DivergenceError, match=r"^non-finite objective at iteration 7$"):
+        _guard(float("nan"), h, "iteration {}", 7)
+    with pytest.raises(DivergenceError, match=r"^non-finite objective at epoch 2 step 9$"):
+        _guard(0.3, np.array([[1.0, np.inf, 0.0]]), "epoch {} step {}", 2, 9)
+    with pytest.raises(
+        DivergenceError, match=r"^weight norm exceeded 1e\+12 at checkpoint 3 \(val\)$"
+    ):
+        _guard(0.3, np.array([[1e12, 1e12, 0.0]]), "checkpoint {} ({})", 3, "val")
+    huge = np.array([[1e200, 1e200, 0.0]])  # finite weights whose norm overflows
+    with pytest.raises(DivergenceError, match=r"^weight norm exceeded 1e\+12 at iteration 1$"):
+        with np.errstate(over="ignore"):
+            _guard(0.3, huge, "iteration {}", 1)
 
 
 def test_nan_a_and_b_in_records_for_non_joint_criteria():
