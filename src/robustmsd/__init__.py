@@ -6,7 +6,8 @@ Library layout:
 - ``model``: linear logistic losses (binary and multiclass), zero-one error.
 - ``criteria``: training objectives (joint robust, mean, CVaR, chi^2-DRO),
   the sqrt(n) parameter schedule, mean-SD / mean-variance evaluation.
-- ``optimizer``: seeded batch GD and mini-batch SGD over (h, a, b).
+- ``optimizer``: seeded batch GD and mini-batch SGD over (h, a, b); SGD
+  trains many runs together as one stacked array program.
 - ``data``: synthetic planar task, CSV/svmlight ingestion, preprocessing,
   80/10/10 splits.
 - ``verify``: numerical oracles for the formal properties of the criterion.

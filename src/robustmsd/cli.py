@@ -12,15 +12,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .criteria import CriterionParams, schedule_params
-from .data import (
-    DataError,
-    SynthConfig,
-    generate_2d_outlier,
-    load_tabular,
-    preprocess,
-    shuffle_split,
-)
+from .data import DataError, SynthConfig, generate_2d_outlier, preprocess, shuffle_split
 from .harness import (
     DEFAULT_LEVELS,
     DEFAULT_STEP_SIZES,
@@ -29,6 +21,8 @@ from .harness import (
     aggregate_trials,
     build_initial_state,
     default_lam,
+    load_dataset,
+    make_criterion,
     run_experiment,
     write_aggregate_csv,
     write_trajectory_csv,
@@ -65,37 +59,21 @@ def _cmd_synth(args) -> int:
     return 0
 
 
-def _load_cli_dataset(args):
-    from .data import data_dir
-
-    ref = args.data
-    if ref.startswith("bundled:"):
-        name = ref.split(":", 1)[1]
-        path = Path(__file__).parent / "datasets" / f"{name}.csv"
-        return load_tabular(path, "csv", args.label_col)
-    path = Path(ref)
-    if not path.exists() and (data_dir() / ref).exists():
-        path = data_dir() / ref
-    return load_tabular(path, args.format, args.label_col)
-
-
 def _cmd_train(args) -> int:
-    dataset = _load_cli_dataset(args)
+    dataset = load_dataset(args.data, args.format, args.label_col)
     if args.split_seed is not None:
         dataset = shuffle_split(dataset, args.split_seed)
     if args.preprocess:
         dataset = preprocess(dataset)
     n_train = int(dataset.split_indices("train").size)
     lam = default_lam(n_train) if args.lam == "auto" else float(args.lam)
-
-    if args.criterion == "sunhuber":
-        params = schedule_params(n_train, args.beta0, lam)
-    elif args.criterion == "erm":
-        params = CriterionParams("erm")
-    elif args.criterion == "cvar":
-        params = CriterionParams("cvar", xi=args.xi)
-    else:
-        params = CriterionParams("chisq_dro", eta_tilde=args.eta_tilde)
+    setting = {
+        "sunhuber": args.beta0,
+        "erm": None,
+        "cvar": args.xi,
+        "chisq_dro": args.eta_tilde,
+    }[args.criterion]
+    params = make_criterion(args.criterion, setting, n_train, lam)
 
     h0 = None
     if args.init is not None:

@@ -22,6 +22,7 @@ r^2 / (sqrt(r^2 + b^2) + b), which is exact algebra but avoids the
 catastrophic cancellation of sqrt(r^2 + b^2) - b for large scales.
 """
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -42,6 +43,7 @@ __all__ = [
     "chisq_dro_objective",
     "evaluate_objective",
     "criterion_value",
+    "CriterionStack",
     "mean_sd",
     "mean_variance",
     "mean_variance_variational",
@@ -97,6 +99,16 @@ class CriterionParams:
         if self.kind == "chisq_dro":
             return f"chisq_dro_eta={self.eta_tilde:g}"
         return "erm"
+
+    @property
+    def updates_a(self) -> bool:
+        """Whether the threshold a is an optimization variable."""
+        return self.kind != "erm"
+
+    @property
+    def updates_b(self) -> bool:
+        """Whether the scale b is an optimization variable."""
+        return self.kind == "sunhuber"
 
 
 @dataclass
@@ -286,18 +298,188 @@ def criterion_value(values, state: JointState, params: CriterionParams) -> float
     return params.alpha * state.a + params.beta * b + params.lam * float(dev.sum() / n)
 
 
-def mean_sd(values, lam: float = 1.0) -> float:
-    """Sample mean plus sqrt(lam * sample variance), variance with divisor n."""
-    values = np.asarray(values, dtype=float)
-    n = values.size
+# ------------------------------------------------------------ stacked runs
+#
+# Runs trained together keep their losses as an (r, n) matrix, one row per
+# run.  Each block kernel below evaluates the rows of one criterion kind with
+# per-row coefficient vectors, performing per row the same arithmetic, in the
+# same order, as the single-run function it mirrors, so every row carries
+# the bits of a run evaluated alone.
+
+
+def _stacked_grad(dscore, rows, weight) -> np.ndarray:
+    """Row-wise ``_weighted_grad``: (r, n, K) derivatives, (n, d) rows -> (r, K, d).
+
+    Stacked ``np.matmul`` makes one BLAS call per row, the call the single
+    run makes, and the unweighted sum runs down the same axis.  The
+    single-run form stays separate: at r = 1 it costs less per call.
+    """
+    if dscore.shape[2] == 1:
+        grads = dscore * rows
+        if weight is None:
+            return grads.sum(axis=1)[:, None, :]
+        return np.matmul(weight[:, None, :], grads)
+    if weight is not None:
+        dscore = weight[:, :, None] * dscore
+    return np.matmul(dscore.transpose(0, 2, 1), rows)
+
+
+def _sunhuber_block(values, dscore, rows, a, b, alpha, beta, lam):
+    n = values.shape[1]
+    r = values - a[:, None]
+    rr = r * r
+    s = np.sqrt(rr + (b * b)[:, None])
+    sb = s + b[:, None]
+    value = alpha * a + beta * b + lam * ((rr / sb).sum(axis=1) / n)
+    w = r / s
+    grad_a = alpha - lam * (w.sum(axis=1) / n)
+    grad_b = beta - lam * ((rr / (s * sb)).sum(axis=1) / n)
+    grad_h = lam[:, None, None] * _stacked_grad(dscore, rows, w) / n
+    return value, grad_h, grad_a, grad_b
+
+
+def _sunhuber_block_value(values, a, b, alpha, beta, lam):
+    r = values - a[:, None]
+    dev = r * r / (np.sqrt(r * r + (b * b)[:, None]) + b[:, None])
+    return alpha * a + beta * b + lam * (dev.sum(axis=1) / values.shape[1])
+
+
+def _erm_block(values, dscore, rows, a, b):
+    n = values.shape[1]
+    return values.sum(axis=1) / n, _stacked_grad(dscore, rows, None) / n, None, None
+
+
+def _erm_block_value(values, a, b):
+    return values.sum(axis=1) / values.shape[1]
+
+
+def _cvar_block(values, dscore, rows, a, b, xi):
+    n = values.shape[1]
+    inv = 1.0 / (1.0 - xi)
+    pos = values - a[:, None]
+    active = pos > 0.0
+    weight = active.astype(float)
+    value = a + inv * (np.where(active, pos, 0.0).sum(axis=1) / n)
+    grad_a = 1.0 - inv * (weight.sum(axis=1) / n)
+    grad_h = inv[:, None, None] * _stacked_grad(dscore, rows, weight) / n
+    return value, grad_h, grad_a, None
+
+
+def _cvar_block_value(values, a, b, xi):
+    pos = np.maximum(values - a[:, None], 0.0)
+    return a + (pos.sum(axis=1) / values.shape[1]) / (1.0 - xi)
+
+
+def _chisq_dro_block(values, dscore, rows, a, b, eta_tilde):
+    n = values.shape[1]
+    eta = (1.0 / (1.0 - eta_tilde) - 1.0) / 2.0
+    coef = np.sqrt(1.0 + 2.0 * eta)
+    pos = np.maximum(values - a[:, None], 0.0)
+    mean_sq = (pos * pos).sum(axis=1) / n
+    flat = mean_sq == 0.0  # every positive part vanishes: subgradient 0
+    root = np.sqrt(np.where(flat, 1.0, mean_sq))
+    value = np.where(flat, a, a + coef * root)
+    grad_a = np.where(flat, 1.0, 1.0 - coef * (pos.sum(axis=1) / n) / root)
+    grad_h = coef[:, None, None] * _stacked_grad(dscore, rows, pos)
+    grad_h /= (n * root)[:, None, None]
+    grad_h[flat] = 0.0
+    return value, grad_h, grad_a, None
+
+
+def _chisq_dro_block_value(values, a, b, eta_tilde):
+    eta = (1.0 / (1.0 - eta_tilde) - 1.0) / 2.0
+    pos = np.maximum(values - a[:, None], 0.0)
+    return a + np.sqrt((1.0 + 2.0 * eta) * ((pos * pos).sum(axis=1) / values.shape[1]))
+
+
+# kind -> (objective kernel, value kernel, CriterionParams fields they take)
+_BLOCK_KERNELS = {
+    "sunhuber": (_sunhuber_block, _sunhuber_block_value, ("alpha", "beta", "lam")),
+    "erm": (_erm_block, _erm_block_value, ()),
+    "cvar": (_cvar_block, _cvar_block_value, ("xi",)),
+    "chisq_dro": (_chisq_dro_block, _chisq_dro_block_value, ("eta_tilde",)),
+}
+
+
+class CriterionStack:
+    """The criteria of R runs stacked as rows, evaluated block by block.
+
+    Each maximal stretch of consecutive rows of one kind forms a block whose
+    coefficients are per-row vectors of the CriterionParams fields.  Rows
+    whose criterion does not optimize a or b get a zero gradient there.
+    """
+
+    def __init__(self, params):
+        self.params = tuple(params)
+        self.updates_a = np.array([p.updates_a for p in self.params], dtype=bool)
+        self.updates_b = np.array([p.updates_b for p in self.params], dtype=bool)
+        self.blocks = []
+        start = 0
+        for kind, group in itertools.groupby(self.params, key=lambda p: p.kind):
+            group = list(group)
+            objective, value, fields = _BLOCK_KERNELS[kind]
+            coef = {f: np.array([getattr(p, f) for p in group]) for f in fields}
+            rows = slice(start, start + len(group))
+            self.blocks.append((rows, objective, value, coef))
+            start = rows.stop
+
+    def select(self, keep) -> "CriterionStack":
+        """The stack of the rows flagged in the boolean mask ``keep``."""
+        return CriterionStack([p for p, k in zip(self.params, keep) if k])
+
+    def objective(self, values, dscore, rows, a, b):
+        """(value, grad_h, grad_a, grad_b) of every row on one shared batch.
+
+        ``values`` (r, n) and ``dscore`` (r, n, K) are each row's losses and
+        score derivatives on the design ``rows`` (n, d); ``a``/``b`` are (r,).
+        """
+        r = len(self.params)
+        value = np.empty(r)
+        grad_h = np.empty((r, dscore.shape[2], rows.shape[1]))
+        grad_a = np.zeros(r)
+        grad_b = np.zeros(r)
+        for sl, objective, _, coef in self.blocks:
+            v, gh, ga, gb = objective(values[sl], dscore[sl], rows, a[sl], b[sl], **coef)
+            value[sl] = v
+            grad_h[sl] = gh
+            if ga is not None:
+                grad_a[sl] = ga
+            if gb is not None:
+                grad_b[sl] = gb
+        return value, grad_h, grad_a, grad_b
+
+    def value(self, values, a, b, start: int = 0) -> np.ndarray:
+        """Row-wise ``criterion_value`` of the (r, n) loss matrix of rows
+        ``start`` to ``start + r`` of the stack; ``a``/``b`` are those rows'."""
+        out = np.empty(values.shape[0])
+        for sl, _, value, coef in self.blocks:
+            lo, hi = max(sl.start, start), min(sl.stop, start + values.shape[0])
+            if lo < hi:
+                own = slice(lo - sl.start, hi - sl.start)
+                at = slice(lo - start, hi - start)
+                out[at] = value(
+                    values[at], a[at], b[at], **{f: c[own] for f, c in coef.items()}
+                )
+        return out
+
+
+def mean_sd(values, lam: float = 1.0):
+    """Sample mean plus sqrt(lam * sample variance), variance with divisor n.
+
+    Reduces the last axis: a float for one sample, an array for a stack.
+    """
+    values = np.atleast_1d(np.asarray(values, dtype=float))
+    n = values.shape[-1]
     if n == 0:
         raise ValueError("mean_sd requires at least one loss")
     if lam < 0.0:
         raise ValueError(f"lam must be nonnegative, got {lam!r}")
     # the sums and divisions of np.mean and np.var, without their call overhead
-    mean = values.sum() / n
+    mean = values.sum(axis=-1, keepdims=True) / n
     dev = values - mean
-    return float(mean) + math.sqrt(lam * float((dev * dev).sum() / n))
+    dev *= dev
+    out = mean[..., 0] + np.sqrt(lam * (dev.sum(axis=-1) / n))
+    return float(out) if out.ndim == 0 else out
 
 
 def mean_variance(values) -> float:

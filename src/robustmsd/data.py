@@ -30,6 +30,7 @@ __all__ = [
 ]
 
 SPLITS = ("train", "val", "test")
+MISSING = "?"  # missing-value marker of the public credit-approval tables
 
 
 class DataError(ValueError):
@@ -193,7 +194,9 @@ def _load_csv(path: Path, label_col: Optional[str]):
     raw_labels = [r[label_idx] for r in rows]
     feature_cols = [j for j in range(len(header)) if j != label_idx]
 
-    # Column type is set by the first data row; later rows must conform.
+    # A column is numeric when its values other than the missing-value marker
+    # parse as floats.  The first such value decides: a later value that does
+    # not parse, or the marker itself, is rejected with its line number.
     def is_num(s):
         try:
             float(s)
@@ -201,16 +204,21 @@ def _load_csv(path: Path, label_col: Optional[str]):
         except ValueError:
             return False
 
-    numeric = {j: is_num(rows[0][j]) for j in feature_cols}
     groups: List[ColumnGroup] = []
     blocks = []
     out_idx = 0
     for j in feature_cols:
         name = header[j]
         col = [r[j] for r in rows]
-        if numeric[j]:
+        first = next((s for s in col if s != MISSING), None)
+        if first is None or is_num(first):
             vals = np.empty(len(col))
             for i, s in enumerate(col):
+                if s == MISSING:
+                    raise DataError(
+                        f"{path}: line {line_nums[i]}: missing value {s!r} "
+                        f"in numeric column {name!r}"
+                    )
                 try:
                     vals[i] = float(s)
                 except ValueError:
@@ -286,9 +294,10 @@ def _load_svmlight(path: Path):
 def load_tabular(path, fmt: str = "csv", label_col: Optional[str] = None) -> Dataset:
     """Load a CSV (header required, label column named or last) or svmlight file.
 
-    CSV columns whose first data value is non-numeric are one-hot encoded
-    over the levels seen in the file; numeric columns reject later
-    non-numeric values with the offending line number.  svmlight rows are
+    A CSV column whose first value other than the missing-value marker
+    ``?`` is non-numeric is one-hot encoded over the levels seen in the file
+    (``?`` among them); any other column is numeric and rejects a ``?`` or a
+    non-numeric value with the offending line number.  svmlight rows are
     ``label index:value`` with 1-based indices, densified to the maximum
     index in the file.
     """

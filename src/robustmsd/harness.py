@@ -12,6 +12,7 @@ byte-identical.
 import csv
 import json
 import math
+import operator
 from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import List, Optional, Sequence, Tuple
@@ -19,15 +20,16 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from .criteria import CriterionParams, JointState, schedule_params
-from .data import Dataset, load_tabular, preprocess, shuffle_split
+from .data import Dataset, data_dir, load_tabular, preprocess, shuffle_split
 from .model import LinearModel, loss_values
 from .optimizer import (
+    METRIC_FIELDS,
     RNG_ALGORITHM,
     DivergenceError,
     OptConfig,
     TrajectoryRecord,
     initial_joint_state,
-    run_minibatch_sgd,
+    run_stacked_sgd,
 )
 
 __all__ = [
@@ -37,6 +39,7 @@ __all__ = [
     "write_trajectory_csv",
     "read_trajectory_csv",
     "make_criterion",
+    "load_dataset",
     "build_initial_state",
     "default_lam",
     "run_experiment",
@@ -48,23 +51,11 @@ __all__ = [
     "DEFAULT_LEVELS",
 ]
 
-TRAJECTORY_HEADER = (
-    "checkpoint",
-    "split",
-    "mean_sd",
-    "mean_loss",
-    "error_rate",
-    "model_norm",
-    "objective",
-    "a",
-    "b",
-)
+TRAJECTORY_HEADER = ("checkpoint", "split") + METRIC_FIELDS
 
 # documented defaults for the under-specified sweeps
 DEFAULT_STEP_SIZES = (1e-3, 3e-3, 1e-2, 3e-2, 1e-1)
 DEFAULT_LEVELS = (0.1, 0.25, 0.5, 0.75, 0.9)
-
-_METRICS = ("mean_sd", "mean_loss", "error_rate", "model_norm", "objective", "a", "b")
 
 
 def _fmt(x: float) -> str:
@@ -81,7 +72,7 @@ def write_trajectory_csv(path, records: Sequence[TrajectoryRecord]) -> None:
         for r in records:
             writer.writerow(
                 [str(r.checkpoint), r.split]
-                + [_fmt(getattr(r, m)) for m in _METRICS]
+                + [_fmt(getattr(r, m)) for m in METRIC_FIELDS]
             )
 
 
@@ -190,17 +181,14 @@ def _final_metric(records: Sequence[TrajectoryRecord], split: str, metric: str):
     raise ValueError(f"no final-checkpoint record for split {split!r}")
 
 
-def load_spec_dataset(spec: ExperimentSpec) -> Dataset:
-    """Resolve the spec's data reference: bundled:<name>, a path, or data_dir()-relative."""
-    from .data import data_dir
-
-    ref = spec.data
+def load_dataset(ref: str, fmt: str = "csv", label_col: Optional[str] = None) -> Dataset:
+    """Resolve a data reference: bundled:<name>, a path, or a data_dir()-relative path."""
     if ref.startswith("bundled:"):
         name = ref.split(":", 1)[1]
         path = Path(__file__).parent / "datasets" / f"{name}.csv"
         if not path.exists():
             raise FileNotFoundError(f"no bundled dataset {name!r}")
-        return load_tabular(path, "csv", spec.label_col)
+        return load_tabular(path, "csv", label_col)
     path = Path(ref)
     if not path.exists():
         candidate = data_dir() / ref
@@ -208,12 +196,13 @@ def load_spec_dataset(spec: ExperimentSpec) -> Dataset:
             path = candidate
         else:
             raise FileNotFoundError(f"dataset {ref!r} not found (also tried {candidate})")
-    return load_tabular(path, spec.data_format, spec.label_col)
+    return load_tabular(path, fmt, label_col)
 
 
 def run_experiment(spec: ExperimentSpec, dataset: Optional[Dataset] = None) -> dict:
     """Execute the full sweep and return (and write) the manifest.
 
+    Each trial trains all its runs together in one ``run_stacked_sgd`` call.
     Diverged runs are flagged and excluded from step-size selection; a
     criterion with no surviving run is recorded with a null selection.
     """
@@ -221,7 +210,7 @@ def run_experiment(spec: ExperimentSpec, dataset: Optional[Dataset] = None) -> d
     runs_dir = out / "runs"
     runs_dir.mkdir(parents=True, exist_ok=True)
     if dataset is None:
-        dataset = load_spec_dataset(spec)
+        dataset = load_dataset(spec.data, spec.data_format, spec.label_col)
 
     spec_echo = asdict(spec)
     spec_echo["methods"] = [
@@ -239,57 +228,64 @@ def run_experiment(spec: ExperimentSpec, dataset: Optional[Dataset] = None) -> d
         ds = preprocess(shuffle_split(dataset, split_seed))
         n_train = int(ds.split_indices("train").size)
         lam = spec.lam if spec.lam is not None else default_lam(n_train)
-        init = build_initial_state(ds)
+        criteria = [
+            (grid.method, setting, make_criterion(grid.method, setting, n_train, lam))
+            for grid in spec.methods
+            for setting in grid.expanded()
+        ]
+        runs = [
+            (
+                params,
+                OptConfig(
+                    step_size=step,
+                    epochs=spec.epochs,
+                    batch_size=spec.batch_size,
+                    seed=split_seed,
+                    b_floor=spec.b_floor,
+                ),
+            )
+            for _, _, params in criteria
+            for step in spec.step_sizes
+        ]
+        trained = run_stacked_sgd(runs, build_initial_state(ds), ds)
         trial_entry = {"trial": trial, "split_seed": split_seed, "runs": [], "selected": []}
-        for grid in spec.methods:
-            for setting in grid.expanded():
-                params = make_criterion(grid.method, setting, n_train, lam)
-                best = None
-                for step in spec.step_sizes:
-                    config = OptConfig(
-                        step_size=step,
-                        epochs=spec.epochs,
-                        batch_size=spec.batch_size,
-                        seed=split_seed,
-                        b_floor=spec.b_floor,
-                    )
-                    run_entry = {
-                        "method": grid.method,
-                        "setting": setting,
-                        "step_size": step,
-                    }
-                    try:
-                        result = run_minibatch_sgd(params, init, ds, config)
-                    except DivergenceError as err:
-                        run_entry["status"] = "diverged"
-                        run_entry["error"] = str(err)
-                        trial_entry["runs"].append(run_entry)
-                        continue
-                    fname = f"trial{trial}_{params.label()}_step={step:g}.csv"
-                    write_trajectory_csv(runs_dir / fname, result.trajectory)
-                    val_loss = _final_metric(result.trajectory, "val", "mean_loss")
-                    run_entry.update(
-                        {
-                            "status": "ok",
-                            "file": f"runs/{fname}",
-                            "final_val_mean_loss": val_loss,
-                            "final_test_mean_sd": _final_metric(
-                                result.trajectory, "test", "mean_sd"
-                            ),
-                        }
-                    )
+        run_index = iter(range(len(runs)))
+        for method, setting, params in criteria:
+            best = None
+            for step in spec.step_sizes:
+                run_entry = {"method": method, "setting": setting, "step_size": step}
+                try:
+                    result = trained.result(next(run_index))
+                except DivergenceError as err:
+                    run_entry["status"] = "diverged"
+                    run_entry["error"] = str(err)
                     trial_entry["runs"].append(run_entry)
-                    if best is None or val_loss < best["final_val_mean_loss"]:
-                        best = run_entry
-                selection = {
-                    "method": grid.method,
-                    "setting": setting,
-                    "step_size": best["step_size"] if best else None,
-                    "file": best["file"] if best else None,
-                    "final_test_mean_sd": best["final_test_mean_sd"] if best else None,
-                    "all_diverged": best is None,
-                }
-                trial_entry["selected"].append(selection)
+                    continue
+                fname = f"trial{trial}_{params.label()}_step={step:g}.csv"
+                write_trajectory_csv(runs_dir / fname, result.trajectory)
+                val_loss = _final_metric(result.trajectory, "val", "mean_loss")
+                run_entry.update(
+                    {
+                        "status": "ok",
+                        "file": f"runs/{fname}",
+                        "final_val_mean_loss": val_loss,
+                        "final_test_mean_sd": _final_metric(
+                            result.trajectory, "test", "mean_sd"
+                        ),
+                    }
+                )
+                trial_entry["runs"].append(run_entry)
+                if best is None or val_loss < best["final_val_mean_loss"]:
+                    best = run_entry
+            selection = {
+                "method": method,
+                "setting": setting,
+                "step_size": best["step_size"] if best else None,
+                "file": best["file"] if best else None,
+                "final_test_mean_sd": best["final_test_mean_sd"] if best else None,
+                "all_diverged": best is None,
+            }
+            trial_entry["selected"].append(selection)
         manifest["trials"].append(trial_entry)
 
     with open(out / "manifest.json", "w", encoding="utf-8") as f:
@@ -306,13 +302,20 @@ def aggregate_records(trajectories: Sequence[Sequence[TrajectoryRecord]]) -> Lis
     for traj in trajectories[1:]:
         if [(r.checkpoint, r.split) for r in traj] != keys:
             raise ValueError("misaligned checkpoint grids across trials")
+    metrics = operator.attrgetter(*METRIC_FIELDS)
+    # (metric, cell, trial), C-contiguous: each cell's values across trials
+    # form one contiguous row, which numpy reduces with the same bits as a
+    # separate 1-D array
+    table = np.array([[metrics(r) for r in traj] for traj in trajectories])
+    shape = (len(trajectories), len(keys), len(METRIC_FIELDS))
+    table = np.ascontiguousarray(table.reshape(shape).T)
+    means, sds = table.mean(axis=2).tolist(), table.std(axis=2).tolist()
     rows = []
     for i, (cp, split) in enumerate(keys):
         row = {"checkpoint": cp, "split": split}
-        for metric in _METRICS:
-            vals = np.array([getattr(traj[i], metric) for traj in trajectories])
-            row[f"{metric}_mean"] = float(np.mean(vals))
-            row[f"{metric}_sd"] = float(np.std(vals))
+        for k, metric in enumerate(METRIC_FIELDS):
+            row[f"{metric}_mean"] = means[k][i]
+            row[f"{metric}_sd"] = sds[k][i]
         rows.append(row)
     return rows
 

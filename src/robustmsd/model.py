@@ -10,7 +10,9 @@ respect to the K scores; since the scores are linear in the weights, that
 derivative and the design rows determine every per-example gradient, and a
 criterion's gradient is one weighted contraction of the two.  Metrics work
 from one scoring pass: ``score_rows`` then ``losses_from_scores`` and
-``classes_from_scores``.
+``classes_from_scores``.  Scores have shape (n, K), K = 1 for binary
+models, with a leading run axis (R, n, K) when R weight matrices are
+scored together; the functions after ``score_rows`` accept either.
 """
 
 from dataclasses import dataclass
@@ -24,6 +26,7 @@ __all__ = [
     "design_rows",
     "score_rows",
     "losses_from_scores",
+    "losses_and_dscore",
     "classes_from_scores",
     "binary_logistic",
     "multiclass_logistic",
@@ -146,27 +149,46 @@ def _negated_signs(labels) -> np.ndarray:
     return 1.0 - 2.0 * np.asarray(labels)
 
 
-def score_rows(model: LinearModel, X: np.ndarray) -> np.ndarray:
-    """Scores of design rows: shape (n,) for binary models, (n, K) otherwise."""
-    if model.n_outputs == 1:
-        return X @ model.weights[0]
-    return X @ model.weights.T
+def score_rows(weights: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """Scores of design rows, shape (..., n, K), for weights of shape (..., K, d).
+
+    A stack of R weight matrices is scored in one call, one BLAS product per
+    matrix, so each run's scores carry the same bits as scoring it alone.
+    """
+    return X @ weights.swapaxes(-1, -2)
 
 
 def losses_from_scores(scores: np.ndarray, labels) -> np.ndarray:
-    """Per-example logistic losses from ``score_rows`` output and class indices."""
-    if scores.ndim == 1:
-        return np.logaddexp(0.0, _negated_signs(labels) * scores)
-    lse = logsumexp(scores, axis=1)
-    return lse - scores[np.arange(scores.shape[0]), np.asarray(labels, dtype=int)]
+    """Per-example logistic losses (..., n) from ``score_rows`` output."""
+    if scores.shape[-1] == 1:
+        t = _negated_signs(labels) * scores[..., 0]
+        return np.logaddexp(0.0, t, out=t)
+    labels = np.asarray(labels, dtype=int)
+    lse = logsumexp(scores, axis=-1)
+    return lse - scores[..., np.arange(labels.size), labels]
+
+
+def losses_and_dscore(scores: np.ndarray, labels):
+    """Per-example losses (..., n) and their score derivatives (..., n, K)."""
+    if scores.shape[-1] == 1:
+        neg_y = _negated_signs(labels)
+        t = neg_y * scores[..., 0]
+        return np.logaddexp(0.0, t), (neg_y * expit(t))[..., None]
+    labels = np.asarray(labels, dtype=int)
+    lse = logsumexp(scores, axis=-1)
+    picked = ..., np.arange(labels.size), labels
+    dscore = np.exp(scores - lse[..., None])
+    values = lse - scores[picked]
+    dscore[picked] -= 1.0
+    return values, dscore
 
 
 def classes_from_scores(scores: np.ndarray) -> np.ndarray:
-    """Predicted class indices from ``score_rows`` output; ties go to the lowest index."""
-    if scores.ndim == 1:
+    """Predicted class indices (..., n); ties go to the lowest index."""
+    if scores.shape[-1] == 1:
         # score exactly 0 predicts class 0 (the lower index)
-        return (scores > 0.0).astype(int)
-    return np.argmax(scores, axis=1)
+        return (scores[..., 0] > 0.0).astype(int)
+    return np.argmax(scores, axis=-1)
 
 
 def loss_batch(model: LinearModel, features, labels) -> LossBatch:
@@ -176,30 +198,19 @@ def loss_batch(model: LinearModel, features, labels) -> LossBatch:
     is mapped to +1 and index 0 to -1 before applying the binary loss.
     """
     X = design_rows(model, features)
-    scores = score_rows(model, X)
-    if scores.ndim == 1:
-        neg_y = _negated_signs(labels)
-        t = neg_y * scores
-        values = np.logaddexp(0.0, t)
-        dscore = (neg_y * expit(t))[:, None]
-    else:
-        labels = np.asarray(labels, dtype=int)
-        lse = logsumexp(scores, axis=1)
-        picked = np.arange(len(labels)), labels
-        values = lse - scores[picked]
-        dscore = np.exp(scores - lse[:, None])
-        dscore[picked] -= 1.0
+    values, dscore = losses_and_dscore(score_rows(model.weights, X), labels)
     return LossBatch(values=values, dscore=dscore, rows=X)
 
 
 def loss_values(model: LinearModel, features, labels) -> np.ndarray:
     """Per-example loss values only (no derivatives); used for metrics."""
-    return losses_from_scores(score_rows(model, design_rows(model, features)), labels)
+    X = design_rows(model, features)
+    return losses_from_scores(score_rows(model.weights, X), labels)
 
 
 def predict_classes(model: LinearModel, features) -> np.ndarray:
     """Predicted class indices; ties resolve to the lowest class index."""
-    return classes_from_scores(score_rows(model, design_rows(model, features)))
+    return classes_from_scores(score_rows(model.weights, design_rows(model, features)))
 
 
 def zero_one_error(model: LinearModel, features, labels) -> float:

@@ -90,6 +90,37 @@ def test_train_runtime_error_exits_1(tmp_path):
     assert code == 1
 
 
+def test_train_resolves_data_like_experiment(tmp_path, monkeypatch, capsys):
+    # train and experiment share one resolver: bundled names are checked and
+    # relative paths fall back to ROBUSTMSD_DATA_DIR
+    args = ["train", "--criterion", "cvar", "--xi", "0.25", "--epochs", "1",
+            "--out", str(tmp_path / "run")]
+    assert main(args + ["--data", "bundled:nope"]) == 1
+    assert "no bundled dataset 'nope'" in capsys.readouterr().err
+    main(["synth", "--n", "100", "--seed", "3", "--out", str(tmp_path / "d")])
+    monkeypatch.setenv("ROBUSTMSD_DATA_DIR", str(tmp_path / "d"))
+    monkeypatch.chdir(tmp_path)
+    assert main(args + ["--data", "synth.csv"]) == 0
+    rows = list(csv.reader(open(tmp_path / "run" / "trajectory.csv")))
+    assert len(rows) == 2  # header + the train split's record after one epoch
+
+
+def test_train_rejects_bad_criterion_setting_with_exit_1(tmp_path, capsys):
+    main(["synth", "--n", "100", "--seed", "3", "--out", str(tmp_path)])
+    code = main(
+        [
+            "train",
+            "--data", str(tmp_path / "synth.csv"),
+            "--criterion", "chisq_dro",
+            "--eta-tilde", "1.5",
+            "--iterations", "5",
+            "--out", str(tmp_path / "run"),
+        ]
+    )
+    assert code == 1
+    assert "eta_tilde" in capsys.readouterr().err
+
+
 def test_experiment_and_report_round_trip(tmp_path):
     cfg = tmp_path / "cfg.ini"
     cfg.write_text(

@@ -88,6 +88,24 @@ def test_csv_non_numeric_in_numeric_column_names_line(tmp_path):
         load_tabular(p, "csv")
 
 
+def test_csv_missing_marker_in_numeric_column_names_line(tmp_path):
+    # a leading "?" must not turn the numeric column into one-hot levels
+    p = write(tmp_path, "missing.csv", "f,g,label\n?,a,1\n2.0,b,0\n3.0,a,1\n")
+    with pytest.raises(DataError, match=r"line 2: missing value '\?' in numeric column 'f'"):
+        load_tabular(p, "csv")
+    p = write(tmp_path, "late.csv", "f,label\n1.0,1\n2.0,0\n?,1\n")
+    with pytest.raises(DataError, match="line 4"):
+        load_tabular(p, "csv")
+
+
+def test_csv_missing_marker_is_a_level_of_a_categorical_column(tmp_path):
+    p = write(tmp_path, "cat.csv", "g,f,label\n?,1.0,1\nred,2.0,0\n?,3.0,1\n")
+    ds = load_tabular(p, "csv")
+    assert ds.n_features == 3  # one-hot over {?, red} + f
+    np.testing.assert_array_equal(ds.features[:, 0], [1.0, 0.0, 1.0])
+    np.testing.assert_array_equal(ds.features[:, 2], [1.0, 2.0, 3.0])
+
+
 def test_csv_inconsistent_field_count(tmp_path):
     p = write(tmp_path, "bad.csv", "a,b,label\n1,2,1\n1,2\n")
     with pytest.raises(DataError, match="line 3"):

@@ -93,6 +93,23 @@ def test_aggregate_rejects_misaligned():
         aggregate_records([t1, t2])
 
 
+@pytest.mark.parametrize("n_trials", [1, 9, 20])
+def test_aggregate_matches_per_cell_numpy_bitwise(n_trials):
+    rng = np.random.Generator(np.random.PCG64(n_trials))
+    cells = [(cp, split) for cp in (1, 2, 3) for split in ("train", "val", "test")]
+    trajs = [
+        [TrajectoryRecord(cp, split, *rng.lognormal(size=7)) for cp, split in cells]
+        for _ in range(n_trials)
+    ]
+    rows = aggregate_records(trajs)
+    assert [(r["checkpoint"], r["split"]) for r in rows] == cells
+    for i, row in enumerate(rows):
+        for metric in ("mean_sd", "mean_loss", "error_rate", "model_norm", "objective", "a", "b"):
+            vals = np.array([getattr(traj[i], metric) for traj in trajs])
+            assert row[f"{metric}_mean"] == float(np.mean(vals))
+            assert row[f"{metric}_sd"] == float(np.std(vals))
+
+
 def test_make_criterion_dispatch():
     lam = default_lam(100)
     p = make_criterion("sunhuber", 0.9, 100, lam)
