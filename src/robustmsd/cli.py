@@ -22,6 +22,7 @@ from .harness import (
     build_initial_state,
     default_lam,
     load_dataset,
+    load_manifest,
     make_criterion,
     run_experiment,
     write_aggregate_csv,
@@ -124,14 +125,21 @@ def _spec_from_config(path, out_override, seed_override) -> ExperimentSpec:
     import configparser
 
     parser = configparser.ConfigParser()
-    read = parser.read(path)
+    try:
+        read = parser.read(path, encoding="utf-8")
+        # reading every value here also runs its interpolation, which can fail
+        sections = {name: dict(parser[name]) for name in parser.sections()}
+    except configparser.Error as err:
+        raise DataError(f"malformed config file {path!r}: {err}") from None
     if not read:
         raise DataError(f"cannot read config file {path!r}")
-    data_sec = parser["data"]
-    exp = parser["experiment"] if parser.has_section("experiment") else {}
+    data_sec = sections.get("data", {})
+    if "path" not in data_sec:
+        raise DataError(f"config file {path!r} has no [data] section with a path")
+    exp = sections.get("experiment", {})
     methods = []
-    if parser.has_section("methods"):
-        for method, raw in parser["methods"].items():
+    if "methods" in sections:
+        for method, raw in sections["methods"].items():
             if method == "erm":
                 if raw.strip().lower() in ("true", "yes", "1", "on"):
                     methods.append(MethodGrid("erm"))
@@ -147,7 +155,7 @@ def _spec_from_config(path, out_override, seed_override) -> ExperimentSpec:
     lam_raw = exp.get("lam", "auto")
     out_dir = out_override or exp.get("out", "results")
     return ExperimentSpec(
-        data=data_sec.get("path"),
+        data=data_sec["path"],
         data_format=data_sec.get("format", "csv"),
         label_col=data_sec.get("label_col", None),
         methods=methods,
@@ -179,6 +187,7 @@ def _cmd_verify(args) -> int:
     outcomes = run_property_suite(quick=args.quick, seed=args.seed)
     for o in outcomes:
         print(f"{o.status} {o.name} ({o.detail})")
+        print(f"time {o.name} {o.seconds:.3f} s", file=sys.stderr)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     path = out / "verify_report.csv"
@@ -193,11 +202,8 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_report(args) -> int:
-    import json
-
     manifest_path = Path(args.manifest)
-    with open(manifest_path, encoding="utf-8") as f:
-        manifest = json.load(f)
+    manifest = load_manifest(manifest_path)
     rows = aggregate_trials(manifest, manifest_path.parent)
     out = Path(args.out) if args.out else manifest_path.parent / "aggregate.csv"
     write_aggregate_csv(out, rows)

@@ -20,7 +20,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from .criteria import CriterionParams, JointState, schedule_params
-from .data import Dataset, data_dir, load_tabular, preprocess, shuffle_split
+from .data import DataError, Dataset, data_dir, load_tabular, preprocess, shuffle_split
 from .model import LinearModel, loss_values
 from .optimizer import (
     METRIC_FIELDS,
@@ -44,6 +44,7 @@ __all__ = [
     "default_lam",
     "run_experiment",
     "aggregate_records",
+    "load_manifest",
     "aggregate_trials",
     "write_aggregate_csv",
     "TRAJECTORY_HEADER",
@@ -79,17 +80,23 @@ def write_trajectory_csv(path, records: Sequence[TrajectoryRecord]) -> None:
 def read_trajectory_csv(path) -> List[TrajectoryRecord]:
     with open(path, newline="", encoding="utf-8") as f:
         reader = csv.reader(f)
-        header = tuple(next(reader))
+        header = tuple(next(reader, ()))
         if header != TRAJECTORY_HEADER:
             raise ValueError(f"{path}: unexpected header {header!r}")
         out = []
-        for row in reader:
-            cp, split, *metrics = row
-            out.append(
-                TrajectoryRecord(
-                    int(cp), split, *[float(m) for m in metrics]
+        for line, row in enumerate(reader, start=2):
+            if len(row) != len(TRAJECTORY_HEADER):
+                raise ValueError(
+                    f"{path}: line {line} has {len(row)} fields, "
+                    f"expected {len(TRAJECTORY_HEADER)}"
                 )
-            )
+            cp, split, *metrics = row
+            try:
+                out.append(
+                    TrajectoryRecord(int(cp), split, *[float(m) for m in metrics])
+                )
+            except ValueError as err:
+                raise ValueError(f"{path}: line {line}: {err}") from None
     return out
 
 
@@ -318,6 +325,40 @@ def aggregate_records(trajectories: Sequence[Sequence[TrajectoryRecord]]) -> Lis
             row[f"{metric}_sd"] = sds[k][i]
         rows.append(row)
     return rows
+
+
+_SELECTION_FIELDS = ("method", "setting", "file", "all_diverged")
+
+
+def load_manifest(path) -> dict:
+    """Read a manifest, checking every field that ``aggregate_trials`` reads.
+
+    A file that is not JSON, or lacks one of those fields, raises
+    ``DataError`` naming the file and the field.
+    """
+    try:
+        with open(path, encoding="utf-8") as f:
+            manifest = json.load(f)
+    except json.JSONDecodeError as err:
+        raise DataError(f"manifest {str(path)!r} is not JSON: {err}") from None
+
+    def fail(what):
+        raise DataError(f"manifest {str(path)!r}: {what}")
+
+    if not isinstance(manifest, dict) or not isinstance(manifest.get("trials"), list):
+        fail("no list field 'trials'")
+    for i, trial in enumerate(manifest["trials"]):
+        if not isinstance(trial, dict) or not isinstance(trial.get("selected"), list):
+            fail(f"trial {i} has no list field 'selected'")
+        if len(trial["selected"]) != len(manifest["trials"][0]["selected"]):
+            fail(f"trial {i} has a different number of selections than trial 0")
+        for j, pick in enumerate(trial["selected"]):
+            for key in _SELECTION_FIELDS:
+                if not isinstance(pick, dict) or key not in pick:
+                    fail(f"selection {j} of trial {i} has no field {key!r}")
+            if not pick["all_diverged"] and not isinstance(pick["file"], str):
+                fail(f"selection {j} of trial {i} has no file name in field 'file'")
+    return manifest
 
 
 def aggregate_trials(manifest: dict, base_dir) -> List[dict]:

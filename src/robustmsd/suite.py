@@ -6,7 +6,9 @@ population-level oracle and reports PASS/FAIL with a one-line detail.
 """
 
 import math
-from dataclasses import dataclass
+import time
+from dataclasses import dataclass, field
+from functools import partial
 from typing import List
 
 import numpy as np
@@ -39,17 +41,23 @@ class PropertyOutcome:
     name: str
     passed: bool
     detail: str
+    seconds: float = field(default=0.0, compare=False)  # wall time of the check
 
     @property
     def status(self) -> str:
         return "PASS" if self.passed else "FAIL"
 
 
-def _conjugate_sup(x: float) -> float:
+def _conjugate_grid():
+    """Grid u for the numerical conjugate sup, and rho(u) on it."""
     fine = np.linspace(-10.0, 10.0, 2_000_001)
     tails = np.geomspace(10.0, 1e6, 20_000)
     u = np.concatenate([fine, tails, -tails])
-    return float(np.max(x * u - (np.sqrt(u * u + 1.0) - 1.0)))
+    return u, np.sqrt(u * u + 1.0) - 1.0
+
+
+def _conjugate_sup(x: float, u: np.ndarray, rho_u: np.ndarray) -> float:
+    return float(np.max(x * u - rho_u))
 
 
 def _closed_forms() -> PropertyOutcome:
@@ -68,8 +76,9 @@ def _closed_forms() -> PropertyOutcome:
         abs(rho_mod.pseudo_huber(1.0, 1.0) - (math.sqrt(2.0) - 1.0)) < 1e-12,
         abs(rho_mod.pseudo_huber(2.0, 1e4) - 2.0) < 1e-3,
     ]
+    u, rho_u = _conjugate_grid()
     sup_err = max(
-        abs(rho_mod.rho_conjugate(x) - _conjugate_sup(x))
+        abs(rho_mod.rho_conjugate(x) - _conjugate_sup(x, u, rho_u))
         for x in (-0.99, -0.9, -0.5, -0.1, 0.0, 0.1, 0.5, 0.9, 0.99)
     )
     ok = all(checks) and sup_err < 1e-6
@@ -185,24 +194,16 @@ def _scale_limit() -> PropertyOutcome:
     return PropertyOutcome("scale_optimized_sandwich", ok, f"limits: {vals}")
 
 
-def _concentration(trials: int, seed: int) -> List[PropertyOutcome]:
-    out = []
-    for name, losses, s in (
-        ("gaussian", GaussianLosses(0.0, 1.0), seed),
-        ("lognormal", LognormalLosses(0.0, 1.0), seed + 1),
-    ):
-        r = check_location_concentration(
-            losses, b=20.0, alpha=0.0, lam=1.0, n=2000,
-            delta=0.05, trials=trials, seed=s,
-        )
-        out.append(
-            PropertyOutcome(
-                f"location_concentration_{name}",
-                r.passed,
-                f"coverage {r.coverage:.4f} >= required {r.required:.4f}",
-            )
-        )
-    return out
+def _concentration(name: str, losses, trials: int, seed: int) -> PropertyOutcome:
+    r = check_location_concentration(
+        losses, b=20.0, alpha=0.0, lam=1.0, n=2000,
+        delta=0.05, trials=trials, seed=seed,
+    )
+    return PropertyOutcome(
+        f"location_concentration_{name}",
+        r.passed,
+        f"coverage {r.coverage:.4f} >= required {r.required:.4f}",
+    )
 
 
 def _stationarity(n_instances: int, seed: int) -> PropertyOutcome:
@@ -238,22 +239,34 @@ def _pair_optimality() -> PropertyOutcome:
 
 
 def run_property_suite(quick: bool = False, seed: int = 0) -> List[PropertyOutcome]:
-    """Run every property check; ``quick`` shrinks randomized sample counts."""
+    """Run every property check; ``quick`` shrinks randomized sample counts.
+
+    Each outcome carries its check's wall time in ``seconds``.
+    """
     n_pairs = 200 if quick else 1000
     n_draws = 200 if quick else 1000
     n_configs = 50 if quick else 200
     mc_trials = 300 if quick else 2000
     n_stat = 20 if quick else 100
-    outcomes = [
-        _closed_forms(),
-        _catoni_grid(),
-        _partial_convexity(n_pairs, seed + 10),
-        _lipschitz_bound(n_draws, seed + 20),
-        _nonsmooth_witness(n_draws, seed + 30),
-        _scale_bounds(n_configs, seed + 40),
-        _scale_limit(),
+    checks = [
+        _closed_forms,
+        _catoni_grid,
+        partial(_partial_convexity, n_pairs, seed + 10),
+        partial(_lipschitz_bound, n_draws, seed + 20),
+        partial(_nonsmooth_witness, n_draws, seed + 30),
+        partial(_scale_bounds, n_configs, seed + 40),
+        _scale_limit,
+        partial(_concentration, "gaussian", GaussianLosses(0.0, 1.0),
+                mc_trials, seed + 50),
+        partial(_concentration, "lognormal", LognormalLosses(0.0, 1.0),
+                mc_trials, seed + 51),
+        partial(_stationarity, n_stat, seed + 60),
+        _pair_optimality,
     ]
-    outcomes.extend(_concentration(mc_trials, seed + 50))
-    outcomes.append(_stationarity(n_stat, seed + 60))
-    outcomes.append(_pair_optimality())
+    outcomes = []
+    for check in checks:
+        start = time.perf_counter()
+        outcome = check()
+        outcome.seconds = time.perf_counter() - start
+        outcomes.append(outcome)
     return outcomes

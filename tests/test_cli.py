@@ -3,8 +3,12 @@
 import csv
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from robustmsd.cli import main
+from robustmsd.cli import _spec_from_config, main
+from robustmsd.data import DataError
+from robustmsd.harness import ExperimentSpec
 from robustmsd.suite import run_property_suite
 
 
@@ -163,3 +167,83 @@ def test_property_suite_outcomes_quick():
     names = [o.name for o in outcomes]
     assert "pair_optimality_equalities" in names
     assert "location_concentration_lognormal" in names
+
+
+def test_verify_prints_property_times_on_stderr_only(tmp_path, capsys):
+    reports = []
+    for run in ("a", "b"):
+        assert main(["verify", "--quick", "--out", str(tmp_path / run)]) == 0
+        captured = capsys.readouterr()
+        times = [line.split() for line in captured.err.splitlines()]
+        assert len(times) == 11
+        assert all(t[0] == "time" and t[3] == "s" and float(t[2]) >= 0.0 for t in times)
+        assert "time" not in captured.out
+        reports.append((tmp_path / run / "verify_report.csv").read_bytes())
+    assert reports[0] == reports[1]
+    assert b"time" not in reports[0]
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "[data]\npath = bundled:credit690\npath = other\n",  # duplicate key
+        "path = bundled:credit690\n",  # no section header
+        "[experiment]\ntrials = 1\n",  # no [data] section
+        "[data]\nformat = csv\n",  # no path key
+        "[data]\npath = %(nope)s\n",  # bad interpolation
+    ],
+)
+def test_experiment_malformed_config_exits_1(tmp_path, capsys, text):
+    cfg = tmp_path / "bad.ini"
+    cfg.write_text(text, encoding="utf-8")
+    assert main(["experiment", "--config", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "bad.ini" in err
+
+
+@pytest.mark.parametrize(
+    "text, field",
+    [
+        ('{"trials": [{}]}', "'selected'"),
+        ("[1, 2]", "'trials'"),
+        ('{"trials": [{"selected": [{"method": "erm", "file": null}]}]}', "'setting'"),
+        (
+            '{"trials": [{"selected": [{"method": "erm", "setting": null,'
+            ' "file": 5, "all_diverged": false}]}]}',
+            "'file'",
+        ),
+        ("not json", "not JSON"),
+    ],
+)
+def test_report_malformed_manifest_exits_1(tmp_path, capsys, text, field):
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(text, encoding="utf-8")
+    assert main(["report", "--manifest", str(manifest)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: manifest ") and "manifest.json" in err and field in err
+
+
+CONFIG_LINES = st.one_of(
+    st.sampled_from(
+        [
+            "[data]", "[experiment]", "[methods]", "[DEFAULT]", "[data",
+            "path = bundled:credit690", "path = %(x)s", "format = csv",
+            "trials = 2", "trials = 0", "epochs = -1", "batch_size = x",
+            "lam = auto", "lam = 0.5", "step_sizes = 0.01, y", "seed = 1.5",
+            "sunhuber = 0.9", "erm = yes", "cvar = ", "  continued", "= 3", "%%",
+        ]
+    ),
+    st.text(max_size=30),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(CONFIG_LINES, max_size=12))
+def test_config_parsing_returns_spec_or_data_or_value_error(tmp_path_factory, lines):
+    cfg = tmp_path_factory.getbasetemp() / "fuzz.ini"
+    cfg.write_text("\n".join(lines), encoding="utf-8")
+    try:
+        spec = _spec_from_config(str(cfg), None, None)
+    except (DataError, ValueError):
+        return
+    assert isinstance(spec, ExperimentSpec)

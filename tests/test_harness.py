@@ -8,6 +8,7 @@ import pytest
 
 from robustmsd.data import load_tabular
 from robustmsd.harness import (
+    TRAJECTORY_HEADER,
     ExperimentSpec,
     MethodGrid,
     TrajectoryRecord,
@@ -63,6 +64,23 @@ def test_read_rejects_foreign_header(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("a,b\n1,2\n", encoding="utf-8")
     with pytest.raises(ValueError):
+        read_trajectory_csv(path)
+
+
+@pytest.mark.parametrize(
+    "body, match",
+    [
+        ("", "unexpected header"),
+        ("1,train,1,1,1,1,1,1,1,9\n", "line 2 has 10 fields"),
+        ("1,train,1,1\n", "line 2 has 4 fields"),
+        ("1,train,1,1,1,1,1,1,1\n1,val,x,1,1,1,1,1,1\n", "line 3: could not convert"),
+    ],
+)
+def test_read_rejects_malformed_rows_with_their_line(tmp_path, body, match):
+    path = tmp_path / "bad.csv"
+    header = ",".join(TRAJECTORY_HEADER) + "\n" if body else ""
+    path.write_text(header + body, encoding="utf-8")
+    with pytest.raises(ValueError, match=match):
         read_trajectory_csv(path)
 
 

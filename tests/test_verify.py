@@ -5,7 +5,10 @@ import math
 import numpy as np
 import pytest
 
+from robustmsd import verify
+from robustmsd.suite import _conjugate_grid, _conjugate_sup
 from robustmsd.verify import (
+    THRESHOLD_BLOCK,
     DiscreteDist,
     GaussianLosses,
     GradientDist,
@@ -15,6 +18,7 @@ from robustmsd.verify import (
     check_scale_bounds,
     check_scale_optimized_limit,
     check_stationarity_equivalence,
+    _solve_thresholds,
     optimal_scale,
 )
 
@@ -156,6 +160,97 @@ def test_location_concentration_rejects_bad_condition():
             GaussianLosses(0.0, 1.0), b=20.0, alpha=0.3, lam=1.0,
             n=2000, delta=0.05, trials=10,
         )
+
+
+# ------------------------------------------------- blocked threshold solve
+
+
+def whole_array_thresholds(X, b, alpha, lam):
+    """Reference: one lockstep bisection over every row of X at once."""
+
+    def g(a_col):
+        t = (X - a_col[:, None]) / b
+        return lam * np.mean(t / np.sqrt(t * t + 1.0), axis=1) - alpha
+
+    lo = X.min(axis=1) - b
+    hi = X.max(axis=1) + b
+    widen = b
+    while True:
+        bad = g(lo) <= 0.0
+        if not bad.any():
+            break
+        lo[bad] -= widen
+        widen *= 2.0
+    widen = b
+    while True:
+        bad = g(hi) >= 0.0
+        if not bad.any():
+            break
+        hi[bad] += widen
+        widen *= 2.0
+    for _ in range(64):
+        mid = 0.5 * (lo + hi)
+        above = g(mid) > 0.0
+        lo = np.where(above, mid, lo)
+        hi = np.where(above, hi, mid)
+    return 0.5 * (lo + hi)
+
+
+@pytest.mark.parametrize(
+    "trials, n, b, alpha",
+    [
+        (37, 2000, 20.0, 0.0),  # 37 rows: blocks of 16, 16 and 5
+        (3, THRESHOLD_BLOCK + 1, 20.0, 0.0),  # one row per block
+        (50, 1, 0.5, 0.0),
+        (41, 3, 0.5, 0.0),
+        (37, 2000, 20.0, 0.002),
+        (29, 700, 0.5, 0.3),
+    ],
+)
+def test_blocked_thresholds_equal_whole_array_bisection(trials, n, b, alpha):
+    rng = np.random.Generator(np.random.PCG64(trials * n))
+    X = rng.lognormal(0.0, 1.0, (trials, n))
+    expected = whole_array_thresholds(X, b, alpha, 1.0)
+    assert np.array_equal(_solve_thresholds(X, b, alpha, 1.0), expected)
+
+
+@pytest.mark.parametrize("block", [1, 4 * 700, 16 * 700, 64 * 700])
+def test_threshold_block_size_does_not_change_bits(monkeypatch, block):
+    rng = np.random.Generator(np.random.PCG64(5))
+    X = rng.standard_normal((37, 700))
+    expected = whole_array_thresholds(X, 0.5, 0.1, 1.0)
+    monkeypatch.setattr(verify, "THRESHOLD_BLOCK", block)
+    assert np.array_equal(_solve_thresholds(X, 0.5, 0.1, 1.0), expected)
+
+
+def test_blocked_thresholds_widen_brackets_row_by_row():
+    # with alpha close to lam, rows that sit mostly within b of their minimum
+    # have their root below min - b, so their lower bracket widens while the
+    # other rows' brackets stay put; row 3's outlier makes its bracket so
+    # wide that 64 halvings do not converge, so its root depends on the
+    # exact widening sequence
+    rng = np.random.Generator(np.random.PCG64(6))
+    X = rng.standard_normal((37, 500))
+    X[3] = 0.0
+    X[3, 0] = 1e12
+    X[20] = -1e6
+    X[22] *= 1e-3
+    b, alpha, lam = 0.5, 0.95, 1.0
+    t = (X - (X.min(axis=1) - b)[:, None]) / b
+    widens = lam * np.mean(t / np.sqrt(t * t + 1.0), axis=1) - alpha <= 0.0
+    assert np.flatnonzero(widens).tolist() == [3, 20, 22]
+    expected = whole_array_thresholds(X, b, alpha, lam)
+    assert np.array_equal(_solve_thresholds(X, b, alpha, lam), expected)
+
+
+def test_conjugate_sup_on_shared_grid_matches_per_call_grid():
+    u, rho_u = _conjugate_grid()
+    fine = np.linspace(-10.0, 10.0, 2_000_001)
+    tails = np.geomspace(10.0, 1e6, 20_000)
+    grid = np.concatenate([fine, tails, -tails])
+    for x in (-0.99, -0.9, -0.5, -0.1, 0.0, 0.1, 0.5, 0.9, 0.99):
+        old = float(np.max(x * grid - (np.sqrt(grid * grid + 1.0) - 1.0)))
+        assert _conjugate_sup(x, u, rho_u) == old
 
 
 # --------------------------------------------------------- stationarity
