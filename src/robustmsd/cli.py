@@ -12,6 +12,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .criteria import KINDS, criterion_record
 from .data import DataError, SynthConfig, generate_2d_outlier, preprocess, shuffle_split
 from .harness import (
     DEFAULT_LEVELS,
@@ -68,12 +69,9 @@ def _cmd_train(args) -> int:
         dataset = preprocess(dataset)
     n_train = int(dataset.split_indices("train").size)
     lam = default_lam(n_train) if args.lam == "auto" else float(args.lam)
-    setting = {
-        "sunhuber": args.beta0,
-        "erm": None,
-        "cvar": args.xi,
-        "chisq_dro": args.eta_tilde,
-    }[args.criterion]
+    # each setting flag is named after the CriterionParams field it fills
+    field = criterion_record(args.criterion).setting
+    setting = getattr(args, field) if field else None
     params = make_criterion(args.criterion, setting, n_train, lam)
 
     h0 = None
@@ -140,11 +138,10 @@ def _spec_from_config(path, out_override, seed_override) -> ExperimentSpec:
     methods = []
     if "methods" in sections:
         for method, raw in sections["methods"].items():
-            if method == "erm":
-                if raw.strip().lower() in ("true", "yes", "1", "on"):
-                    methods.append(MethodGrid("erm"))
-            else:
+            if criterion_record(method).setting is not None:
                 methods.append(MethodGrid(method, _parse_floats(raw)))
+            elif raw.strip().lower() in ("true", "yes", "1", "on"):
+                methods.append(MethodGrid(method))
     else:
         methods = [
             MethodGrid("sunhuber", (0.9,)),
@@ -234,7 +231,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--label-col", default=None)
     p.add_argument(
         "--criterion",
-        choices=("sunhuber", "erm", "cvar", "chisq_dro"),
+        choices=KINDS,
         required=True,
     )
     p.add_argument("--beta0", type=float, default=0.9)

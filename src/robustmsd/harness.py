@@ -19,7 +19,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .criteria import CriterionParams, JointState, schedule_params
+from .criteria import JointState, criterion_record, make_criterion
 from .data import DataError, Dataset, data_dir, load_tabular, preprocess, shuffle_split
 from .model import LinearModel, loss_values
 from .optimizer import (
@@ -113,7 +113,7 @@ class MethodGrid:
     settings: Tuple[float, ...] = ()
 
     def expanded(self):
-        if self.method == "erm":
+        if criterion_record(self.method).setting is None:
             return [None]
         if not self.settings:
             raise ValueError(f"method {self.method!r} needs settings")
@@ -150,21 +150,6 @@ class ExperimentSpec:
 
 def default_lam(n_train: int) -> float:
     return math.log(n_train) / math.sqrt(n_train)
-
-
-def make_criterion(
-    method: str, setting: Optional[float], n_train: int, lam: float
-) -> CriterionParams:
-    """Build the criterion parameters for one (method, setting) pair."""
-    if method == "sunhuber":
-        return schedule_params(n_train, setting, lam)
-    if method == "erm":
-        return CriterionParams("erm")
-    if method == "cvar":
-        return CriterionParams("cvar", xi=setting)
-    if method == "chisq_dro":
-        return CriterionParams("chisq_dro", eta_tilde=setting)
-    raise ValueError(f"unknown method {method!r}")
 
 
 def build_initial_state(dataset: Dataset, h0: Optional[np.ndarray] = None) -> JointState:
@@ -215,7 +200,6 @@ def run_experiment(spec: ExperimentSpec, dataset: Optional[Dataset] = None) -> d
     """
     out = Path(spec.out_dir)
     runs_dir = out / "runs"
-    runs_dir.mkdir(parents=True, exist_ok=True)
     if dataset is None:
         dataset = load_dataset(spec.data, spec.data_format, spec.label_col)
 
@@ -240,6 +224,8 @@ def run_experiment(spec: ExperimentSpec, dataset: Optional[Dataset] = None) -> d
             for grid in spec.methods
             for setting in grid.expanded()
         ]
+        # every method and setting is checked before anything is written
+        runs_dir.mkdir(parents=True, exist_ok=True)
         runs = [
             (
                 params,

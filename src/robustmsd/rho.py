@@ -9,15 +9,12 @@ the rescaled (pseudo-Huber) map b^2 * rho(x/b).
 """
 
 import math
-from dataclasses import dataclass
 
 __all__ = [
     "GAMMA",
-    "RhoEval",
     "rho",
     "rho_prime",
     "rho_second",
-    "rho_eval",
     "catoni_envelope_check",
     "rho_conjugate",
     "pseudo_huber",
@@ -34,15 +31,6 @@ def _require_finite(name: str, x: float) -> float:
     if not math.isfinite(x):
         raise ValueError(f"{name} must be finite, got {x!r}")
     return x
-
-
-@dataclass(frozen=True)
-class RhoEval:
-    """Value and first two derivatives of rho at a point."""
-
-    value: float
-    first_deriv: float
-    second_deriv: float
 
 
 def rho(x: float) -> float:
@@ -69,11 +57,6 @@ def rho_second(x: float) -> float:
     x = _require_finite("x", x)
     t = 1.0 / math.hypot(x, 1.0)
     return t * t * t
-
-
-def rho_eval(x: float) -> RhoEval:
-    """Evaluate rho and both derivatives at x in one call."""
-    return RhoEval(rho(x), rho_prime(x), rho_second(x))
 
 
 def catoni_envelope_check(x: float) -> bool:

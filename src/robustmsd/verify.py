@@ -255,11 +255,17 @@ def _solve_thresholds(X: np.ndarray, b: float, alpha: float, lam: float) -> np.n
     """Row-wise root of (lam/n) sum_i rho'((x_ij - a)/b) = alpha.
 
     The left side is continuous and strictly decreasing in a with range
-    (-lam, lam), so for 0 <= alpha < lam each row has a unique root.  Rows
-    are solved ``THRESHOLD_BLOCK // n`` at a time (at least one), so the
-    bisection's temporaries stay in cache; a row's root depends on that row
-    alone, so the result is bitwise the same for any block size.
+    (-lam, lam), so for 0 <= alpha < lam each row has a unique root.  For
+    alpha < lam/sqrt(2) it lies in [min - b, max + b]: every rho' term is at
+    least 1/sqrt(2) at min - b and negative at max + b, so that bracket
+    needs no widening as long as b does not vanish in rounding against the
+    losses; other alpha raise ValueError.  Rows are solved
+    ``THRESHOLD_BLOCK // n`` at a time (at least one), so the bisection's
+    temporaries stay in cache; a row's root depends on that row alone, so
+    the result is bitwise the same for any block size.
     """
+    if not 0.0 <= alpha < lam / math.sqrt(2.0):
+        raise ValueError(f"alpha = {alpha:g} must lie in [0, lam/sqrt(2)), lam = {lam:g}")
     trials, n = X.shape
     rows = max(1, THRESHOLD_BLOCK // n)
     roots = np.empty(trials)
@@ -270,8 +276,7 @@ def _solve_thresholds(X: np.ndarray, b: float, alpha: float, lam: float) -> np.n
 
 
 def _bisect_rows(X: np.ndarray, b: float, alpha: float, lam: float) -> np.ndarray:
-    """Lockstep bisection of the rows of X: each row widens its own bracket
-    by b, 2b, 4b, ... until it holds the root, then all rows take 64 halvings."""
+    """Lockstep bisection of the rows of X: 64 halvings of [min - b, max + b]."""
     t = np.empty_like(X)
     s = np.empty_like(X)
 
@@ -287,20 +292,6 @@ def _bisect_rows(X: np.ndarray, b: float, alpha: float, lam: float) -> np.ndarra
 
     lo = X.min(axis=1) - b
     hi = X.max(axis=1) + b
-    widen = b
-    while True:
-        bad = g(lo) <= 0.0
-        if not bad.any():
-            break
-        lo[bad] -= widen
-        widen *= 2.0
-    widen = b
-    while True:
-        bad = g(hi) >= 0.0
-        if not bad.any():
-            break
-        hi[bad] += widen
-        widen *= 2.0
     for _ in range(64):
         mid = 0.5 * (lo + hi)
         above = g(mid) > 0.0

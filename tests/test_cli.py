@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from robustmsd.cli import _spec_from_config, main
+from robustmsd.criteria import KINDS
 from robustmsd.data import DataError
 from robustmsd.harness import ExperimentSpec
 from robustmsd.suite import run_property_suite
@@ -151,6 +152,71 @@ def test_experiment_and_report_round_trip(tmp_path):
     agg = list(csv.reader(open(tmp_path / "exp" / "aggregate.csv")))
     assert agg[0][0] == "method"
     assert len(agg) == 1 + 2 * 2 * 3  # methods x epochs x splits
+
+
+def sweep_config(tmp_path, methods):
+    cfg = tmp_path / "cfg.ini"
+    cfg.write_text(
+        "[data]\n"
+        "path = bundled:credit690\n"
+        "\n"
+        "[experiment]\n"
+        "trials = 1\n"
+        "epochs = 1\n"
+        "step_sizes = 0.01\n"
+        f"out = {tmp_path / 'exp'}\n"
+        "\n"
+        f"[methods]\n{methods}\n",
+        encoding="utf-8",
+    )
+    return cfg
+
+
+@pytest.mark.parametrize(
+    "methods, method",
+    [
+        ("foo = 0.5", "foo"),  # unknown method
+        ("cvar = 1.5", "cvar"),  # level outside (0, 1)
+        ("sunhuber = 50", "sunhuber"),  # beta = 50/sqrt(552) >= lam
+        ("sunhuber = nan", "sunhuber"),  # no beta0 compares below lam
+        ("chisq_dro = ", "chisq_dro"),  # empty settings list
+        ("erm = yes\ncvar = 0.5, 1.5", "cvar"),  # one bad setting among good ones
+    ],
+)
+def test_experiment_bad_method_exits_1_before_writing(tmp_path, capsys, methods, method):
+    cfg = sweep_config(tmp_path, methods)
+    assert main(["experiment", "--config", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and method in err
+    assert not (tmp_path / "exp").exists()
+
+
+# each kind's setting flag, the run label of that setting and which of (a, b)
+# it optimizes
+KIND_TABLE = {
+    "sunhuber": (["--beta0", "0.9"], "0.9", "sunhuber_b0=0.9", True, True),
+    "erm": ([], "yes", "erm", False, False),
+    "cvar": (["--xi", "0.25"], "0.25", "cvar_xi=0.25", True, False),
+    "chisq_dro": (["--eta-tilde", "0.75"], "0.75", "chisq_dro_eta=0.75", True, False),
+}
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_every_kind_trains_and_sweeps(tmp_path, kind):
+    flags, setting, label, updates_a, updates_b = KIND_TABLE[kind]
+    main(["synth", "--n", "100", "--seed", "3", "--out", str(tmp_path)])
+    args = ["train", "--data", str(tmp_path / "synth.csv"), "--criterion", kind,
+            "--iterations", "5", "--checkpoint-every", "5", "--out", str(tmp_path / "run")]
+    assert main(args + flags) == 0
+    cfg = sweep_config(tmp_path, f"{kind} = {setting}")
+    assert main(["experiment", "--config", str(cfg)]) == 0
+    for path in (tmp_path / "run" / "trajectory.csv",
+                 tmp_path / "exp" / "runs" / f"trial0_{label}_step=0.01.csv"):
+        header, *rows = list(csv.reader(open(path)))
+        a = [row[header.index("a")] for row in rows]
+        b = [row[header.index("b")] for row in rows]
+        assert rows and all((v != "nan") == updates_a for v in a)
+        assert all((v != "nan") == updates_b for v in b)
 
 
 def test_verify_quick_passes(tmp_path):

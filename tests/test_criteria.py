@@ -8,19 +8,13 @@ import pytest
 from robustmsd.criteria import (
     CriterionParams,
     JointState,
-    chisq_dro_objective,
     criterion_value,
-    cvar_objective,
-    erm_objective,
     evaluate_objective,
     hessian_quadform,
     mean_sd,
     mean_variance,
-    mean_variance_minimizer,
-    mean_variance_variational,
     partial_objective_grads,
     schedule_params,
-    sunhuber_objective,
 )
 from robustmsd.model import LinearModel, LossBatch, loss_batch
 
@@ -31,6 +25,20 @@ def make_batch(values, rows=None):
     if rows is None:
         rows = np.zeros((values.size, 1))
     return LossBatch(values=values, dscore=np.ones((values.size, 1)), rows=rows)
+
+
+def erm_objective(batch):
+    return evaluate_objective(batch, JointState(h=np.zeros(1)), CriterionParams("erm"))
+
+
+def cvar_objective(batch, a, xi):
+    params = CriterionParams("cvar", xi=xi)
+    return evaluate_objective(batch, JointState(h=np.zeros(1), a=a), params)
+
+
+def chisq_dro_objective(batch, a, eta_tilde):
+    params = CriterionParams("chisq_dro", eta_tilde=eta_tilde)
+    return evaluate_objective(batch, JointState(h=np.zeros(1), a=a), params)
 
 
 # ---------------------------------------------------------------- schedule
@@ -75,7 +83,7 @@ def test_criterion_params_validation():
 def test_sunhuber_symmetric_pair():
     params = CriterionParams("sunhuber", alpha=0.0, beta=0.0, lam=1.0)
     state = JointState(h=np.zeros(1), a=2.0, b=1.0)
-    ev = sunhuber_objective(make_batch([1.0, 3.0]), state, params)
+    ev = evaluate_objective(make_batch([1.0, 3.0]), state, params)
     assert ev.value == pytest.approx(math.sqrt(2.0) - 1.0, rel=1e-12)
     # symmetric residuals cancel in the location gradient
     assert ev.grad_a == pytest.approx(0.0, abs=1e-15)
@@ -84,7 +92,7 @@ def test_sunhuber_symmetric_pair():
 def test_sunhuber_linear_terms_add():
     params = CriterionParams("sunhuber", alpha=0.1, beta=0.2, lam=1.0)
     state = JointState(h=np.zeros(1), a=2.0, b=1.0)
-    ev = sunhuber_objective(make_batch([1.0, 3.0]), state, params)
+    ev = evaluate_objective(make_batch([1.0, 3.0]), state, params)
     expected = (math.sqrt(2.0) - 1.0) + 0.1 * 2.0 + 0.2 * 1.0
     assert ev.value == pytest.approx(expected, rel=1e-12)
 
@@ -92,7 +100,7 @@ def test_sunhuber_linear_terms_add():
 def test_sunhuber_zero_deviation():
     params = CriterionParams("sunhuber", alpha=0.0, beta=0.0, lam=1.0)
     state = JointState(h=np.zeros(1), a=4.0, b=3.0)
-    ev = sunhuber_objective(make_batch([4.0, 4.0, 4.0]), state, params)
+    ev = evaluate_objective(make_batch([4.0, 4.0, 4.0]), state, params)
     assert ev.value == 0.0
     assert ev.grad_a == 0.0
 
@@ -100,7 +108,7 @@ def test_sunhuber_zero_deviation():
 def test_sunhuber_rejects_empty_and_bad_scale():
     params = CriterionParams("sunhuber", lam=1.0)
     with pytest.raises(ValueError):
-        sunhuber_objective(make_batch([]), JointState(h=np.zeros(1), b=1.0), params)
+        evaluate_objective(make_batch([]), JointState(h=np.zeros(1), b=1.0), params)
     with pytest.raises(ValueError):
         JointState(h=np.zeros(1), a=0.0, b=0.0)
 
@@ -176,6 +184,17 @@ def test_mean_sd_examples():
 def test_mean_variance_examples():
     assert mean_variance([0.0, 0.0, 2.0, 2.0]) == pytest.approx(2.0, rel=1e-14)
     assert mean_variance([5.0, 5.0]) == 5.0
+
+
+def mean_variance_variational(values, a):
+    """Convex surrogate a + (mean((l - a)^2) + 1)/2 whose minimizer is mean - 1."""
+    d = np.asarray(values, dtype=float) - a
+    return a + (float(np.mean(d * d)) + 1.0) / 2.0
+
+
+def mean_variance_minimizer(values):
+    """Analytic minimizer (sample mean - 1) of the variational surrogate."""
+    return float(np.mean(values)) - 1.0
 
 
 def test_mean_variance_variational_form():

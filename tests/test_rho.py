@@ -11,7 +11,6 @@ from robustmsd.rho import (
     pseudo_huber,
     rho,
     rho_conjugate,
-    rho_eval,
     rho_prime,
     rho_second,
 )
@@ -72,13 +71,9 @@ def test_rho_prime_matches_finite_difference():
         assert fd == pytest.approx(rho_prime(x), abs=1e-7)
 
 
-def test_rho_second_positive_and_eval_bundle():
+def test_rho_second_positive():
     for x in np.linspace(-50.0, 50.0, 1001):
         assert rho_second(x) > 0.0
-    ev = rho_eval(2.0)
-    assert ev.value == rho(2.0)
-    assert ev.first_deriv == rho_prime(2.0)
-    assert ev.second_deriv == rho_second(2.0)
 
 
 def test_catoni_envelope_examples():

@@ -13,12 +13,22 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 from scipy.special import expit, logsumexp
 
-from robustmsd.criteria import CriterionParams, schedule_params
+from robustmsd.criteria import (
+    CriterionParams,
+    JointState,
+    criterion_value,
+    evaluate_objective,
+    schedule_params,
+)
 from robustmsd.data import Dataset, SynthConfig, generate_2d_outlier, load_tabular
 from robustmsd.data import preprocess, shuffle_split
 from robustmsd.harness import build_initial_state, default_lam
+from robustmsd.model import LossBatch
 from robustmsd.optimizer import OptConfig, run_batch_gd, run_minibatch_sgd
 
 BUNDLED = Path(__file__).resolve().parents[1] / "src/robustmsd/datasets/credit690.csv"
@@ -269,3 +279,52 @@ def test_multiclass_matches_reference_closely(three_class, kind, mode):
     got, want, got_rows, want_rows = run_both(kind, three_class, config)
     assert_relative(got[:, None], want[:, None])
     assert_relative(got_rows, want_rows)
+
+
+B_FLOOR = 1e-8  # OptConfig.b_floor
+LEVEL = st.floats(0.01, 0.99)
+PARAMS = st.one_of(
+    st.builds(
+        lambda alpha, beta, lam: CriterionParams("sunhuber", alpha=alpha, beta=beta, lam=lam),
+        st.floats(0.0, 2.0), st.floats(0.0, 2.0), st.floats(0.01, 5.0),
+    ),
+    st.just(CriterionParams("erm")),
+    st.builds(lambda xi: CriterionParams("cvar", xi=xi), LEVEL),
+    st.builds(lambda eta: CriterionParams("chisq_dro", eta_tilde=eta), LEVEL),
+)
+
+
+@st.composite
+def single_output_batches(draw):
+    """One criterion, a K = 1 batch of 1 to 9 examples and a state (a, b)."""
+    n = draw(st.integers(1, 9))
+    d = draw(st.integers(1, 4))
+    finite = st.floats(-5.0, 5.0)
+    values = draw(arrays(np.float64, n, elements=st.floats(0.0, 1e6)))
+    dscore = draw(arrays(np.float64, (n, 1), elements=finite))
+    rows = draw(arrays(np.float64, (n, d), elements=finite))
+    a = draw(st.floats(-10.0, 1e6))
+    b = draw(st.one_of(st.just(B_FLOOR), st.floats(B_FLOOR, 1e8)))
+    return draw(PARAMS), values, dscore, rows, a, b
+
+
+@settings(max_examples=300, deadline=None)
+@given(single_output_batches())
+def test_objective_and_value_match_reference_bitwise(batch):
+    params, values, dscore, rows, a, b = batch
+    state = JointState(h=np.zeros((1, rows.shape[1])), a=a, b=b)
+    ev = evaluate_objective(LossBatch(values, dscore, rows), state, params)
+    grads = dscore[:, :, None] * rows[:, None, :]  # the (n, 1, d) tensor
+    value, grad_h, grad_a, grad_b = ref_objective(values, grads, a, b, params)
+    assert_bitwise(np.array([ev.value, ev.grad_a]), np.array([value, grad_a]))
+    # for one example the reference's np.dot returns the product itself, a
+    # -0.0 included, where the library's contraction sums it onto +0.0; + 0.0
+    # maps -0.0 to +0.0 and leaves every other value as it is
+    assert_bitwise(ev.grad_h + 0.0, grad_h + 0.0)
+    assert (ev.grad_b is None) == (grad_b is None)
+    if grad_b is not None:
+        assert_bitwise(np.array([ev.grad_b]), np.array([grad_b]))
+    assert_bitwise(
+        np.array([criterion_value(values, state, params)]),
+        np.array([ref_criterion_value(values, a, b, params)]),
+    )

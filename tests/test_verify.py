@@ -223,24 +223,24 @@ def test_threshold_block_size_does_not_change_bits(monkeypatch, block):
     assert np.array_equal(_solve_thresholds(X, 0.5, 0.1, 1.0), expected)
 
 
-def test_blocked_thresholds_widen_brackets_row_by_row():
-    # with alpha close to lam, rows that sit mostly within b of their minimum
-    # have their root below min - b, so their lower bracket widens while the
-    # other rows' brackets stay put; row 3's outlier makes its bracket so
-    # wide that 64 halvings do not converge, so its root depends on the
-    # exact widening sequence
+def test_thresholds_need_no_bracket_widening():
+    # at min - b every rho' term is at least 1/sqrt(2), so for alpha below
+    # lam/sqrt(2) the bracket [min - b, max + b] already holds every root:
+    # rows sitting mostly within b of their minimum, and row 3, whose 1e12
+    # outlier makes its bracket so wide that 64 halvings do not converge,
+    # solve to the bits of the widening reference; other alpha are refused
     rng = np.random.Generator(np.random.PCG64(6))
     X = rng.standard_normal((37, 500))
     X[3] = 0.0
     X[3, 0] = 1e12
     X[20] = -1e6
     X[22] *= 1e-3
-    b, alpha, lam = 0.5, 0.95, 1.0
-    t = (X - (X.min(axis=1) - b)[:, None]) / b
-    widens = lam * np.mean(t / np.sqrt(t * t + 1.0), axis=1) - alpha <= 0.0
-    assert np.flatnonzero(widens).tolist() == [3, 20, 22]
+    b, alpha, lam = 0.5, 0.7, 1.0
     expected = whole_array_thresholds(X, b, alpha, lam)
     assert np.array_equal(_solve_thresholds(X, b, alpha, lam), expected)
+    for alpha in (-1e-3, lam / math.sqrt(2.0), 0.95):
+        with pytest.raises(ValueError, match="alpha"):
+            _solve_thresholds(X, b, alpha, lam)
 
 
 def test_conjugate_sup_on_shared_grid_matches_per_call_grid():
