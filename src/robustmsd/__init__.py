@@ -3,11 +3,13 @@
 Library layout:
 
 - ``rho``: the smooth Huber dispersion function, derivatives, conjugate.
-- ``model``: linear logistic losses (binary and multiclass), zero-one error.
+- ``model``: linear logistic losses (binary and multiclass), scored for
+  one model or a stack of models at once.
 - ``criteria``: training objectives (joint robust, mean, CVaR, chi^2-DRO),
-  the sqrt(n) parameter schedule, mean-SD / mean-variance evaluation.
-- ``optimizer``: seeded batch GD and mini-batch SGD over (h, a, b); SGD
-  trains many runs together as one stacked array program.
+  the sqrt(n) parameter schedule, mean-SD evaluation.
+- ``optimizer``: one seeded training loop over (h, a, b) with a full-batch
+  (GD) and a mini-batch (SGD) schedule; it trains many runs together as one
+  stacked array program and a lone run on plain floats.
 - ``data``: synthetic planar task, CSV/svmlight ingestion, preprocessing,
   80/10/10 splits.
 - ``verify``: numerical oracles for the formal properties of the criterion.
@@ -22,7 +24,6 @@ from .criteria import (
     JointState,
     ObjectiveEval,
     mean_sd,
-    mean_variance,
     schedule_params,
 )
 from .data import Dataset, SynthConfig, generate_2d_outlier, load_tabular
@@ -35,7 +36,6 @@ __all__ = [
     "JointState",
     "ObjectiveEval",
     "mean_sd",
-    "mean_variance",
     "schedule_params",
     "Dataset",
     "SynthConfig",

@@ -119,6 +119,14 @@ def _parse_floats(text):
     return tuple(float(p.strip()) for p in text.split(",") if p.strip())
 
 
+# the keys each config section takes; [methods] takes criterion kinds
+_CONFIG_KEYS = {
+    "data": ("path", "format", "label_col"),
+    "experiment": ("trials", "seed", "epochs", "batch_size", "lam", "step_sizes", "out"),
+    "methods": KINDS,
+}
+
+
 def _spec_from_config(path, out_override, seed_override) -> ExperimentSpec:
     import configparser
 
@@ -131,6 +139,14 @@ def _spec_from_config(path, out_override, seed_override) -> ExperimentSpec:
         raise DataError(f"malformed config file {path!r}: {err}") from None
     if not read:
         raise DataError(f"cannot read config file {path!r}")
+    for name, entries in sections.items():
+        if name not in _CONFIG_KEYS:
+            raise DataError(f"config file {path!r} has an unknown section [{name}] "
+                            f"(known: {', '.join(_CONFIG_KEYS)})")
+        for key in entries:
+            if key not in _CONFIG_KEYS[name]:
+                raise DataError(f"config file {path!r} has an unknown key {key!r} in "
+                                f"[{name}] (known: {', '.join(_CONFIG_KEYS[name])})")
     data_sec = sections.get("data", {})
     if "path" not in data_sec:
         raise DataError(f"config file {path!r} has no [data] section with a path")
@@ -140,7 +156,12 @@ def _spec_from_config(path, out_override, seed_override) -> ExperimentSpec:
         for method, raw in sections["methods"].items():
             if criterion_record(method).setting is not None:
                 methods.append(MethodGrid(method, _parse_floats(raw)))
-            elif raw.strip().lower() in ("true", "yes", "1", "on"):
+                continue
+            chosen = parser.BOOLEAN_STATES.get(raw.strip().lower())
+            if chosen is None:
+                raise DataError(f"config file {path!r}: [methods] {method} takes yes/no "
+                                f"(true/false, on/off, 1/0), got {raw!r}")
+            if chosen:
                 methods.append(MethodGrid(method))
     else:
         methods = [

@@ -8,7 +8,7 @@ with rho(x) = sqrt(x^2 + 1) - 1, minimized jointly in the model weights h,
 the threshold a and the scale b.  Alongside it live the benchmark criteria
 (plain mean, CVaR dual, chi-square divergence-ball dual), the sqrt(n)
 parameter schedule that fixes (alpha, beta) before seeing data, and the
-evaluation-side mean-SD / mean-variance functionals.
+evaluation-side mean-SD functional.
 
 Each criterion kind is one ``Criterion`` record in ``CRITERIA``: an
 objective kernel, a value kernel and what else differs by kind.  The
@@ -51,7 +51,6 @@ __all__ = [
     "criterion_value",
     "CriterionStack",
     "mean_sd",
-    "mean_variance",
     "partial_objective_grads",
     "hessian_quadform",
 ]
@@ -288,9 +287,6 @@ class JointState:
         if self.b <= 0.0:
             raise ValueError(f"b must be positive, got {self.b!r}")
 
-    def copy(self) -> "JointState":
-        return JointState(h=self.h.copy(), a=self.a, b=self.b)
-
 
 @dataclass
 class ObjectiveEval:
@@ -387,7 +383,14 @@ class CriterionStack:
 
         ``values`` (r, n) and ``dscore`` (r, n, K) are each row's losses and
         score derivatives on the design ``rows`` (n, d); ``a``/``b`` are (r,).
+        A one-row stack also takes a lone run as it is: (n,) values, (n, K)
+        dscore and float a, b give a float value, grad_a and grad_b and a
+        (K, d) grad_h, computed with the float coefficients.
         """
+        if not isinstance(a, np.ndarray):
+            (p,) = self.params
+            v, gh, ga, gb = p.record.objective(values, dscore, rows, a, b, *p.coefficients)
+            return float(v), gh, 0.0 if ga is None else float(ga), 0.0 if gb is None else float(gb)
         r = len(self.params)
         value = np.empty(r)
         grad_h = np.empty((r, dscore.shape[2], rows.shape[1]))
@@ -435,14 +438,6 @@ def mean_sd(values, lam: float = 1.0):
     dev *= dev
     out = mean[..., 0] + np.sqrt(lam * (dev.sum(axis=-1) / n))
     return float(out) if out.ndim == 0 else out
-
-
-def mean_variance(values) -> float:
-    """Sample mean plus sample variance (divisor n)."""
-    values = np.asarray(values, dtype=float)
-    if values.size == 0:
-        raise ValueError("mean_variance requires at least one loss")
-    return float(np.mean(values)) + float(np.var(values))
 
 
 def partial_objective_grads(x: float, a: float, b: float, beta: float):

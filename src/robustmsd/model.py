@@ -1,4 +1,4 @@
-"""Base loss functions: linear logistic models and the zero-one error.
+"""Base loss functions: linear logistic models.
 
 Binary models use a single weight row and labels in {-1, +1}; multiclass
 models keep one weight row per class and integer class labels.  The bias is
@@ -12,7 +12,8 @@ criterion's gradient is one weighted contraction of the two.  Metrics work
 from one scoring pass: ``score_rows`` then ``losses_from_scores`` and
 ``classes_from_scores``.  Scores have shape (n, K), K = 1 for binary
 models, with a leading run axis (R, n, K) when R weight matrices are
-scored together; the functions after ``score_rows`` accept either.
+scored together; ``loss_batch`` and the functions after ``score_rows``
+accept either.
 """
 
 from dataclasses import dataclass
@@ -32,8 +33,6 @@ __all__ = [
     "multiclass_logistic",
     "loss_batch",
     "loss_values",
-    "predict_classes",
-    "zero_one_error",
 ]
 
 
@@ -43,7 +42,8 @@ class LinearModel:
 
     ``classes`` is 1 for binary models.  When ``includes_bias`` is set, a
     constant-1 feature is appended to every input, so ``features`` counts
-    the raw input dimension plus one.
+    the raw input dimension plus one.  Weights of shape (R, classes,
+    features) score R models at once.
     """
 
     weights: np.ndarray
@@ -56,7 +56,7 @@ class LinearModel:
 
     @property
     def n_outputs(self) -> int:
-        return self.weights.shape[0]
+        return self.weights.shape[-2]
 
 
 @dataclass
@@ -67,28 +67,13 @@ class LossBatch:
     in the weights is the outer product ``dscore[i] (x) rows[i]`` of shape
     (K, d).  The batch keeps the two factors and never builds the (n, K, d)
     tensor of per-example gradients; a criterion contracts its per-example
-    weights with them (see ``criteria``).
+    weights with them (see ``criteria``).  A batch scored for R stacked
+    models has (R, n) values and (R, n, K) dscore over the shared rows.
     """
 
     values: np.ndarray  # (n,) losses
     dscore: np.ndarray  # (n, K) derivative of each loss in its scores
     rows: np.ndarray  # (n, d) design rows the scores were computed from
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=float)
-        self.dscore = np.asarray(self.dscore, dtype=float)
-        self.rows = np.asarray(self.rows, dtype=float)
-        n = self.values.shape[0]
-        if self.dscore.ndim != 2 or self.rows.ndim != 2:
-            raise ValueError("dscore and rows must be 2-D")
-        if self.dscore.shape[0] != n or self.rows.shape[0] != n:
-            raise ValueError(
-                f"values, dscore and rows length mismatch: "
-                f"{n}, {self.dscore.shape[0]}, {self.rows.shape[0]}"
-            )
-
-    def __len__(self) -> int:
-        return self.values.shape[0]
 
 
 def design_rows(model: LinearModel, features) -> np.ndarray:
@@ -103,10 +88,10 @@ def design_rows(model: LinearModel, features) -> np.ndarray:
         X = np.atleast_2d(X)
     if model.includes_bias:
         X = np.hstack([X, np.ones((X.shape[0], 1))])
-    if X.shape[1] != model.weights.shape[1]:
+    if X.shape[1] != model.weights.shape[-1]:
         raise ValueError(
             f"feature dimension {X.shape[1]} does not match "
-            f"model dimension {model.weights.shape[1]}"
+            f"model dimension {model.weights.shape[-1]}"
         )
     return X
 
@@ -195,7 +180,8 @@ def loss_batch(model: LinearModel, features, labels) -> LossBatch:
     """Per-example losses and their score derivatives over a feature matrix.
 
     ``labels`` are class indices (0..K-1); for single-output models index 1
-    is mapped to +1 and index 0 to -1 before applying the binary loss.
+    is mapped to +1 and index 0 to -1 before applying the binary loss.  A
+    model with stacked (R, K, d) weights gives each of its R models' losses.
     """
     X = design_rows(model, features)
     values, dscore = losses_and_dscore(score_rows(model.weights, X), labels)
@@ -206,16 +192,3 @@ def loss_values(model: LinearModel, features, labels) -> np.ndarray:
     """Per-example loss values only (no derivatives); used for metrics."""
     X = design_rows(model, features)
     return losses_from_scores(score_rows(model.weights, X), labels)
-
-
-def predict_classes(model: LinearModel, features) -> np.ndarray:
-    """Predicted class indices; ties resolve to the lowest class index."""
-    return classes_from_scores(score_rows(model.weights, design_rows(model, features)))
-
-
-def zero_one_error(model: LinearModel, features, labels) -> float:
-    """Fraction of examples whose prediction mismatches the label."""
-    labels = np.asarray(labels, dtype=int)
-    if labels.size == 0:
-        raise ValueError("zero_one_error requires a nonempty dataset")
-    return float(np.mean(predict_classes(model, features) != labels))

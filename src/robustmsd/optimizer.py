@@ -9,12 +9,16 @@ blocks, so comparisons across criteria stay fair.
 Shuffling uses numpy's PCG64 generator; the algorithm identifier is recorded
 in every RunResult so trajectories can be reproduced bit-for-bit.
 
-Mini-batch SGD trains any number of runs together (``run_stacked_sgd``):
-runs that share the data, the initial state, the epochs, the batch size,
-the shuffle seed and the scale floor see the same mini-batches, so their
-weights are stacked as one (R, K, d) array and each step is one array
-program over all of them.  Per-run results are bitwise those of training
-each run alone; ``run_minibatch_sgd`` is the one-run case.
+One loop (``_train``) trains any number of runs: runs that share the data,
+the initial state, the schedule and the scale floor see the same batches,
+so their weights are stacked as one (R, K, d) array and each step is one
+array program over all of them.  Its schedule is full-batch for GD
+(``run_batch_gd``) or mini-batch for SGD (``run_stacked_sgd``,
+``run_minibatch_sgd``).  A lone run (R = 1) keeps (K, d) weights and float
+a, b and step size, which the criterion kernels take as they are: a lone
+run's time is mostly per-step overhead, and stepping it as (1,) arrays
+costs 70-90% more per step.  Per-run results are bitwise those of training
+each run alone.
 """
 
 import math
@@ -23,20 +27,13 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .criteria import (
-    CriterionParams,
-    CriterionStack,
-    JointState,
-    evaluate_objective,
-    mean_sd,
-)
+from .criteria import CriterionParams, CriterionStack, JointState, mean_sd
 from .data import Dataset
 from .model import (
     LinearModel,
     classes_from_scores,
     design_rows,
     loss_batch,
-    losses_and_dscore,
     losses_from_scores,
     score_rows,
 )
@@ -143,50 +140,29 @@ def initial_joint_state(h0, initial_losses) -> JointState:
     )
 
 
-def _divergence_message(value, h: np.ndarray, context: str) -> str:
-    if not np.isfinite(value) or not np.all(np.isfinite(h)):
-        return f"non-finite objective at {context}"
-    return f"weight norm exceeded {H_NORM_LIMIT:g} at {context}"
-
-
-def _guard(value: float, h: np.ndarray, where: str, *args):
-    """Raise DivergenceError on a non-finite objective or runaway weights.
-
-    One norm covers the common case: it is finite and within the limit only
-    when every weight is finite.  ``where`` is formatted with ``args`` into
-    the error's context only when the guard trips.
-    """
-    flat = h.ravel()
-    norm = math.sqrt(flat @ flat)
-    if norm <= H_NORM_LIMIT and math.isfinite(value):
-        return
-    raise DivergenceError(_divergence_message(value, h, where.format(*args)))
-
-
 def _norms(H: np.ndarray) -> np.ndarray:
-    """Euclidean norm of each run's weights; per run the dot of ``_guard``."""
+    """Euclidean norm of each run's weights in an (R, K, d) stack."""
     flat = H.reshape(H.shape[0], H.shape[1] * H.shape[2])
     return np.sqrt(np.matmul(flat[:, None, :], flat[:, :, None])[:, 0, 0])
 
 
 def _diverged_rows(value, H, norms, where: str, *args) -> Dict[int, str]:
-    """``_guard`` for stacked runs: the message of every row that trips it."""
+    """The divergence guard: the message of every stacked run that trips it.
+
+    A run trips on a non-finite objective or a weight norm above the limit
+    (the norm is finite only when every weight is).  ``where`` is formatted
+    with ``args`` only when a run trips.
+    """
     ok = (norms <= H_NORM_LIMIT) & np.isfinite(value)
     if ok.all():
         return {}
     context = where.format(*args)
     return {
-        int(i): _divergence_message(value[i], H[i], context)
+        int(i): f"non-finite objective at {context}"
+        if not np.isfinite(value[i]) or not np.all(np.isfinite(H[i]))
+        else f"weight norm exceeded {H_NORM_LIMIT:g} at {context}"
         for i in np.flatnonzero(~ok)
     }
-
-
-def _step(state: JointState, ev, params: CriterionParams, config: OptConfig):
-    state.h = state.h - config.step_size * ev.grad_h
-    if params.updates_a:
-        state.a = state.a - config.step_size * ev.grad_a
-    if params.updates_b:
-        state.b = max(state.b - config.step_size * ev.grad_b, config.b_floor)
 
 
 def _checkpoint_records(
@@ -230,29 +206,13 @@ def _checkpoint_records(
     return rows.reshape(-1, len(METRIC_FIELDS))
 
 
-def _trajectory(checkpoints, split_names, metrics) -> List[TrajectoryRecord]:
-    """One run's records from its (checkpoints, splits, metrics) array."""
-    return [
-        TrajectoryRecord(checkpoint, split, *row)
-        for checkpoint, block in zip(checkpoints, np.asarray(metrics).tolist())
-        for split, row in zip(split_names, block)
-    ]
-
-
 def _bind_run(h: np.ndarray, dataset: Dataset):
     """Design rows of every example, built once per run.
 
     Returns the bias-augmented design, the train indices and the
     (name, rows, labels) triple of every split present.
     """
-    model = LinearModel(weights=h, includes_bias=True)
-    # re-validate against the dataset once up front
-    if model.weights.shape[1] != dataset.n_features + 1:
-        raise ValueError(
-            f"weights expect {model.weights.shape[1] - 1} features, "
-            f"dataset has {dataset.n_features}"
-        )
-    design = design_rows(model, dataset.features)
+    design = design_rows(LinearModel(weights=h, includes_bias=True), dataset.features)
     train = dataset.split_indices("train")
     if train.size == 0:
         raise ValueError("dataset has no training examples")
@@ -263,56 +223,13 @@ def _bind_run(h: np.ndarray, dataset: Dataset):
     return design, train, splits
 
 
-def run_batch_gd(
-    criterion: CriterionParams,
-    init: JointState,
-    dataset: Dataset,
-    config: OptConfig,
-) -> RunResult:
-    """Full-gradient descent over the train split for ``config.iterations`` steps.
-
-    Checkpoints fall on multiples of ``checkpoint_every`` plus the final
-    iteration, each recording full-split metrics.  Deterministic given the
-    inputs; raises DivergenceError if the objective leaves the finite range.
-    """
-    if config.mode != "batch":
-        raise ValueError("run_batch_gd requires a batch-mode OptConfig")
-    state = init.copy()
-    design, train, splits = _bind_run(state.h, dataset)
-    model = LinearModel(weights=state.h, includes_bias=False)
-    X, y = design[train], dataset.labels[train]
-    stack = CriterionStack([criterion])
-    checkpoints, metrics = [], []
-    for t in range(1, config.iterations + 1):
-        model.weights = state.h
-        ev = evaluate_objective(loss_batch(model, X, y), state, criterion)
-        _guard(ev.value, state.h, "iteration {}", t)
-        _step(state, ev, criterion, config)
-        if t % config.checkpoint_every == 0 or t == config.iterations:
-            dead: Dict[int, str] = {}
-            rows = _checkpoint_records(
-                t, splits, stack, state.h[None], np.array([state.a]),
-                np.array([state.b]), dead,
-            )
-            if dead:
-                raise DivergenceError(dead[0])
-            checkpoints.append(t)
-            metrics.append(rows)
-    return RunResult(
-        final_state=state,
-        trajectory=_trajectory(checkpoints, [s[0] for s in splits], metrics),
-        config=config,
-        criterion=criterion,
-    )
-
-
 @dataclass
 class StackedRuns:
-    """Outcome of ``run_stacked_sgd``: per run, its divergence or its trajectory.
+    """Outcome of training runs together: per run, its divergence or its trajectory.
 
-    Checkpoint metrics stay in one (epochs, splits, runs, metrics) float
-    array; ``result`` builds the records of one run when asked, so a sweep
-    never holds every run's records at once.
+    Checkpoint metrics stay in one (checkpoints, splits, runs, metrics)
+    float array; ``result`` builds the records of one run when asked, so a
+    sweep never holds every run's records at once.
     """
 
     criteria: Tuple[CriterionParams, ...]
@@ -322,51 +239,194 @@ class StackedRuns:
     a: np.ndarray
     b: np.ndarray
     split_names: Tuple[str, ...]
+    checkpoints: Tuple[int, ...]
     metrics: np.ndarray
 
     def result(self, i: int) -> RunResult:
         """Run ``i`` as a RunResult; raises its DivergenceError if it diverged."""
         if self.errors[i] is not None:
             raise DivergenceError(self.errors[i])
-        epochs = range(1, self.metrics.shape[0] + 1)
-        return RunResult(
-            final_state=JointState(self.h[i].copy(), float(self.a[i]), float(self.b[i])),
-            trajectory=_trajectory(epochs, self.split_names, self.metrics[:, :, i]),
-            config=self.configs[i],
-            criterion=self.criteria[i],
-        )
+        trajectory = [
+            TrajectoryRecord(checkpoint, split, *row)
+            for checkpoint, block in zip(self.checkpoints, self.metrics[:, :, i].tolist())
+            for split, row in zip(self.split_names, block)
+        ]
+        state = JointState(self.h[i].copy(), float(self.a[i]), float(self.b[i]))
+        return RunResult(state, trajectory, self.configs[i], self.criteria[i])
 
 
 class _LiveRuns:
-    """Stacked state of the runs still training; diverged runs' rows are dropped."""
+    """State of the runs still training; diverged runs' rows are dropped.
+
+    A stack keeps (R, K, d) weights and (R,) arrays of a, b and step size.
+    A lone run keeps its (K, d) weights and floats, so each of its steps
+    does the arithmetic of one run and none of the bookkeeping of a stack.
+    """
 
     def __init__(self, criteria, configs, init: JointState):
         r = len(criteria)
+        self.lone = r == 1
         self.ids = np.arange(r)
-        self.h = np.repeat(init.h[None], r, axis=0)
-        self.a = np.full(r, float(init.a))
-        self.b = np.full(r, float(init.b))
-        self.step = np.array([c.step_size for c in configs])
         self.stack = CriterionStack(criteria)
+        if self.lone:
+            self.h, self.a, self.b = init.h.copy(), float(init.a), float(init.b)
+            self.step = configs[0].step_size
+            self.updates_b = criteria[0].updates_b
+        else:
+            self.h = np.repeat(init.h[None], r, axis=0)
+            self.a = np.full(r, float(init.a))
+            self.b = np.full(r, float(init.b))
+            self.step = np.array([c.step_size for c in configs])
+
+    def stacked(self):
+        """(h, a, b) as (R, K, d), (R,) and (R,) arrays; a lone run is R = 1."""
+        if self.lone:
+            return self.h[None], np.array([self.a]), np.array([self.b])
+        return self.h, self.a, self.b
+
+    def diverged(self, value, where: str, *args) -> Dict[int, str]:
+        """``_diverged_rows`` of the live runs; a lone run checks its float
+        norm and value in plain Python, a small part of the array checks' cost."""
+        if not self.lone:
+            return _diverged_rows(value, self.h, _norms(self.h), where, *args)
+        flat = self.h.ravel()
+        norm = math.sqrt(flat @ flat)
+        if norm <= H_NORM_LIMIT and math.isfinite(value):
+            return {}
+        return _diverged_rows(np.array([value]), self.h[None], np.array([norm]), where, *args)
 
     def drop(self, dead: Dict[int, str], errors: List[Optional[str]]) -> np.ndarray:
-        """Flag each dead row's run with its message; returns the kept-row mask."""
+        """Flag each dead row's run with its message; returns the kept-row mask.
+
+        A lone run that dies leaves no run to train, so its state stays.
+        """
         keep = np.ones(self.ids.size, dtype=bool)
         for i, message in dead.items():
             errors[self.ids[i]] = message
             keep[i] = False
-        self.ids, self.h, self.a, self.b, self.step = (
-            x[keep] for x in (self.ids, self.h, self.a, self.b, self.step)
-        )
-        self.stack = self.stack.select(keep)
+        self.ids = self.ids[keep]
+        if not self.lone:
+            self.h, self.a, self.b, self.step = (
+                x[keep] for x in (self.h, self.a, self.b, self.step)
+            )
+            self.stack = self.stack.select(keep)
         return keep
 
     def update(self, grad_h, grad_a, grad_b, b_floor: float):
-        """``_step`` on every row; a zero grad_a leaves a as it is."""
+        """One gradient step, b projected onto [b_floor, inf).
+
+        A criterion without a threshold has a zero grad_a, which leaves a as
+        it is; one without a scale keeps b.
+        """
+        if self.lone:
+            self.h = self.h - self.step * grad_h
+            self.a = self.a - self.step * grad_a
+            if self.updates_b:
+                self.b = max(self.b - self.step * grad_b, b_floor)
+            return
         self.h = self.h - self.step[:, None, None] * grad_h
         self.a = self.a - self.step * grad_a
         b = np.maximum(self.b - self.step * grad_b, b_floor)
         self.b = np.where(self.stack.updates_b, b, self.b)
+
+
+def _full_batch(config: OptConfig, design, train, labels):
+    """Batch GD's schedule: the train rows, built once, at every step.
+
+    Yields (rows, labels, guard context, checkpoint or None) per step;
+    checkpoints fall on multiples of ``checkpoint_every`` and at the last
+    iteration.
+    """
+    X, y = design[train], labels[train]
+    last, every = config.iterations, config.checkpoint_every
+    for t in range(1, last + 1):
+        yield X, y, ("iteration {}", t), t if t % every == 0 or t == last else None
+
+
+def _minibatches(config: OptConfig, design, train, labels):
+    """SGD's schedule: each epoch reshuffles the train split and cuts batches.
+
+    Batches are contiguous slices of the permutation (the last partial one
+    kept) with their indices sorted, so gradient sums have a canonical
+    order; with batch_size = n an epoch is bitwise one full-gradient step.
+    A checkpoint falls at each epoch end.
+    """
+    if config.batch_size > train.size:
+        raise ValueError(f"batch_size {config.batch_size} exceeds train size {train.size}")
+    rng = np.random.Generator(np.random.PCG64(config.seed))
+    step = 0
+    for epoch in range(1, config.epochs + 1):
+        perm = rng.permutation(train)
+        for start in range(0, train.size, config.batch_size):
+            idx = np.sort(perm[start : start + config.batch_size])
+            step += 1
+            checkpoint = epoch if start + config.batch_size >= train.size else None
+            yield design[idx], labels[idx], ("epoch {} step {}", epoch, step), checkpoint
+
+
+def _train(runs, init: JointState, dataset: Dataset, schedule) -> StackedRuns:
+    """The training loop: every (criterion, config) run, stepped together.
+
+    ``schedule`` (``_full_batch`` or ``_minibatches``) reads the first
+    config; the configs agree on all but the step size.  A run that trips
+    the divergence guard stops there and carries its message; the others
+    go on.
+    """
+    criteria = tuple(params for params, _ in runs)
+    configs = tuple(config for _, config in runs)
+    design, train, splits = _bind_run(init.h, dataset)
+    live = _LiveRuns(criteria, configs, init)
+    model = LinearModel(weights=live.h, includes_bias=False)
+    errors: List[Optional[str]] = [None] * len(runs)
+    checkpoints, metrics = [], []
+    shape = (len(splits), len(runs), len(METRIC_FIELDS))
+    b_floor = configs[0].b_floor
+    for X, y, where, checkpoint in schedule(configs[0], design, train, dataset.labels):
+        model.weights = live.h
+        batch = loss_batch(model, X, y)
+        value, grad_h, grad_a, grad_b = live.stack.objective(
+            batch.values, batch.dscore, batch.rows, live.a, live.b
+        )
+        dead = live.diverged(value, *where)
+        if dead:
+            keep = live.drop(dead, errors)
+            if not live.ids.size:
+                break  # every run diverged
+            grad_h, grad_a, grad_b = grad_h[keep], grad_a[keep], grad_b[keep]
+        live.update(grad_h, grad_a, grad_b, b_floor)
+        if checkpoint is not None:
+            dead = {}
+            rows = _checkpoint_records(checkpoint, splits, live.stack, *live.stacked(), dead)
+            block = np.full(shape, np.nan)
+            block[:, live.ids] = rows.reshape(len(splits), live.ids.size, shape[2])
+            checkpoints.append(checkpoint)
+            metrics.append(block)
+            if dead:
+                live.drop(dead, errors)
+                if not live.ids.size:
+                    break
+    h = np.full((len(runs),) + init.h.shape, np.nan)
+    a, b = np.full(len(runs), np.nan), np.full(len(runs), np.nan)
+    # a lone run that diverged has no id left, so its row fills nothing
+    h[live.ids], a[live.ids], b[live.ids] = live.stacked()
+    return StackedRuns(
+        criteria, configs, errors, h, a, b, tuple(s[0] for s in splits),
+        tuple(checkpoints), np.array(metrics).reshape((len(checkpoints),) + shape),
+    )
+
+
+def run_batch_gd(
+    criterion: CriterionParams, init: JointState, dataset: Dataset, config: OptConfig
+) -> RunResult:
+    """Full-gradient descent over the train split for ``config.iterations`` steps.
+
+    Checkpoints fall on multiples of ``checkpoint_every`` plus the final
+    iteration, each recording full-split metrics.  Deterministic given the
+    inputs; raises DivergenceError if the run trips the divergence guard.
+    """
+    if config.mode != "batch":
+        raise ValueError("run_batch_gd requires a batch-mode OptConfig")
+    return _train([(criterion, config)], init, dataset, _full_batch).result(0)
 
 
 def run_stacked_sgd(
@@ -376,79 +436,22 @@ def run_stacked_sgd(
 ) -> StackedRuns:
     """Mini-batch SGD of several (criterion, config) runs trained together.
 
-    The configs must agree on everything but the step size.  Each epoch
-    reshuffles the train split, cuts contiguous batches (the last partial
-    one kept) and sorts the indices inside each batch, so gradient sums
-    have a canonical order; with batch_size = n an epoch is bitwise one
-    full-gradient step.  Checkpoints fall at each epoch end and record
-    full-split metrics.  A run that trips the divergence guard stops there
-    and carries the message a lone run would raise; the others go on.
+    The configs must agree on everything but the step size.  A run that
+    trips the divergence guard stops there and carries the message a lone
+    run would raise; the others go on.
     """
     if not runs:
         raise ValueError("no runs to train")
-    criteria = tuple(params for params, _ in runs)
-    configs = tuple(config for _, config in runs)
-    config = configs[0]
+    configs = [config for _, config in runs]
     if any(c.mode != "sgd" for c in configs):
         raise ValueError("run_minibatch_sgd requires an sgd-mode OptConfig")
-
-    def shared(c):
-        return c.epochs, c.batch_size, c.seed, c.b_floor
-
-    if any(shared(c) != shared(config) for c in configs):
+    if len({(c.epochs, c.batch_size, c.seed, c.b_floor) for c in configs}) > 1:
         raise ValueError("stacked runs must share epochs, batch_size, seed and b_floor")
-    design, train, splits = _bind_run(init.h, dataset)
-    if config.batch_size > train.size:
-        raise ValueError(
-            f"batch_size {config.batch_size} exceeds train size {train.size}"
-        )
-    labels = dataset.labels
-    live = _LiveRuns(criteria, configs, init)
-    errors: List[Optional[str]] = [None] * len(runs)
-    metrics = np.full((config.epochs, len(splits), len(runs), len(METRIC_FIELDS)), np.nan)
-    rng = np.random.Generator(np.random.PCG64(config.seed))
-    step_count = 0
-    for epoch in range(1, config.epochs + 1):
-        if not live.ids.size:
-            break  # every run diverged
-        perm = rng.permutation(train)
-        for start in range(0, train.size, config.batch_size):
-            idx = np.sort(perm[start : start + config.batch_size])
-            X = design[idx]
-            values, dscore = losses_and_dscore(score_rows(live.h, X), labels[idx])
-            value, grad_h, grad_a, grad_b = live.stack.objective(
-                values, dscore, X, live.a, live.b
-            )
-            step_count += 1
-            dead = _diverged_rows(
-                value, live.h, _norms(live.h), "epoch {} step {}", epoch, step_count
-            )
-            if dead:
-                keep = live.drop(dead, errors)
-                grad_h, grad_a, grad_b = grad_h[keep], grad_a[keep], grad_b[keep]
-            live.update(grad_h, grad_a, grad_b, config.b_floor)
-        dead = {}
-        rows = _checkpoint_records(
-            epoch, splits, live.stack, live.h, live.a, live.b, dead
-        )
-        metrics[epoch - 1][:, live.ids] = rows.reshape(
-            len(splits), live.ids.size, len(METRIC_FIELDS)
-        )
-        if dead:
-            live.drop(dead, errors)
-    h = np.full((len(runs),) + init.h.shape, np.nan)
-    a, b = np.full(len(runs), np.nan), np.full(len(runs), np.nan)
-    h[live.ids], a[live.ids], b[live.ids] = live.h, live.a, live.b
-    return StackedRuns(
-        criteria, configs, errors, h, a, b, tuple(s[0] for s in splits), metrics
-    )
+    return _train(runs, init, dataset, _minibatches)
 
 
 def run_minibatch_sgd(
-    criterion: CriterionParams,
-    init: JointState,
-    dataset: Dataset,
-    config: OptConfig,
+    criterion: CriterionParams, init: JointState, dataset: Dataset, config: OptConfig
 ) -> RunResult:
     """Mini-batch SGD of one run: ``run_stacked_sgd`` with a single row.
 

@@ -1,7 +1,9 @@
 """CLI contract: subcommands, exit codes, file outputs."""
 
 import csv
+import shutil
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -257,6 +259,9 @@ def test_verify_prints_property_times_on_stderr_only(tmp_path, capsys):
         "[experiment]\ntrials = 1\n",  # no [data] section
         "[data]\nformat = csv\n",  # no path key
         "[data]\npath = %(nope)s\n",  # bad interpolation
+        "[data]\npath = bundled:credit690\n[experiment]\nepoch = 1\n",  # unknown key
+        "[data]\npath = bundled:credit690\ncolumn = label\n",  # unknown key in [data]
+        "[data]\npath = bundled:credit690\n[method]\nerm = yes\n",  # unknown section
     ],
 )
 def test_experiment_malformed_config_exits_1(tmp_path, capsys, text):
@@ -265,6 +270,33 @@ def test_experiment_malformed_config_exits_1(tmp_path, capsys, text):
     assert main(["experiment", "--config", str(cfg)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "bad.ini" in err
+
+
+@pytest.mark.parametrize(
+    "text, named",
+    [
+        ("[experiment]\nepoch = 1\n", ("'epoch'", "[experiment]")),
+        ("column = label\n", ("'column'", "[data]")),
+        ("[method]\nerm = yes\n", ("[method]",)),
+        ("[methods]\nerm = 0.5\ncvar = 0.5\n", ("erm", "'0.5'")),
+        ("[methods]\nerm = ye\n", ("erm", "'ye'")),
+    ],
+)
+def test_config_error_names_the_key_section_or_value(tmp_path, text, named):
+    cfg = tmp_path / "bad.ini"
+    cfg.write_text("[data]\npath = bundled:credit690\n" + text, encoding="utf-8")
+    with pytest.raises(DataError) as err:
+        _spec_from_config(str(cfg), None, None)
+    assert "bad.ini" in str(err.value)
+    assert all(part in str(err.value) for part in named)
+
+
+@pytest.mark.parametrize("flag, kept", [(f, True) for f in ("true", "Yes", "1", "on")]
+                         + [(f, False) for f in ("false", "no", "0", "OFF")])
+def test_methods_flag_accepts_yes_and_no(tmp_path, flag, kept):
+    cfg = sweep_config(tmp_path, f"erm = {flag}\ncvar = 0.5")
+    methods = [g.method for g in _spec_from_config(str(cfg), None, None).methods]
+    assert methods == (["erm", "cvar"] if kept else ["cvar"])
 
 
 @pytest.mark.parametrize(
@@ -313,3 +345,47 @@ def test_config_parsing_returns_spec_or_data_or_value_error(tmp_path_factory, li
     except (DataError, ValueError):
         return
     assert isinstance(spec, ExperimentSpec)
+
+
+def three_class_csv(path):
+    """Three Gaussian classes in the plane with one gross outlier; labels a/b/c."""
+    rng = np.random.Generator(np.random.PCG64(7))
+    centers = np.array([[-2.0, 0.0], [2.0, 1.0], [0.0, -2.5]])
+    labels = np.repeat(np.arange(3), 30)
+    features = centers[labels] + rng.normal(size=(labels.size, 2))
+    features[0] = [15.0, -15.0]
+    with open(path, "w", newline="", encoding="utf-8") as f:
+        writer = csv.writer(f)
+        writer.writerow(["x1", "x2", "label"])
+        for row, label in zip(features, labels):
+            writer.writerow([repr(float(row[0])), repr(float(row[1])), "abc"[label]])
+
+
+def test_multiclass_sweep_report_and_train_rerun_byte_identical(tmp_path):
+    data = tmp_path / "three.csv"
+    three_class_csv(data)
+    cfg = tmp_path / "cfg.ini"
+    cfg.write_text(
+        f"[data]\npath = {data}\n\n"
+        "[experiment]\ntrials = 2\nepochs = 2\nbatch_size = 16\n"
+        f"step_sizes = 0.01, 0.1\nout = {tmp_path / 'exp'}\n\n"
+        "[methods]\nsunhuber = 0.9\nerm = yes\ncvar = 0.5\nchisq_dro = 0.5\n",
+        encoding="utf-8",
+    )
+    train = ["train", "--data", str(data), "--criterion", "sunhuber", "--iterations", "40",
+             "--checkpoint-every", "10", "--step-size", "0.05", "--out", str(tmp_path / "gd")]
+    outputs = []
+    for _ in range(2):
+        shutil.rmtree(tmp_path / "exp", ignore_errors=True)
+        assert main(["experiment", "--config", str(cfg)]) == 0
+        assert main(["report", "--manifest", str(tmp_path / "exp" / "manifest.json")]) == 0
+        assert main(train) == 0
+        files = sorted((tmp_path / "exp").rglob("*.csv")) + [tmp_path / "exp" / "manifest.json"]
+        files.append(tmp_path / "gd" / "trajectory.csv")
+        outputs.append({str(p): p.read_bytes() for p in files})
+    assert outputs[0] == outputs[1]
+    runs = [p for p in outputs[0] if "/runs/" in p]
+    assert len(runs) == 2 * 4 * 2  # trials x criteria x step sizes, none diverged
+    header, *rows = list(csv.reader(open(tmp_path / "gd" / "trajectory.csv")))
+    assert [row[0] for row in rows] == ["10", "20", "30", "40"]  # all rows train
+    assert all(row[header.index("b")] != "nan" for row in rows)

