@@ -59,14 +59,21 @@ __all__ = [
 # ----------------------------------------------------------------- kernels
 #
 # a, b and the coefficients are floats for one run or (r,) arrays for r
-# stacked runs; ``_col`` lines an array up with the (r, n) losses.  Sums
-# over the examples call ``np.add.reduce``, the reduction ``ndarray.sum``
-# runs, without its Python-level wrapper.
+# stacked runs; ``_col`` lines an array up with the (r, n) losses.  A kernel
+# writes its per-example terms into the rows of one (terms, ..., n) buffer
+# and ``_means`` sums them in one ``np.add.reduce`` over the examples, which
+# gives each row the bits of reducing it alone.
 
 
 def _col(x, axes: int = 1):
     """A per-run array with ``axes`` unit axes appended; a float as it is."""
     return x.reshape(x.shape + (1,) * axes) if isinstance(x, np.ndarray) else x
+
+
+def _means(terms: np.ndarray, n: int):
+    """Row means of a (terms, ..., n) buffer; floats for a lone run's."""
+    sums = np.add.reduce(terms, -1)
+    return [s / n for s in sums.tolist()] if sums.ndim == 1 else sums / n
 
 
 def _contract(dscore, rows, weight) -> np.ndarray:
@@ -97,11 +104,15 @@ def _sunhuber(values, dscore, rows, a, b, alpha, beta, lam):
     rr = r * r
     s = np.sqrt(rr + b_col * b_col)
     sb = s + b_col
-    value = alpha * a + beta * b + lam * (np.add.reduce(rr / sb, -1) / n)
-    w = r / s
-    grad_a = alpha - lam * (np.add.reduce(w, -1) / n)
+    terms = np.empty((3,) + r.shape)
+    np.divide(rr, sb, out=terms[0])
+    w = np.divide(r, s, out=terms[1])
+    np.divide(rr, np.multiply(s, sb, out=terms[2]), out=terms[2])  # 1 - b/s
+    mean_dev, mean_w, mean_curv = _means(terms, n)
+    value = alpha * a + beta * b + lam * mean_dev
+    grad_a = alpha - lam * mean_w
     # beta + lam*mean(b/s - 1), written without the b/s - 1 cancellation
-    grad_b = beta - lam * (np.add.reduce(rr / (s * sb), -1) / n)
+    grad_b = beta - lam * mean_curv
     grad_h = _col(lam, 2) * _contract(dscore, rows, w) / n
     return value, grad_h, grad_a, grad_b
 
@@ -133,9 +144,13 @@ def _cvar(values, dscore, rows, a, b, xi):
     inv = 1.0 / (1.0 - xi)
     pos = values - _col(a)
     active = pos > 0.0
-    weight = active.astype(float)
-    value = a + inv * (np.add.reduce(np.where(active, pos, 0.0), -1) / n)
-    grad_a = 1.0 - inv * (np.add.reduce(weight, -1) / n)
+    terms = np.zeros((2,) + pos.shape)
+    weight = terms[1]
+    np.copyto(terms[0], pos, where=active)
+    np.copyto(weight, active)
+    mean_excess, mean_active = _means(terms, n)
+    value = a + inv * mean_excess
+    grad_a = 1.0 - inv * mean_active
     grad_h = _col(inv, 2) * _contract(dscore, rows, weight) / n
     return value, grad_h, grad_a, None
 
@@ -155,12 +170,14 @@ def _chisq_dro(values, dscore, rows, a, b, eta_tilde):
     n = values.shape[-1]
     eta = (1.0 / (1.0 - eta_tilde) - 1.0) / 2.0
     coef = np.sqrt(1.0 + 2.0 * eta)
-    pos = np.maximum(values - _col(a), 0.0)
-    mean_sq = np.add.reduce(pos * pos, -1) / n
+    terms = np.empty((2,) + values.shape)
+    pos = np.maximum(values - _col(a), 0.0, out=terms[1])
+    np.multiply(pos, pos, out=terms[0])
+    mean_sq, mean_pos = _means(terms, n)
     flat = mean_sq == 0.0
     root = np.sqrt(mean_sq + flat)  # 1 where flat; + 0.0 leaves the rest exact
     value = a + coef * root
-    grad_a = 1.0 - coef * (np.add.reduce(pos, -1) / n) / root
+    grad_a = 1.0 - coef * mean_pos / root
     grad_h = _col(coef, 2) * _contract(dscore, rows, pos)
     grad_h /= _col(n * root, 2)
     if np.count_nonzero(flat):
@@ -373,6 +390,8 @@ class CriterionStack:
             rows = slice(start, start + len(group))
             self.blocks.append((rows, CRITERIA[kind], coef))
             start = rows.stop
+        if len(self.params) == 1:  # a lone run's kernel and float coefficients
+            self._lone = self.params[0].record.objective, self.params[0].coefficients
 
     def select(self, keep) -> "CriterionStack":
         """The stack of the rows flagged in the boolean mask ``keep``."""
@@ -388,14 +407,13 @@ class CriterionStack:
         (K, d) grad_h, computed with the float coefficients.
         """
         if not isinstance(a, np.ndarray):
-            (p,) = self.params
-            v, gh, ga, gb = p.record.objective(values, dscore, rows, a, b, *p.coefficients)
+            kernel, coef = self._lone
+            v, gh, ga, gb = kernel(values, dscore, rows, a, b, *coef)
             return float(v), gh, 0.0 if ga is None else float(ga), 0.0 if gb is None else float(gb)
         r = len(self.params)
         value = np.empty(r)
         grad_h = np.empty((r, dscore.shape[2], rows.shape[1]))
-        grad_a = np.zeros(r)
-        grad_b = np.zeros(r)
+        grad_a, grad_b = np.zeros(r), np.zeros(r)
         for sl, record, coef in self.blocks:
             v, gh, ga, gb = record.objective(
                 values[sl], dscore[sl], rows, a[sl], b[sl], *coef
@@ -433,10 +451,10 @@ def mean_sd(values, lam: float = 1.0):
     if lam < 0.0:
         raise ValueError(f"lam must be nonnegative, got {lam!r}")
     # the sums and divisions of np.mean and np.var, without their call overhead
-    mean = values.sum(axis=-1, keepdims=True) / n
+    mean = np.add.reduce(values, -1, keepdims=True) / n
     dev = values - mean
     dev *= dev
-    out = mean[..., 0] + np.sqrt(lam * (dev.sum(axis=-1) / n))
+    out = mean[..., 0] + np.sqrt(lam * (np.add.reduce(dev, -1) / n))
     return float(out) if out.ndim == 0 else out
 
 

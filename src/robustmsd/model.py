@@ -13,7 +13,8 @@ from one scoring pass: ``score_rows`` then ``losses_from_scores`` and
 ``classes_from_scores``.  Scores have shape (n, K), K = 1 for binary
 models, with a leading run axis (R, n, K) when R weight matrices are
 scored together; ``loss_batch`` and the functions after ``score_rows``
-accept either.
+accept either.  ``bind_batch`` binds examples scored many times once, so
+scoring them again does only the arithmetic.
 """
 
 from dataclasses import dataclass
@@ -24,10 +25,10 @@ from scipy.special import expit, logsumexp
 __all__ = [
     "LinearModel",
     "LossBatch",
+    "bind_batch",
     "design_rows",
     "score_rows",
     "losses_from_scores",
-    "losses_and_dscore",
     "classes_from_scores",
     "binary_logistic",
     "multiclass_logistic",
@@ -83,9 +84,7 @@ def design_rows(model: LinearModel, features) -> np.ndarray:
     once and scores them with ``LinearModel(weights, includes_bias=False)``,
     which takes them as they are.
     """
-    X = np.asarray(features, dtype=float)
-    if X.ndim < 2:
-        X = np.atleast_2d(X)
+    X = np.atleast_2d(np.asarray(features, dtype=float))
     if model.includes_bias:
         X = np.hstack([X, np.ones((X.shape[0], 1))])
     if X.shape[1] != model.weights.shape[-1]:
@@ -129,9 +128,15 @@ def multiclass_logistic(model: LinearModel, features, label: int):
     return loss, np.outer(p, x)
 
 
-def _negated_signs(labels) -> np.ndarray:
-    # class indices {0, 1} -> -y for signs y in {-1, +1}
-    return 1.0 - 2.0 * np.asarray(labels)
+def bind_batch(rows: np.ndarray, labels, n_outputs: int):
+    """``(rows, target)``: design rows with their class indices in the form
+    the loss of a model with ``n_outputs`` score rows takes, ``target`` the
+    (n, 1) column of negated signs ``1 - 2y`` for a binary model or the index
+    ``(..., arange(n), y)`` of each example's own score for a multiclass one."""
+    labels = np.asarray(labels)
+    if n_outputs == 1:
+        return rows, (1.0 - 2.0 * labels)[:, None]  # class {0, 1} -> -y, y = -1/+1
+    return rows, (..., np.arange(labels.size), labels.astype(int))
 
 
 def score_rows(weights: np.ndarray, X: np.ndarray) -> np.ndarray:
@@ -143,29 +148,13 @@ def score_rows(weights: np.ndarray, X: np.ndarray) -> np.ndarray:
     return X @ weights.swapaxes(-1, -2)
 
 
-def losses_from_scores(scores: np.ndarray, labels) -> np.ndarray:
-    """Per-example logistic losses (..., n) from ``score_rows`` output."""
+def losses_from_scores(scores: np.ndarray, target) -> np.ndarray:
+    """Per-example logistic losses (..., n) from ``score_rows`` output;
+    ``target`` is the scored examples' from ``bind_batch``."""
     if scores.shape[-1] == 1:
-        t = _negated_signs(labels) * scores[..., 0]
-        return np.logaddexp(0.0, t, out=t)
-    labels = np.asarray(labels, dtype=int)
-    lse = logsumexp(scores, axis=-1)
-    return lse - scores[..., np.arange(labels.size), labels]
-
-
-def losses_and_dscore(scores: np.ndarray, labels):
-    """Per-example losses (..., n) and their score derivatives (..., n, K)."""
-    if scores.shape[-1] == 1:
-        neg_y = _negated_signs(labels)
-        t = neg_y * scores[..., 0]
-        return np.logaddexp(0.0, t), (neg_y * expit(t))[..., None]
-    labels = np.asarray(labels, dtype=int)
-    lse = logsumexp(scores, axis=-1)
-    picked = ..., np.arange(labels.size), labels
-    dscore = np.exp(scores - lse[..., None])
-    values = lse - scores[picked]
-    dscore[picked] -= 1.0
-    return values, dscore
+        t = target * scores
+        return np.logaddexp(0.0, t, out=t)[..., 0]
+    return logsumexp(scores, axis=-1) - scores[target]
 
 
 def classes_from_scores(scores: np.ndarray) -> np.ndarray:
@@ -176,19 +165,30 @@ def classes_from_scores(scores: np.ndarray) -> np.ndarray:
     return np.argmax(scores, axis=-1)
 
 
-def loss_batch(model: LinearModel, features, labels) -> LossBatch:
+def loss_batch(model: LinearModel, features, labels=None) -> LossBatch:
     """Per-example losses and their score derivatives over a feature matrix.
 
     ``labels`` are class indices (0..K-1); for single-output models index 1
     is mapped to +1 and index 0 to -1 before applying the binary loss.  A
     model with stacked (R, K, d) weights gives each of its R models' losses.
+    Without ``labels``, ``features`` is a batch from ``bind_batch``, scored
+    as it is.
     """
-    X = design_rows(model, features)
-    values, dscore = losses_and_dscore(score_rows(model.weights, X), labels)
-    return LossBatch(values=values, dscore=dscore, rows=X)
+    if labels is not None:
+        features = bind_batch(design_rows(model, features), labels, model.n_outputs)
+    rows, target = features
+    scores = rows @ model.weights.swapaxes(-1, -2)
+    if scores.shape[-1] == 1:
+        t = target * scores
+        return LossBatch(np.logaddexp(0.0, t)[..., 0], target * expit(t), rows)
+    lse = logsumexp(scores, axis=-1)
+    dscore = np.exp(scores - lse[..., None])
+    values = lse - scores[target]
+    dscore[target] -= 1.0
+    return LossBatch(values, dscore, rows)
 
 
 def loss_values(model: LinearModel, features, labels) -> np.ndarray:
     """Per-example loss values only (no derivatives); used for metrics."""
-    X = design_rows(model, features)
-    return losses_from_scores(score_rows(model.weights, X), labels)
+    X, target = bind_batch(design_rows(model, features), labels, model.n_outputs)
+    return losses_from_scores(score_rows(model.weights, X), target)

@@ -12,13 +12,13 @@ in every RunResult so trajectories can be reproduced bit-for-bit.
 One loop (``_train``) trains any number of runs: runs that share the data,
 the initial state, the schedule and the scale floor see the same batches,
 so their weights are stacked as one (R, K, d) array and each step is one
-array program over all of them.  Its schedule is full-batch for GD
-(``run_batch_gd``) or mini-batch for SGD (``run_stacked_sgd``,
-``run_minibatch_sgd``).  A lone run (R = 1) keeps (K, d) weights and float
-a, b and step size, which the criterion kernels take as they are: a lone
-run's time is mostly per-step overhead, and stepping it as (1,) arrays
-costs 70-90% more per step.  Per-run results are bitwise those of training
-each run alone.
+array program over all of them.  Its schedule, full-batch for GD
+(``run_batch_gd``) or mini-batch for SGD (``run_stacked_sgd``), binds each
+batch for scoring once.  A lone run (R = 1) keeps (K, d) weights and float
+a, b and step size, which the kernels take as they are: its time is mostly
+per-step overhead, and as (1,) arrays a planar step costs ~90% more (~41
+against ~77 us for the joint criterion).  Per-run results are bitwise
+those of training each run alone.
 """
 
 import math
@@ -31,6 +31,7 @@ from .criteria import CriterionParams, CriterionStack, JointState, mean_sd
 from .data import Dataset
 from .model import (
     LinearModel,
+    bind_batch,
     classes_from_scores,
     design_rows,
     loss_batch,
@@ -183,15 +184,15 @@ def _checkpoint_records(
     rows[:, :, _COLUMN["model_norm"]] = norms
     rows[:, :, _COLUMN["a"]] = np.where(stack.updates_a, a, np.nan)
     rows[:, :, _COLUMN["b"]] = np.where(stack.updates_b, b, np.nan)
-    for s, (split, X, labels) in enumerate(splits):
+    for s, (split, (X, target), labels) in enumerate(splits):
         n = labels.size
         pieces = max(1, -(-r * n // CHECKPOINT_CHUNK))
         chunk = max(1, -(-r // pieces))
         for lo in range(0, r, chunk):
             at = slice(lo, lo + chunk)
             scores = score_rows(H[at], X)
-            wrong = (classes_from_scores(scores) != labels).sum(axis=-1)
-            values = losses_from_scores(scores, labels)
+            wrong = np.add.reduce(classes_from_scores(scores) != labels, -1)
+            values = losses_from_scores(scores, target)
             del scores
             obj = stack.value(values, a[at], b[at], start=lo)
             for i, message in _diverged_rows(
@@ -200,27 +201,28 @@ def _checkpoint_records(
                 dead.setdefault(lo + i, message)
             out = rows[s, at]
             out[:, _COLUMN["mean_sd"]] = mean_sd(values)
-            out[:, _COLUMN["mean_loss"]] = values.sum(axis=-1) / n
+            out[:, _COLUMN["mean_loss"]] = np.add.reduce(values, -1) / n
             out[:, _COLUMN["error_rate"]] = wrong / n
             out[:, _COLUMN["objective"]] = obj
     return rows.reshape(-1, len(METRIC_FIELDS))
 
 
 def _bind_run(h: np.ndarray, dataset: Dataset):
-    """Design rows of every example, built once per run.
-
-    Returns the bias-augmented design, the train indices and the
-    (name, rows, labels) triple of every split present.
-    """
+    """Design rows of every example, built once per run: returns ``bind``,
+    which binds the examples at given indices for scoring, the train indices
+    and the (name, bound batch, labels) triple of every split present."""
     design = design_rows(LinearModel(weights=h, includes_bias=True), dataset.features)
     train = dataset.split_indices("train")
     if train.size == 0:
         raise ValueError("dataset has no training examples")
+
+    def bind(idx):
+        return bind_batch(design[idx], dataset.labels[idx], h.shape[0])
     splits = []
     for split in dataset.splits_present():
         idx = dataset.split_indices(split)
-        splits.append((split, design[idx], dataset.labels[idx]))
-    return design, train, splits
+        splits.append((split, bind(idx), dataset.labels[idx]))
+    return bind, train, splits
 
 
 @dataclass
@@ -289,8 +291,7 @@ class _LiveRuns:
         norm and value in plain Python, a small part of the array checks' cost."""
         if not self.lone:
             return _diverged_rows(value, self.h, _norms(self.h), where, *args)
-        flat = self.h.ravel()
-        norm = math.sqrt(flat @ flat)
+        norm = math.sqrt(np.vdot(self.h, self.h))
         if norm <= H_NORM_LIMIT and math.isfinite(value):
             return {}
         return _diverged_rows(np.array([value]), self.h[None], np.array([norm]), where, *args)
@@ -330,26 +331,25 @@ class _LiveRuns:
         self.b = np.where(self.stack.updates_b, b, self.b)
 
 
-def _full_batch(config: OptConfig, design, train, labels):
-    """Batch GD's schedule: the train rows, built once, at every step.
+def _full_batch(config: OptConfig, train, bind):
+    """Batch GD's schedule: the train split, bound once, at every step.
 
-    Yields (rows, labels, guard context, checkpoint or None) per step;
-    checkpoints fall on multiples of ``checkpoint_every`` and at the last
-    iteration.
+    Yields (bound batch, guard context, checkpoint or None) per step; a
+    checkpoint falls on multiples of ``checkpoint_every`` and the last step.
     """
-    X, y = design[train], labels[train]
+    batch = bind(train)
     last, every = config.iterations, config.checkpoint_every
     for t in range(1, last + 1):
-        yield X, y, ("iteration {}", t), t if t % every == 0 or t == last else None
+        yield batch, ("iteration {}", t), t if t % every == 0 or t == last else None
 
 
-def _minibatches(config: OptConfig, design, train, labels):
+def _minibatches(config: OptConfig, train, bind):
     """SGD's schedule: each epoch reshuffles the train split and cuts batches.
 
     Batches are contiguous slices of the permutation (the last partial one
     kept) with their indices sorted, so gradient sums have a canonical
     order; with batch_size = n an epoch is bitwise one full-gradient step.
-    A checkpoint falls at each epoch end.
+    Each batch is bound as it is cut.  A checkpoint falls at each epoch end.
     """
     if config.batch_size > train.size:
         raise ValueError(f"batch_size {config.batch_size} exceeds train size {train.size}")
@@ -361,31 +361,33 @@ def _minibatches(config: OptConfig, design, train, labels):
             idx = np.sort(perm[start : start + config.batch_size])
             step += 1
             checkpoint = epoch if start + config.batch_size >= train.size else None
-            yield design[idx], labels[idx], ("epoch {} step {}", epoch, step), checkpoint
+            yield bind(idx), ("epoch {} step {}", epoch, step), checkpoint
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _train(runs, init: JointState, dataset: Dataset, schedule) -> StackedRuns:
     """The training loop: every (criterion, config) run, stepped together.
 
     ``schedule`` (``_full_batch`` or ``_minibatches``) reads the first
     config; the configs agree on all but the step size.  A run that trips
-    the divergence guard stops there and carries its message; the others
-    go on.
+    the divergence guard stops there and carries its message, its only
+    report (numpy's overflow and invalid-value warnings are off in here);
+    the others go on.
     """
     criteria = tuple(params for params, _ in runs)
     configs = tuple(config for _, config in runs)
-    design, train, splits = _bind_run(init.h, dataset)
+    bind, train, splits = _bind_run(init.h, dataset)
     live = _LiveRuns(criteria, configs, init)
     model = LinearModel(weights=live.h, includes_bias=False)
     errors: List[Optional[str]] = [None] * len(runs)
     checkpoints, metrics = [], []
     shape = (len(splits), len(runs), len(METRIC_FIELDS))
     b_floor = configs[0].b_floor
-    for X, y, where, checkpoint in schedule(configs[0], design, train, dataset.labels):
+    for batch, where, checkpoint in schedule(configs[0], train, bind):
         model.weights = live.h
-        batch = loss_batch(model, X, y)
+        losses = loss_batch(model, batch)
         value, grad_h, grad_a, grad_b = live.stack.objective(
-            batch.values, batch.dscore, batch.rows, live.a, live.b
+            losses.values, losses.dscore, losses.rows, live.a, live.b
         )
         dead = live.diverged(value, *where)
         if dead:

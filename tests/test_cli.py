@@ -2,6 +2,7 @@
 
 import csv
 import shutil
+import warnings
 
 import numpy as np
 import pytest
@@ -30,6 +31,34 @@ def test_synth_writes_csv(tmp_path):
     assert rows[0] == ["x1", "x2", "label"]
     assert len(rows) == 101
     assert {r[2] for r in rows[1:]} == {"-1", "1"}
+
+
+def diverging_train(tmp_path, args):
+    """Exit code, stderr and numpy warnings of a ``train`` run that diverges."""
+    main(["synth", "--n", "100", "--seed", "0", "--out", str(tmp_path)])
+    args = [str(tmp_path / "synth.csv") if a == "PLANAR" else a for a in args]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(["train", *args, "--step-size", "1e300", "--out", str(tmp_path / "run")])
+    return code, [str(w.message) for w in caught]
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (["--data", "PLANAR", "--criterion", "cvar", "--xi", "0.5", "--iterations", "30"],
+         "error: weight norm exceeded 1e+12 at iteration 3\n"),
+        # full-batch SGD on credit690; the joint value kernel sees inf - inf
+        (["--data", "bundled:credit690", "--criterion", "sunhuber", "--split-seed", "0",
+          "--preprocess", "--epochs", "3", "--batch-size", "552"],
+         "error: non-finite objective at checkpoint 1 (train)\n"),
+    ],
+)
+def test_diverging_train_reports_only_the_guard_message(tmp_path, capsys, args, message):
+    code, caught = diverging_train(tmp_path, args)
+    assert code == 1
+    assert caught == []  # no numpy overflow/invalid-value warning reaches stderr
+    assert capsys.readouterr().err == message
 
 
 def test_train_batch_mode_row_count(tmp_path):

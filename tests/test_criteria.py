@@ -4,9 +4,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from robustmsd.criteria import (
+    KINDS,
     CriterionParams,
+    CriterionStack,
     JointState,
     criterion_value,
     evaluate_objective,
@@ -297,6 +302,113 @@ def test_chisq_dro_gradients_match_finite_differences():
         CriterionParams("chisq_dro", eta_tilde=0.4),
         np.random.Generator(np.random.PCG64(104)),
     )
+
+
+B_FLOOR = 1e-8  # OptConfig.b_floor
+PARAMS = {
+    "sunhuber": st.builds(
+        lambda alpha, beta, lam: CriterionParams("sunhuber", alpha=alpha, beta=beta, lam=lam),
+        st.floats(0.0, 1.0), st.floats(0.0, 1.0), st.floats(0.05, 2.0),
+    ),
+    "erm": st.just(CriterionParams("erm")),
+    "cvar": st.floats(0.05, 0.95).map(lambda xi: CriterionParams("cvar", xi=xi)),
+    "chisq_dro": st.floats(0.05, 0.95).map(
+        lambda level: CriterionParams("chisq_dro", eta_tilde=level)
+    ),
+}
+
+
+@st.composite
+def gradient_cases(draw):
+    """A criterion, a logistic batch (K in {1, 3}, n = 1..8) whose losses
+    reach 1e6, a threshold a (anywhere, or next to one of the losses) and a
+    scale b in [b_floor, 1e8]."""
+    params = draw(st.sampled_from(KINDS).flatmap(PARAMS.get))
+    k = draw(st.sampled_from([1, 3]))
+    n, d = draw(st.integers(1, 8)), draw(st.integers(1, 3))
+    X = draw(arrays(np.float64, (n, d), elements=st.floats(-5.0, 5.0)))
+    labels = draw(arrays(np.int64, n, elements=st.integers(0, max(k, 2) - 1)))
+    w = draw(arrays(np.float64, (k, d), elements=st.floats(-1.0, 1.0)))
+    w = w * 10.0 ** draw(st.floats(-2.0, 5.0))
+    anchor = draw(st.one_of(st.floats(-10.0, 1e6), st.tuples(st.integers(0, 7), st.floats(-1, 1))))
+    b = draw(st.one_of(st.just(B_FLOOR), st.floats(B_FLOOR, 1e8)))
+    return params, X, labels, w, anchor, b
+
+
+def smoothness_scale(params, r, b):
+    """Distance in loss units over which the objective stays smooth: the
+    joint criterion curves on sqrt(r^2 + b^2); CVaR kinks at r = 0, and the
+    divergence dual's square kinks there too and its root curves on its own
+    size."""
+    if params.kind == "sunhuber":
+        return float(np.min(np.sqrt(r * r + b * b)))
+    kinks = float(np.min(np.abs(r)))
+    if params.kind == "cvar":
+        return kinks
+    if params.kind == "chisq_dro":
+        root = math.sqrt(float(np.mean(np.maximum(r, 0.0) ** 2)))
+        return min(root, kinks) if root > 0.0 else kinks
+    return max(1.0, float(np.max(np.abs(r))))  # the mean is linear in the losses
+
+
+@settings(max_examples=200, deadline=None)
+@given(gradient_cases())
+def test_stack_gradients_match_central_differences(case):
+    """grad_h, grad_a and grad_b of every kind, from ``CriterionStack.objective``
+    for a lone run and for rows of a stack, against central differences.
+
+    The differences are taken in the frame shifted by a, where the objective
+    is a sum of nonnegative terms, with a step well inside the smoothness
+    scale, so truncation is negligible.  The tolerance adds the float64
+    rounding of a central difference at that step; it leaves the check loose
+    only where the smoothness scale is below ~1e-8 of the losses' size (b
+    near b_floor beside losses near 1e6, or a loss that close to a kink).
+    """
+    params, X, labels, w, anchor, b = case
+    model = LinearModel(weights=w, includes_bias=False)
+    batch = loss_batch(model, X, labels)
+    n = batch.values.size
+    a = anchor if isinstance(anchor, float) else float(batch.values[anchor[0] % n] + anchor[1])
+    scale = smoothness_scale(params, batch.values - a, b)
+    assume(scale > 0.0)  # on a kink the subgradient convention has no difference quotient
+    lone = CriterionStack([params])
+
+    def objective(values, t, scale_b):
+        return lone.objective(values - a, batch.dscore, batch.rows, t, scale_b)[0]
+
+    def moved_h(idx, step):
+        model.weights = w.copy()
+        model.weights[idx] += step
+        return objective(loss_batch(model, X, labels).values, 0.0, b)
+
+    xmax = max(1.0, float(np.max(np.abs(X))))
+    eps_h = 1e-5 * min(scale, 10.0) / xmax
+    eps_a = 1e-5 * scale
+    eps_b = 1e-5 * (scale if params.kind == "sunhuber" else b)
+    fd_h = {idx: (moved_h(idx, eps_h), moved_h(idx, -eps_h)) for idx in np.ndindex(*w.shape)}
+    fd_a = objective(batch.values, eps_a, b), objective(batch.values, -eps_a, b)
+    fd_b = objective(batch.values, 0.0, b + eps_b), objective(batch.values, 0.0, b - eps_b)
+
+    sensitivity = 20.0 * (1.0 + params.lam)  # bounds the sum of |d objective / d loss_i|
+    size = float(np.max(np.abs(batch.values) + abs(a) + np.abs(X) @ np.abs(w).sum(0)))
+    base = objective(batch.values, 0.0, b)
+    noise = 32.0 * np.finfo(float).eps * (sensitivity * size + n * abs(base))
+
+    def check(got, moved, eps, gauge):
+        fd = (moved[0] - moved[1]) / (2.0 * eps)
+        assert abs(got - fd) <= 1e-5 * max(abs(got), abs(fd)) + 1e-12 * gauge + noise / eps
+
+    stack = CriterionStack([CriterionParams("erm"), params, params])
+    _, *stacked = stack.objective(
+        np.stack([batch.values] * 3), np.stack([batch.dscore] * 3), batch.rows,
+        np.full(3, a), np.full(3, b),
+    )
+    lone_grads = lone.objective(batch.values, batch.dscore, batch.rows, a, b)[1:]
+    for grad_h, grad_a, grad_b in [lone_grads] + [[g[i] for g in stacked] for i in (1, 2)]:
+        for idx, moved in fd_h.items():
+            check(grad_h[idx], moved, eps_h, sensitivity * xmax)
+        check(grad_a, fd_a, eps_a, sensitivity)
+        check(grad_b, fd_b, eps_b, sensitivity)
 
 
 # --------------------------------------------------- structural properties

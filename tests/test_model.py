@@ -4,9 +4,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from robustmsd.model import (
     LinearModel,
+    bind_batch,
     binary_logistic,
     classes_from_scores,
     design_rows,
@@ -208,3 +212,40 @@ def test_zero_one_rejects_empty():
     model = LinearModel(weights=np.zeros((1, 2)), includes_bias=False)
     with pytest.raises(ValueError):
         zero_one_error(model, np.zeros((0, 2)), np.zeros(0, dtype=int))
+
+
+@st.composite
+def bound_batches(draw):
+    """Features, labels, the indices of one batch and weights: lone (K, d)
+    or a stack of R in {1, 5} as (R, K, d)."""
+    k = draw(st.sampled_from([1, 3]))
+    n = draw(st.integers(1, 12))
+    d = draw(st.integers(1, 4))
+    finite = st.floats(-50.0, 50.0)
+    X = draw(arrays(np.float64, (n, d - 1), elements=finite))
+    labels = draw(arrays(np.int64, n, elements=st.integers(0, max(k, 2) - 1)))
+    idx = np.array(sorted(draw(st.sets(st.integers(0, n - 1), min_size=1))))
+    stack = draw(st.sampled_from([(), (1,), (5,)]))
+    weights = draw(arrays(np.float64, stack + (k, d), elements=finite))
+    return X, labels, idx, weights
+
+
+def assert_bitwise(got, want):
+    assert got.shape == want.shape
+    np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+@settings(max_examples=150, deadline=None)
+@given(bound_batches())
+def test_bound_batch_scores_bitwise_like_features_and_labels(case):
+    """A batch bound once (design rows, then ``bind_batch``) scores with the
+    bits of ``loss_batch(model, features, labels)``, lone or stacked."""
+    X, labels, idx, weights = case
+    model = LinearModel(weights=weights)
+    want = loss_batch(model, X[idx], labels[idx])
+    design = design_rows(model, X)
+    batch = bind_batch(design[idx], labels[idx], weights.shape[-2])
+    got = loss_batch(LinearModel(weights=weights, includes_bias=False), batch)
+    for field in ("values", "dscore", "rows"):
+        assert_bitwise(getattr(got, field), getattr(want, field))
+    assert set(vars(got)) == {"values", "dscore", "rows"}

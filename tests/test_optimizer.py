@@ -3,11 +3,14 @@
 import numpy as np
 import pytest
 
+import robustmsd.optimizer as optimizer_module
 from robustmsd.criteria import CriterionParams, JointState, schedule_params
-from robustmsd.data import SynthConfig, generate_2d_outlier, shuffle_split
+from robustmsd.data import Dataset, SynthConfig, generate_2d_outlier, shuffle_split
+from robustmsd.harness import build_initial_state
 from robustmsd.model import (
     LinearModel,
     LossBatch,
+    bind_batch,
     classes_from_scores,
     design_rows,
     loss_values,
@@ -341,3 +344,54 @@ def test_nan_a_and_b_in_records_for_non_joint_criteria():
     )
     assert np.isfinite(res_cvar.trajectory[-1].a)
     assert np.isnan(res_cvar.trajectory[-1].b)
+
+
+# ----------------------------------------------------------------- binding
+
+
+def three_class_dataset(n=60, seed=2):
+    rng = np.random.Generator(np.random.PCG64(seed))
+    labels = np.arange(n) % 3
+    features = np.array([[-2.0, 0.0], [2.0, 1.0], [0.0, -2.5]])[labels]
+    features = features + rng.normal(size=(n, 2))
+    return shuffle_split(Dataset(features, labels, 3, np.full(n, "train"), "toy"), seed)
+
+
+@pytest.fixture
+def label_transforms(monkeypatch):
+    """Records the batch size of each label transform (signs 1 - 2y, or
+    multiclass indices) the training loop has ``model.bind_batch`` make."""
+    calls = []
+
+    def spy(rows, labels, n_outputs):
+        calls.append(len(labels))
+        return bind_batch(rows, labels, n_outputs)
+
+    monkeypatch.setattr(optimizer_module, "bind_batch", spy)
+    return calls
+
+
+@pytest.mark.parametrize("dataset", [shuffle_split(toy_dataset(), 0), three_class_dataset()])
+def test_lone_gd_binds_labels_once_per_run(dataset, label_transforms):
+    """A T-step run transforms the train labels once and each split's once,
+    whatever T."""
+    init = build_initial_state(dataset)
+    splits = len(dataset.splits_present())
+    for iterations in (3, 30):
+        label_transforms.clear()
+        config = OptConfig(step_size=0.01, iterations=iterations, checkpoint_every=2)
+        run_batch_gd(CriterionParams("erm"), init, dataset, config)
+        assert len(label_transforms) == 1 + splits
+
+
+@pytest.mark.parametrize("dataset", [shuffle_split(toy_dataset(), 0), three_class_dataset()])
+def test_sgd_binds_labels_once_per_batch(dataset, label_transforms):
+    init = build_initial_state(dataset)
+    n_train = int(dataset.split_indices("train").size)
+    config = OptConfig(step_size=0.01, epochs=3, batch_size=16, seed=1)
+    label_transforms.clear()
+    run_minibatch_sgd(CriterionParams("cvar", xi=0.5), init, dataset, config)
+    splits = len(dataset.splits_present())
+    batches = 3 * -(-n_train // 16)
+    assert len(label_transforms) == batches + splits
+    assert sorted(set(label_transforms[splits:])) == sorted({16, n_train % 16 or 16})
