@@ -10,8 +10,6 @@ import csv
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from .criteria import KINDS, criterion_record
 from .data import DataError, SynthConfig, generate_2d_outlier, preprocess, shuffle_split
 from .harness import (
@@ -74,11 +72,7 @@ def _cmd_train(args) -> int:
     setting = getattr(args, field) if field else None
     params = make_criterion(args.criterion, setting, n_train, lam)
 
-    h0 = None
-    if args.init is not None:
-        rows = 1 if dataset.n_classes == 2 else dataset.n_classes
-        flat = np.array([float(v) for v in args.init.split(",")])
-        h0 = flat.reshape(rows, dataset.n_features + 1)
+    h0 = None if args.init is None else [float(v) for v in args.init.split(",")]
     init = build_initial_state(dataset, h0)
 
     if args.iterations is not None:
@@ -171,6 +165,7 @@ def _spec_from_config(path, out_override, seed_override) -> ExperimentSpec:
             MethodGrid("chisq_dro", DEFAULT_LEVELS),
         ]
     lam_raw = exp.get("lam", "auto")
+    steps = exp.get("step_sizes")
     out_dir = out_override or exp.get("out", "results")
     return ExperimentSpec(
         data=data_sec["path"],
@@ -178,7 +173,7 @@ def _spec_from_config(path, out_override, seed_override) -> ExperimentSpec:
         label_col=data_sec.get("label_col", None),
         methods=methods,
         out_dir=str(out_dir),
-        step_sizes=_parse_floats(exp.get("step_sizes", "")) or DEFAULT_STEP_SIZES,
+        step_sizes=DEFAULT_STEP_SIZES if steps is None else _parse_floats(steps),
         epochs=int(exp.get("epochs", 30)),
         batch_size=int(exp.get("batch_size", 32)),
         trials=int(exp.get("trials", 5)),
@@ -296,7 +291,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (DataError, DivergenceError, ValueError, OSError) as err:
+    except (DataError, DivergenceError, ValueError, OSError, MemoryError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
 

@@ -7,6 +7,7 @@ statistics after one-hot expansion.
 """
 
 import csv
+import io
 import math
 import os
 from dataclasses import dataclass, replace
@@ -22,11 +23,10 @@ __all__ = [
     "SynthConfig",
     "generate_2d_outlier",
     "load_tabular",
-    "TabularScaler",
-    "fit_scaler",
     "preprocess",
     "shuffle_split",
     "data_dir",
+    "open_text",
 ]
 
 SPLITS = ("train", "val", "test")
@@ -54,13 +54,12 @@ class ColumnGroup:
 
 @dataclass
 class Dataset:
-    """Feature matrix with labels, split tags and provenance."""
+    """Feature matrix with labels, split tags and column metadata."""
 
     features: np.ndarray
     labels: np.ndarray
     n_classes: int
     split: np.ndarray
-    source: str
     columns: Optional[List[ColumnGroup]] = None
     class_names: Optional[List[str]] = None
 
@@ -145,12 +144,22 @@ def generate_2d_outlier(config: SynthConfig) -> Dataset:
         labels=labels,
         n_classes=2,
         split=np.full(config.n, "train"),
-        source=f"synth2d(seed={config.seed}, outlier_scale={config.outlier_scale:g})",
         columns=_numeric_columns(["x1", "x2"]),
     )
 
 
-def _parse_label_classes(raw_labels: List[str]):
+def open_text(path, newline=None) -> io.StringIO:
+    """The file as ``open(path, encoding="utf-8", newline=newline)`` reads it, decoded
+    up front: a byte that is not UTF-8 raises DataError naming its line."""
+    data = Path(path).read_bytes()
+    try:
+        return io.StringIO(data.decode("utf-8"), newline=newline)
+    except UnicodeDecodeError as err:
+        line = data.count(b"\n", 0, err.start) + 1
+        raise DataError(f"{path}: line {line}: not UTF-8 text ({err.reason})") from None
+
+
+def _parse_label_classes(path: Path, raw_labels: List[str]):
     """Map raw label strings to class indices, sorting numerically if possible."""
     uniq = sorted(set(raw_labels))
     try:
@@ -158,18 +167,17 @@ def _parse_label_classes(raw_labels: List[str]):
     except ValueError:
         pass
     if len(uniq) < 2:
-        raise DataError(f"need at least two distinct label values, got {uniq}")
+        raise DataError(f"{path}: need at least two distinct label values, got {uniq}")
     index = {v: i for i, v in enumerate(uniq)}
     return np.array([index[v] for v in raw_labels], dtype=int), uniq
 
 
 def _load_csv(path: Path, label_col: Optional[str]):
-    with open(path, newline="", encoding="utf-8") as f:
-        reader = csv.reader(f)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise DataError(f"{path}: empty file") from None
+    reader = csv.reader(open_text(path, newline=""))
+    try:
+        header = next(reader, None)
+        if header is None:
+            raise DataError(f"{path}: empty file")
         rows, line_nums = [], []
         for row in reader:
             if not row:
@@ -181,6 +189,8 @@ def _load_csv(path: Path, label_col: Optional[str]):
                 )
             rows.append([c.strip() for c in row])
             line_nums.append(reader.line_num)
+    except csv.Error as err:  # e.g. a field over csv.field_size_limit()
+        raise DataError(f"{path}: line {reader.line_num}: {err}") from None
     if not rows:
         raise DataError(f"{path}: no data rows")
     if label_col is None:
@@ -245,48 +255,43 @@ def _load_csv(path: Path, label_col: Optional[str]):
                 )
             )
             out_idx += len(levels)
-    features = np.hstack(blocks)
-    labels, class_names = _parse_label_classes(raw_labels)
+    features = np.hstack(blocks) if blocks else np.zeros((len(rows), 0))
+    labels, class_names = _parse_label_classes(path, raw_labels)
     return features, labels, class_names, groups
 
 
 def _load_svmlight(path: Path):
     raw_labels, feature_maps = [], []
     max_idx = 0
-    with open(path, encoding="utf-8") as f:
-        for line_num, line in enumerate(f, start=1):
-            line = line.split("#", 1)[0].strip()
-            if not line:
-                continue
-            tokens = line.split()
-            raw_labels.append(tokens[0])
-            fmap = {}
-            for tok in tokens[1:]:
-                try:
-                    idx_s, val_s = tok.split(":", 1)
-                    idx, val = int(idx_s), float(val_s)
-                except ValueError:
-                    raise DataError(
-                        f"{path}: line {line_num}: malformed feature token {tok!r}"
-                    ) from None
-                if idx < 1:
-                    raise DataError(
-                        f"{path}: line {line_num}: feature index {idx} < 1"
-                    )
-                if idx in fmap:
-                    raise DataError(
-                        f"{path}: line {line_num}: duplicate feature index {idx}"
-                    )
-                fmap[idx] = val
-                max_idx = max(max_idx, idx)
-            feature_maps.append(fmap)
+    for line_num, line in enumerate(open_text(path), start=1):
+        line = line.split("#", 1)[0].strip()
+        if not line:
+            continue
+        tokens = line.split()
+        raw_labels.append(tokens[0])
+        fmap = {}
+        for tok in tokens[1:]:
+            try:
+                idx_s, val_s = tok.split(":", 1)
+                idx, val = int(idx_s), float(val_s)
+            except ValueError:
+                raise DataError(
+                    f"{path}: line {line_num}: malformed feature token {tok!r}"
+                ) from None
+            if idx < 1:
+                raise DataError(f"{path}: line {line_num}: feature index {idx} < 1")
+            if idx in fmap:
+                raise DataError(f"{path}: line {line_num}: duplicate feature index {idx}")
+            fmap[idx] = val
+            max_idx = max(max_idx, idx)
+        feature_maps.append(fmap)
     if not raw_labels:
         raise DataError(f"{path}: no data rows")
     features = np.zeros((len(raw_labels), max_idx))
     for i, fmap in enumerate(feature_maps):
         for idx, val in fmap.items():
             features[i, idx - 1] = val
-    labels, class_names = _parse_label_classes(raw_labels)
+    labels, class_names = _parse_label_classes(path, raw_labels)
     groups = _numeric_columns([f"f{j+1}" for j in range(max_idx)])
     return features, labels, class_names, groups
 
@@ -310,89 +315,17 @@ def load_tabular(path, fmt: str = "csv", label_col: Optional[str] = None) -> Dat
         features, labels, class_names, groups = _load_svmlight(path)
     else:
         raise DataError(f"unknown format {fmt!r}")
-    return Dataset(
-        features=features,
-        labels=labels,
-        n_classes=len(class_names),
-        split=np.full(features.shape[0], "train"),
-        source=f"{fmt}:{path}",
-        columns=groups,
-        class_names=class_names,
-    )
-
-
-@dataclass
-class TabularScaler:
-    """Train-split preprocessing statistics.
-
-    ``numeric_ranges`` maps feature-column index -> (min, max) over the
-    train rows; ``onehot_keep`` maps a group's first column index -> mask of
-    category columns that appear at least once in the train split.
-    """
-
-    numeric_ranges: dict
-    onehot_keep: dict
-
-    def transform(self, dataset: Dataset) -> Dataset:
-        X = dataset.features
-        blocks = []
-        new_groups: List[ColumnGroup] = []
-        out_idx = 0
-        for g in _groups_of(dataset):
-            if g.kind == "numeric":
-                j = g.indices[0]
-                mn, mx = self.numeric_ranges[j]
-                if mx > mn:
-                    col = (X[:, j] - mn) / (mx - mn)
-                else:
-                    col = np.zeros(dataset.n)
-                blocks.append(col[:, None])
-                new_groups.append(ColumnGroup(g.name, "numeric", [out_idx]))
-                out_idx += 1
-            else:
-                keep = self.onehot_keep[g.indices[0]]
-                cols = X[:, g.indices][:, keep]
-                cats = [c for c, k in zip(g.categories, keep) if k]
-                blocks.append(cols)
-                new_groups.append(
-                    ColumnGroup(
-                        g.name,
-                        "onehot",
-                        list(range(out_idx, out_idx + cols.shape[1])),
-                        categories=cats,
-                    )
-                )
-                out_idx += cols.shape[1]
-        return replace(
-            dataset,
-            features=np.hstack(blocks) if blocks else X[:, :0],
-            columns=new_groups,
-            source=dataset.source + "|preprocessed",
+    try:
+        return Dataset(
+            features=features,
+            labels=labels,
+            n_classes=len(class_names),
+            split=np.full(features.shape[0], "train"),
+            columns=groups,
+            class_names=class_names,
         )
-
-
-def _groups_of(dataset: Dataset) -> List[ColumnGroup]:
-    if dataset.columns is not None:
-        return dataset.columns
-    return _numeric_columns([f"f{j}" for j in range(dataset.n_features)])
-
-
-def fit_scaler(dataset: Dataset) -> TabularScaler:
-    """Fit min-max ranges and one-hot vocabularies on the train split only."""
-    train = dataset.split_indices("train")
-    if train.size == 0:
-        raise DataError("preprocess requires a nonempty train split")
-    X = dataset.features
-    numeric_ranges, onehot_keep = {}, {}
-    for g in _groups_of(dataset):
-        if g.kind == "numeric":
-            j = g.indices[0]
-            col = X[train, j]
-            numeric_ranges[j] = (float(col.min()), float(col.max()))
-        else:
-            present = X[np.ix_(train, g.indices)].any(axis=0)
-            onehot_keep[g.indices[0]] = present
-    return TabularScaler(numeric_ranges, onehot_keep)
+    except DataError as err:  # e.g. a nan or an overflowing value
+        raise DataError(f"{path}: {err}") from None
 
 
 def preprocess(dataset: Dataset) -> Dataset:
@@ -402,7 +335,28 @@ def preprocess(dataset: Dataset) -> Dataset:
     unclamped.  One-hot groups keep only categories seen in the train split,
     so unseen categories become all-zero rows within their group.
     """
-    return fit_scaler(dataset).transform(dataset)
+    train = dataset.split_indices("train")
+    if train.size == 0:
+        raise DataError("preprocess requires a nonempty train split")
+    X, blocks, columns = dataset.features, [], []
+    groups = dataset.columns
+    if groups is None:
+        groups = _numeric_columns([f"f{j}" for j in range(dataset.n_features)])
+    for g in groups:  # each group's train statistics, applied to every row
+        if g.kind == "numeric":
+            col = X[:, g.indices[0]]
+            mn, mx = float(col[train].min()), float(col[train].max())
+            block = ((col - mn) / (mx - mn) if mx > mn else np.zeros(dataset.n))[:, None]
+            cats = None
+        else:
+            keep = X[np.ix_(train, g.indices)].any(axis=0)
+            block = X[:, g.indices][:, keep]
+            cats = [c for c, k in zip(g.categories, keep) if k]
+        at = sum(b.shape[1] for b in blocks)
+        columns.append(ColumnGroup(g.name, g.kind, list(range(at, at + block.shape[1])), cats))
+        blocks.append(block)
+    features = np.hstack(blocks) if blocks else X[:, :0]
+    return replace(dataset, features=features, columns=columns)
 
 
 def shuffle_split(dataset: Dataset, seed: int) -> Dataset:

@@ -20,7 +20,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from .criteria import JointState, criterion_record, make_criterion
-from .data import DataError, Dataset, data_dir, load_tabular, preprocess, shuffle_split
+from .data import DataError, Dataset, data_dir, load_tabular, open_text, preprocess, shuffle_split
 from .model import LinearModel, loss_values
 from .optimizer import (
     METRIC_FIELDS,
@@ -28,6 +28,7 @@ from .optimizer import (
     DivergenceError,
     OptConfig,
     TrajectoryRecord,
+    check_step_size,
     initial_joint_state,
     run_stacked_sgd,
 )
@@ -78,12 +79,12 @@ def write_trajectory_csv(path, records: Sequence[TrajectoryRecord]) -> None:
 
 
 def read_trajectory_csv(path) -> List[TrajectoryRecord]:
-    with open(path, newline="", encoding="utf-8") as f:
-        reader = csv.reader(f)
+    reader = csv.reader(open_text(path, newline=""))
+    out = []
+    try:
         header = tuple(next(reader, ()))
         if header != TRAJECTORY_HEADER:
             raise ValueError(f"{path}: unexpected header {header!r}")
-        out = []
         for line, row in enumerate(reader, start=2):
             if len(row) != len(TRAJECTORY_HEADER):
                 raise ValueError(
@@ -97,6 +98,8 @@ def read_trajectory_csv(path) -> List[TrajectoryRecord]:
                 )
             except ValueError as err:
                 raise ValueError(f"{path}: line {line}: {err}") from None
+    except csv.Error as err:  # e.g. a field over csv.field_size_limit()
+        raise ValueError(f"{path}: line {reader.line_num}: {err}") from None
     return out
 
 
@@ -135,7 +138,6 @@ class ExperimentSpec:
     lam: Optional[float] = None  # None -> log(n_train)/sqrt(n_train)
     data_format: str = "csv"
     label_col: Optional[str] = None
-    b_floor: float = 1e-8
 
     def __post_init__(self):
         if self.trials < 1:
@@ -146,18 +148,25 @@ class ExperimentSpec:
             raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
         if not self.methods:
             raise ValueError("at least one method is required")
+        if not self.step_sizes:
+            raise ValueError("step_sizes must list at least one step size")
+        for step in self.step_sizes:
+            check_step_size(step)
 
 
 def default_lam(n_train: int) -> float:
     return math.log(n_train) / math.sqrt(n_train)
 
 
+@np.errstate(over="ignore", invalid="ignore")  # JointState rejects a non-finite a or b
 def build_initial_state(dataset: Dataset, h0: Optional[np.ndarray] = None) -> JointState:
-    """Zero weights (or given h0) with (a, b) seeded from the initial train losses."""
-    rows = 1 if dataset.n_classes == 2 else dataset.n_classes
-    if h0 is None:
-        h0 = np.zeros((rows, dataset.n_features + 1))
-    h0 = np.atleast_2d(np.asarray(h0, dtype=float))
+    """Zero weights, or ``h0``'s K x (d + 1) values (flat or shaped; K = 1 for binary
+    data), with (a, b) seeded from the initial train losses."""
+    shape = (1 if dataset.n_classes == 2 else dataset.n_classes, dataset.n_features + 1)
+    h0 = np.zeros(shape) if h0 is None else np.asarray(h0, dtype=float)
+    if h0.size != shape[0] * shape[1]:
+        raise ValueError(f"initial weights need {shape[0]} x {shape[1]} values, got {h0.size}")
+    h0 = h0.reshape(shape)
     train = dataset.split_indices("train")
     values = loss_values(
         LinearModel(weights=h0), dataset.features[train], dataset.labels[train]
@@ -234,7 +243,6 @@ def run_experiment(spec: ExperimentSpec, dataset: Optional[Dataset] = None) -> d
                     epochs=spec.epochs,
                     batch_size=spec.batch_size,
                     seed=split_seed,
-                    b_floor=spec.b_floor,
                 ),
             )
             for _, _, params in criteria

@@ -1,7 +1,7 @@
 """Deterministic gradient descent and mini-batch SGD over (h, a, b).
 
 The joint robust criterion updates all of (h, a, b) with the scale projected
-back to ``b_floor`` after every step (the objective's gradient is not
+back to ``B_FLOOR`` after every step (the objective's gradient is not
 Lipschitz near b = 0).  CVaR and the divergence-ball dual update (h, a);
 the plain mean updates h alone.  A single shared step size is used for all
 blocks, so comparisons across criteria stay fair.
@@ -10,7 +10,7 @@ Shuffling uses numpy's PCG64 generator; the algorithm identifier is recorded
 in every RunResult so trajectories can be reproduced bit-for-bit.
 
 One loop (``_train``) trains any number of runs: runs that share the data,
-the initial state, the schedule and the scale floor see the same batches,
+the initial state and the schedule see the same batches,
 so their weights are stacked as one (R, K, d) array and each step is one
 array program over all of them.  Its schedule, full-batch for GD
 (``run_batch_gd``) or mini-batch for SGD (``run_stacked_sgd``), binds each
@@ -40,6 +40,7 @@ from .model import (
 )
 
 __all__ = [
+    "B_FLOOR",
     "METRIC_FIELDS",
     "DivergenceError",
     "OptConfig",
@@ -53,12 +54,19 @@ __all__ = [
 ]
 
 RNG_ALGORITHM = "pcg64"
+B_FLOOR = 1e-8  # the scale b is projected back onto [B_FLOOR, inf) after every step
 H_NORM_LIMIT = 1e12
 CHECKPOINT_CHUNK = 8192  # losses scored at once per checkpoint chunk (64 KiB)
 
 
 class DivergenceError(RuntimeError):
     """A run produced a non-finite objective or runaway weights."""
+
+
+def check_step_size(step: float) -> None:
+    """Raise ValueError naming ``step`` unless it is finite and positive."""
+    if not (math.isfinite(step) and step > 0.0):
+        raise ValueError(f"step size must be finite and positive, got {step!r}")
 
 
 @dataclass
@@ -71,11 +79,9 @@ class OptConfig:
     batch_size: Optional[int] = None
     seed: int = 0
     checkpoint_every: int = 100
-    b_floor: float = 1e-8
 
     def __post_init__(self):
-        if self.step_size <= 0.0:
-            raise ValueError("step_size must be positive")
+        check_step_size(self.step_size)
         batch_mode = self.iterations is not None
         sgd_mode = self.epochs is not None or self.batch_size is not None
         if batch_mode == sgd_mode:
@@ -92,8 +98,6 @@ class OptConfig:
                 raise ValueError("epochs must be >= 0 and batch_size >= 1")
         if self.checkpoint_every < 1:
             raise ValueError("checkpoint_every must be positive")
-        if self.b_floor <= 0.0:
-            raise ValueError("b_floor must be positive")
 
     @property
     def mode(self) -> str:
@@ -124,8 +128,6 @@ class TrajectoryRecord:
 class RunResult:
     final_state: JointState
     trajectory: List[TrajectoryRecord]
-    config: OptConfig
-    criterion: CriterionParams
     rng_algorithm: str = RNG_ALGORITHM
 
 
@@ -234,8 +236,6 @@ class StackedRuns:
     sweep never holds every run's records at once.
     """
 
-    criteria: Tuple[CriterionParams, ...]
-    configs: Tuple[OptConfig, ...]
     errors: List[Optional[str]]  # divergence message, None for a finished run
     h: np.ndarray  # (R, K, d) final weights; rows of diverged runs are nan
     a: np.ndarray
@@ -254,7 +254,7 @@ class StackedRuns:
             for split, row in zip(self.split_names, block)
         ]
         state = JointState(self.h[i].copy(), float(self.a[i]), float(self.b[i]))
-        return RunResult(state, trajectory, self.configs[i], self.criteria[i])
+        return RunResult(state, trajectory)
 
 
 class _LiveRuns:
@@ -313,8 +313,8 @@ class _LiveRuns:
             self.stack = self.stack.select(keep)
         return keep
 
-    def update(self, grad_h, grad_a, grad_b, b_floor: float):
-        """One gradient step, b projected onto [b_floor, inf).
+    def update(self, grad_h, grad_a, grad_b):
+        """One gradient step, b projected onto [B_FLOOR, inf).
 
         A criterion without a threshold has a zero grad_a, which leaves a as
         it is; one without a scale keeps b.
@@ -323,11 +323,11 @@ class _LiveRuns:
             self.h = self.h - self.step * grad_h
             self.a = self.a - self.step * grad_a
             if self.updates_b:
-                self.b = max(self.b - self.step * grad_b, b_floor)
+                self.b = max(self.b - self.step * grad_b, B_FLOOR)
             return
         self.h = self.h - self.step[:, None, None] * grad_h
         self.a = self.a - self.step * grad_a
-        b = np.maximum(self.b - self.step * grad_b, b_floor)
+        b = np.maximum(self.b - self.step * grad_b, B_FLOOR)
         self.b = np.where(self.stack.updates_b, b, self.b)
 
 
@@ -374,15 +374,13 @@ def _train(runs, init: JointState, dataset: Dataset, schedule) -> StackedRuns:
     report (numpy's overflow and invalid-value warnings are off in here);
     the others go on.
     """
-    criteria = tuple(params for params, _ in runs)
-    configs = tuple(config for _, config in runs)
+    criteria, configs = zip(*runs)
     bind, train, splits = _bind_run(init.h, dataset)
     live = _LiveRuns(criteria, configs, init)
     model = LinearModel(weights=live.h, includes_bias=False)
     errors: List[Optional[str]] = [None] * len(runs)
     checkpoints, metrics = [], []
     shape = (len(splits), len(runs), len(METRIC_FIELDS))
-    b_floor = configs[0].b_floor
     for batch, where, checkpoint in schedule(configs[0], train, bind):
         model.weights = live.h
         losses = loss_batch(model, batch)
@@ -395,7 +393,7 @@ def _train(runs, init: JointState, dataset: Dataset, schedule) -> StackedRuns:
             if not live.ids.size:
                 break  # every run diverged
             grad_h, grad_a, grad_b = grad_h[keep], grad_a[keep], grad_b[keep]
-        live.update(grad_h, grad_a, grad_b, b_floor)
+        live.update(grad_h, grad_a, grad_b)
         if checkpoint is not None:
             dead = {}
             rows = _checkpoint_records(checkpoint, splits, live.stack, *live.stacked(), dead)
@@ -412,7 +410,7 @@ def _train(runs, init: JointState, dataset: Dataset, schedule) -> StackedRuns:
     # a lone run that diverged has no id left, so its row fills nothing
     h[live.ids], a[live.ids], b[live.ids] = live.stacked()
     return StackedRuns(
-        criteria, configs, errors, h, a, b, tuple(s[0] for s in splits),
+        errors, h, a, b, tuple(s[0] for s in splits),
         tuple(checkpoints), np.array(metrics).reshape((len(checkpoints),) + shape),
     )
 
@@ -447,8 +445,8 @@ def run_stacked_sgd(
     configs = [config for _, config in runs]
     if any(c.mode != "sgd" for c in configs):
         raise ValueError("run_minibatch_sgd requires an sgd-mode OptConfig")
-    if len({(c.epochs, c.batch_size, c.seed, c.b_floor) for c in configs}) > 1:
-        raise ValueError("stacked runs must share epochs, batch_size, seed and b_floor")
+    if len({(c.epochs, c.batch_size, c.seed) for c in configs}) > 1:
+        raise ValueError("stacked runs must share epochs, batch_size and seed")
     return _train(runs, init, dataset, _minibatches)
 
 

@@ -6,7 +6,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from robustmsd.cli import _spec_from_config, main
@@ -418,3 +418,208 @@ def test_multiclass_sweep_report_and_train_rerun_byte_identical(tmp_path):
     header, *rows = list(csv.reader(open(tmp_path / "gd" / "trajectory.csv")))
     assert [row[0] for row in rows] == ["10", "20", "30", "40"]  # all rows train
     assert all(row[header.index("b")] != "nan" for row in rows)
+
+
+def one_error_line(capsys, *named):
+    """The run's stderr is exactly one ``error:`` line naming each of ``named``."""
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert all(part in err for part in named), err
+
+
+@pytest.mark.parametrize("step", ["nan", "inf", "-0.1", "0"])
+def test_train_rejects_step_size_before_training(tmp_path, capsys, step):
+    main(["synth", "--n", "100", "--seed", "0", "--out", str(tmp_path)])
+    capsys.readouterr()
+    code = main(["train", "--data", str(tmp_path / "synth.csv"), "--criterion", "erm",
+                 "--iterations", "5", "--step-size", step, "--out", str(tmp_path / "run")])
+    assert code == 1
+    one_error_line(capsys, f"got {float(step)!r}")
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize(
+    "steps, named", [("0.1, -0.1", "-0.1"), ("", "step_sizes"), ("nan", "nan"), ("0.1, inf", "inf")]
+)
+def test_experiment_bad_step_sizes_exit_1_before_writing(tmp_path, capsys, steps, named):
+    cfg = sweep_config(tmp_path, "erm = yes")
+    cfg.write_text(cfg.read_text().replace("step_sizes = 0.01", f"step_sizes = {steps}"))
+    assert main(["experiment", "--config", str(cfg)]) == 1
+    one_error_line(capsys, named)
+    assert not (tmp_path / "exp").exists()
+
+
+def test_unreadable_data_exits_1_naming_file_and_line(tmp_path, capsys):
+    big = tmp_path / "big.csv"
+    big.write_text("f,label\n1.0,1\n" + "9" * 140_000 + ",0\n2.0,0\n", encoding="utf-8")
+    latin1 = tmp_path / "latin1.csv"
+    latin1.write_bytes(b"f,label\n1.0,1\n2.0,caf\xe9\n")
+    for path, line in ((big, 3), (latin1, 3)):
+        code = main(["train", "--data", str(path), "--criterion", "erm", "--iterations", "3",
+                     "--out", str(tmp_path / "run")])
+        assert code == 1
+        one_error_line(capsys, f"{path}: line {line}: ")
+        cfg = sweep_config(tmp_path, "erm = yes")
+        cfg.write_text(cfg.read_text().replace("bundled:credit690", str(path)))
+        assert main(["experiment", "--config", str(cfg)]) == 1
+        one_error_line(capsys, f"{path}: line {line}: ")
+    assert not (tmp_path / "run").exists() and not (tmp_path / "exp").exists()
+
+
+def test_report_on_an_unreadable_trajectory_exits_1_naming_it(tmp_path, capsys):
+    cfg = sweep_config(tmp_path, "erm = yes")
+    assert main(["experiment", "--config", str(cfg)]) == 0
+    run = next((tmp_path / "exp" / "runs").glob("*.csv"))
+    lines = run.read_text().splitlines()
+    run.write_text("\n".join([lines[0], lines[1] + "9" * 140_000] + lines[2:]) + "\n")
+    capsys.readouterr()
+    assert main(["report", "--manifest", str(tmp_path / "exp" / "manifest.json")]) == 1
+    one_error_line(capsys, f"{run}: line 2: field larger than field limit")
+
+
+def test_label_only_csv_trains_a_bias(tmp_path):
+    data = tmp_path / "labels.csv"
+    data.write_text("label\n" + "".join(f"{i % 2}\n" for i in range(20)), encoding="utf-8")
+    args = ["train", "--data", str(data), "--criterion", "erm", "--iterations", "3",
+            "--init", "0.25", "--out", str(tmp_path / "run")]
+    assert main(args) == 0
+    header, *rows = list(csv.reader(open(tmp_path / "run" / "trajectory.csv")))
+    assert len(rows) == 1
+
+
+def test_train_init_takes_k_rows_of_weights(tmp_path, capsys):
+    data = tmp_path / "three.csv"
+    three_class_csv(data)
+    args = ["train", "--data", str(data), "--criterion", "erm", "--iterations", "3",
+            "--out", str(tmp_path / "run")]
+    assert main(args + ["--init", ",".join(["0.1"] * 9)]) == 0  # 3 classes x (2 + 1)
+    capsys.readouterr()
+    assert main(args + ["--init", ",".join(["0.1"] * 3)]) == 1
+    one_error_line(capsys, "need 3 x 3 values, got 3")
+
+
+# ------------------------------------------------------------ flag fuzzing
+
+# Values are mostly of the flag's type, extremes included, so most runs get
+# past argparse into the program; one flag may instead get garbage text.
+# Sizes that set the amount of work (--n, --iterations, --epochs,
+# --batch-size) are drawn from small ranges and their garbage never parses.
+INT = st.one_of(st.integers(-3, 50), st.sampled_from([2**70, -(2**70)])).map(str)
+FLOAT = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from([2.0**70, -1.0, 0.0, 1e-3, 0.5, 0.9]),
+).map(repr)
+FLOATS = st.lists(FLOAT, max_size=10).map(",".join)
+GARBAGE = st.one_of(st.sampled_from(["", "x", "1.5", "1e3", "-", "1,2", " "]), st.text(max_size=8))
+PAIR = st.one_of(*[st.tuples(FLOAT, FLOAT).map(",".join)] * 3, FLOATS)
+WORDS = st.sampled_from(["", "x", "1.5", "1e3", "-", "nan", " "])  # parse as no int
+
+
+def size(lo, hi):
+    return st.integers(lo, hi).map(str)
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    """Inputs the fuzzed commands read: a planar and a 3-class CSV, a tiny
+    sweep config and its manifest."""
+    root = tmp_path_factory.mktemp("fuzz")
+    main(["synth", "--n", "40", "--seed", "0", "--out", str(root)])
+    three_class_csv(root / "three.csv")
+    (root / "sweep.ini").write_text(
+        "[data]\npath = bundled:credit690\n[experiment]\ntrials = 1\nepochs = 1\n"
+        "batch_size = 64\nstep_sizes = 0.1\n[methods]\nerm = yes\ncvar = 0.5\n",
+        encoding="utf-8",
+    )
+    assert main(["experiment", "--config", str(root / "sweep.ini"),
+                 "--out", str(root / "made")]) == 0
+    (root / "not_a_dir").write_text("", encoding="utf-8")
+    return root
+
+
+def fuzzed_argv(data, command, fixed, optional, sizes=()):
+    """``command`` with the ``fixed`` flags and a drawn subset of the
+    ``optional`` ones (a None strategy marks a bare switch).  In one run in
+    four, one optional flag's value is replaced by garbage (words that never
+    parse for the flags in ``sizes``); the fixed ones, which name files and
+    directories, never are."""
+    flags = data.draw(st.fixed_dictionaries(fixed, optional=optional))
+    valued = [f for f in optional if flags.get(f) is not None]
+    if valued and data.draw(st.integers(0, 3)) == 0:
+        flag = data.draw(st.sampled_from(valued))
+        flags[flag] = data.draw(WORDS if flag in sizes else GARBAGE)
+    return [command] + [f if v is None else f"{f}={v}" for f, v in flags.items()]
+
+
+def run_fuzzed(argv):
+    """Exit codes 0-2 only, by return or SystemExit; any other exception fails."""
+    try:
+        code = main(argv)
+    except SystemExit as exit_:
+        assert exit_.code in (0, 2), argv
+        return
+    assert code in (0, 1, 2), argv
+
+
+def fuzz(max_examples):
+    return settings(max_examples=max_examples, deadline=None,
+                    suppress_health_check=[HealthCheck.too_slow])
+
+
+def paths(root, *names):
+    return st.sampled_from([str(root / n) for n in names])
+
+
+@fuzz(50)
+@given(data=st.data())
+def test_fuzzed_synth_flags_exit_cleanly(fuzz_dir, data):
+    run_fuzzed(fuzzed_argv(
+        data, "synth", {"--out": paths(fuzz_dir, "out", "out", "not_a_dir")},
+        {"--n": size(-2, 200), "--seed": INT, "--outlier-scale": FLOAT,
+         "--covariance-scale": FLOAT,
+         "--mean0": PAIR, "--mean1": PAIR},
+        sizes=("--n",),
+    ))
+
+
+@fuzz(120)
+@given(data=st.data())
+def test_fuzzed_train_flags_exit_cleanly(fuzz_dir, data):
+    data_ref = st.one_of(paths(fuzz_dir, "synth.csv", "three.csv", "missing.csv", "made"),
+                         st.sampled_from(["bundled:credit690", "bundled:credit690",
+                                          "bundled:nope"]))
+    run_fuzzed(fuzzed_argv(
+        data, "train",
+        {"--data": data_ref, "--criterion": st.sampled_from(KINDS),
+         "--out": paths(fuzz_dir, "out", "out", "not_a_dir")},
+        {"--format": st.sampled_from(["csv", "svmlight"]),
+         "--label-col": st.sampled_from(["label", "x1", "nope"]),
+         "--beta0": FLOAT, "--xi": FLOAT, "--eta-tilde": FLOAT,
+         "--lam": st.one_of(st.just("auto"), FLOAT), "--step-size": FLOAT,
+         "--iterations": size(-2, 5), "--checkpoint-every": INT, "--epochs": size(-2, 2),
+         "--batch-size": size(-2, 600), "--split-seed": INT, "--preprocess": st.none(),
+         "--init": FLOATS, "--seed": INT},
+        sizes=("--iterations", "--epochs", "--batch-size"),
+    ))
+
+
+@fuzz(20)
+@given(data=st.data())
+def test_fuzzed_experiment_and_report_flags_exit_cleanly(fuzz_dir, data):
+    configs = paths(fuzz_dir, "sweep.ini", "sweep.ini", "synth.csv", "missing.ini", "made")
+    run_fuzzed(fuzzed_argv(
+        data, "experiment",
+        {"--config": configs, "--out": paths(fuzz_dir, "exp", "not_a_dir")}, {"--seed": INT},
+    ))
+    manifests = paths(fuzz_dir, "made/manifest.json", "sweep.ini", "missing.json", "made")
+    outs = paths(fuzz_dir, "made/aggregate.csv", "out/aggregate.csv", "made", "not_a_dir/a.csv")
+    run_fuzzed(fuzzed_argv(data, "report", {"--manifest": manifests, "--out": outs}, {}))
+
+
+@fuzz(2)
+@given(data=st.data())
+def test_fuzzed_verify_seed_exits_cleanly(fuzz_dir, data):
+    run_fuzzed(fuzzed_argv(
+        data, "verify", {"--quick": st.none(), "--out": paths(fuzz_dir, "verify")},
+        {"--seed": INT},
+    ))

@@ -304,7 +304,7 @@ def test_chisq_dro_gradients_match_finite_differences():
     )
 
 
-B_FLOOR = 1e-8  # OptConfig.b_floor
+B_FLOOR = 1e-8  # optimizer.B_FLOOR
 PARAMS = {
     "sunhuber": st.builds(
         lambda alpha, beta, lam: CriterionParams("sunhuber", alpha=alpha, beta=beta, lam=lam),
@@ -322,7 +322,7 @@ PARAMS = {
 def gradient_cases(draw):
     """A criterion, a logistic batch (K in {1, 3}, n = 1..8) whose losses
     reach 1e6, a threshold a (anywhere, or next to one of the losses) and a
-    scale b in [b_floor, 1e8]."""
+    scale b in [B_FLOOR, 1e8]."""
     params = draw(st.sampled_from(KINDS).flatmap(PARAMS.get))
     k = draw(st.sampled_from([1, 3]))
     n, d = draw(st.integers(1, 8)), draw(st.integers(1, 3))
@@ -362,7 +362,7 @@ def test_stack_gradients_match_central_differences(case):
     scale, so truncation is negligible.  The tolerance adds the float64
     rounding of a central difference at that step; it leaves the check loose
     only where the smoothness scale is below ~1e-8 of the losses' size (b
-    near b_floor beside losses near 1e6, or a loss that close to a kink).
+    near B_FLOOR beside losses near 1e6, or a loss that close to a kink).
     """
     params, X, labels, w, anchor, b = case
     model = LinearModel(weights=w, includes_bias=False)

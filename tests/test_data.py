@@ -2,12 +2,13 @@
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from robustmsd.data import (
     DataError,
     Dataset,
     SynthConfig,
-    fit_scaler,
     generate_2d_outlier,
     load_tabular,
     preprocess,
@@ -118,6 +119,36 @@ def test_csv_single_label_rejected(tmp_path):
         load_tabular(p, "csv")
 
 
+def test_csv_label_column_only_gives_no_features(tmp_path):
+    p = write(tmp_path, "labels.csv", "label\n1\n0\n1\n")
+    ds = load_tabular(p, "csv")
+    assert ds.features.shape == (3, 0) and ds.columns == []
+    np.testing.assert_array_equal(ds.labels, [1, 0, 1])
+
+
+def test_csv_field_over_the_size_limit_names_file_and_line(tmp_path):
+    p = write(tmp_path, "big.csv", "f,label\n1.0,1\n" + "9" * 140_000 + ",0\n")
+    with pytest.raises(DataError, match=r"big\.csv: line 3: field larger than field limit"):
+        load_tabular(p, "csv")
+
+
+@pytest.mark.parametrize(
+    "fmt, raw, line",
+    [("csv", b"f,label\n1.0,1\n2.0,caf\xe9\n", 3), ("svmlight", b"1 1:2\n-1 1:\xff\n", 2)],
+)
+def test_non_utf8_file_names_file_and_line(tmp_path, fmt, raw, line):
+    p = tmp_path / "latin1.txt"
+    p.write_bytes(raw)
+    with pytest.raises(DataError, match=rf"latin1\.txt: line {line}: not UTF-8 text"):
+        load_tabular(p, fmt)
+
+
+def test_non_finite_value_names_file(tmp_path):
+    p = write(tmp_path, "nan.csv", "f,label\n1.0,1\nnan,0\n")
+    with pytest.raises(DataError, match=r"nan\.csv: features must be finite"):
+        load_tabular(p, "csv")
+
+
 # -------------------------------------------------------------- svmlight
 
 
@@ -136,6 +167,61 @@ def test_svmlight_malformed_token(tmp_path):
     p2 = write(tmp_path, "bad2.svm", "1 2:1 2:3\n-1 1:0\n")
     with pytest.raises(DataError, match="duplicate"):
         load_tabular(p2, "svmlight")
+
+
+def svmlight_indices_at_most(text, limit=1000):
+    """Whether every feature index the svmlight loader would parse is <= limit.
+
+    The loader densifies to the largest index, so a larger one would ask for
+    a matrix of that width (see ``load_tabular``)."""
+    for line in text.splitlines():
+        for tok in line.split("#", 1)[0].split()[1:]:
+            try:
+                if int(tok.split(":", 1)[0]) > limit:
+                    return False
+            except ValueError:
+                pass
+    return True
+
+
+SVM_TOKEN = st.one_of(
+    st.builds("{}:{}".format, st.integers(-2, 1000), st.sampled_from(["1", "-0.5", "nan", "x"])),
+    st.sampled_from(["1", "-1", "0", "2", "#", ":", "1:", ":1", "3:4:5"]),
+    st.text(max_size=6),
+)
+SVM_TEXT = st.lists(
+    st.lists(SVM_TOKEN, max_size=5).map(" ".join), max_size=6
+).map("\n".join)
+CSV_TEXT = st.lists(
+    st.lists(
+        st.one_of(st.sampled_from(["1", "0", "2.5", "?", "nan", "a", "b", '"', ""]),
+                  st.text(max_size=6)),
+        min_size=1, max_size=4,
+    ).map(",".join),
+    max_size=6,
+).map("\n".join)
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    st.sampled_from(["csv", "svmlight"]),
+    st.one_of(CSV_TEXT, SVM_TEXT, st.text(max_size=80)).map(str.encode)
+    | st.binary(max_size=80),
+)
+def test_loader_returns_dataset_or_raises_data_error(tmp_path_factory, fmt, raw):
+    try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError:
+        text = ""
+    if fmt == "svmlight" and not svmlight_indices_at_most(text):
+        return
+    path = tmp_path_factory.getbasetemp() / "fuzz.txt"
+    path.write_bytes(raw)
+    try:
+        ds = load_tabular(path, fmt)
+    except DataError:
+        return
+    assert isinstance(ds, Dataset) and ds.n == ds.labels.size and ds.n_classes >= 2
 
 
 # ------------------------------------------------------------ preprocess
@@ -163,15 +249,15 @@ def _tabular_with_splits():
         labels=np.array([0, 1, 0, 1]),
         n_classes=2,
         split=np.array(["train", "train", "train", "val"]),
-        source="unit",
         columns=columns,
     )
 
 
 def test_preprocess_minmax_from_train_only():
     ds = preprocess(_tabular_with_splits())
-    # train range [2, 6]: 4 -> 0.5; val value 10 -> 2.0 unclamped
-    np.testing.assert_allclose(ds.features[:, 0], [0.0, 1.0, 0.5, 2.0])
+    # train range [2, 6] exactly (the train extremes map to exactly 0 and 1):
+    # 4 -> 0.5; val value 10 -> 2.0 unclamped
+    np.testing.assert_array_equal(ds.features[:, 0], [0.0, 1.0, 0.5, 2.0])
     # constant column maps to zero everywhere
     np.testing.assert_array_equal(ds.features[:, 1], np.zeros(4))
 
@@ -186,13 +272,6 @@ def test_preprocess_onehot_vocabulary_fixed_on_train():
     np.testing.assert_array_equal(onehot.sum(axis=1), [1.0, 1.0, 1.0, 0.0])
 
 
-def test_scaler_parameters_equal_train_extremes():
-    raw = _tabular_with_splits()
-    scaler = fit_scaler(raw)
-    assert scaler.numeric_ranges[0] == (2.0, 6.0)
-    assert scaler.numeric_ranges[1] == (7.0, 7.0)
-
-
 def test_preprocess_requires_train_rows():
     ds = _tabular_with_splits()
     bad = Dataset(
@@ -200,7 +279,6 @@ def test_preprocess_requires_train_rows():
         labels=ds.labels,
         n_classes=2,
         split=np.array(["val", "val", "val", "val"]),
-        source="unit",
         columns=ds.columns,
     )
     with pytest.raises(DataError):
@@ -217,8 +295,7 @@ def test_shuffle_split_sizes():
             labels=np.zeros(n, dtype=int),
             n_classes=2,
             split=np.full(n, "train"),
-            source="unit",
-        )
+            )
         out = shuffle_split(ds, seed)
         return tuple(int(np.sum(out.split == s)) for s in ("train", "val", "test"))
 
@@ -243,7 +320,6 @@ def test_shuffle_split_rejects_tiny():
         labels=np.zeros(9, dtype=int),
         n_classes=2,
         split=np.full(9, "train"),
-        source="unit",
     )
     with pytest.raises(DataError):
         shuffle_split(ds, 0)

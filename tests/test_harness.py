@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from robustmsd.data import load_tabular
+from robustmsd.data import Dataset, load_tabular
 from robustmsd.harness import (
     TRAJECTORY_HEADER,
     ExperimentSpec,
@@ -81,6 +81,20 @@ def test_read_rejects_malformed_rows_with_their_line(tmp_path, body, match):
     header = ",".join(TRAJECTORY_HEADER) + "\n" if body else ""
     path.write_text(header + body, encoding="utf-8")
     with pytest.raises(ValueError, match=match):
+        read_trajectory_csv(path)
+
+
+@pytest.mark.parametrize(
+    "row, match",
+    [
+        (b"1,train," + b"9" * 140_000 + b",1,1,1,1,1,1\n", "line 2: field larger than field limit"),
+        (b"1,train,1,1,1,1,1,1,1\n1,val,\xff,1,1,1,1,1,1\n", "line 3: not UTF-8 text"),
+    ],
+)
+def test_read_names_file_and_line_of_an_unreadable_row(tmp_path, row, match):
+    path = tmp_path / "bad.csv"
+    path.write_bytes(",".join(TRAJECTORY_HEADER).encode() + b"\n" + row)
+    with pytest.raises(ValueError, match=f"bad.csv: {match}"):
         read_trajectory_csv(path)
 
 
@@ -161,6 +175,17 @@ def test_spec_rejects_nonpositive_epochs_and_batch_size(tmp_path, field):
     assert not (tmp_path / "exp").exists()
 
 
+@pytest.mark.parametrize(
+    "steps, match",
+    [((), "at least one"), ((0.1, -0.1), "got -0.1"), ((0.0,), "got 0.0"),
+     ((math.nan,), "got nan"), ((0.1, math.inf), "got inf")],
+)
+def test_spec_rejects_step_sizes_that_are_not_finite_and_positive(tmp_path, steps, match):
+    with pytest.raises(ValueError, match=match):
+        small_spec(tmp_path / "exp", step_sizes=steps)
+    assert not (tmp_path / "exp").exists()
+
+
 def test_run_experiment_manifest_structure(tmp_path):
     spec = small_spec(tmp_path / "exp")
     dataset = load_tabular(BUNDLED)
@@ -233,3 +258,17 @@ def test_build_initial_state_uses_first_batch_statistics():
     assert state.a == pytest.approx(math.log(2.0), rel=1e-12)
     assert state.b == 1e-2
     assert state.h.shape == (1, dataset.n_features + 1)
+
+
+def test_build_initial_state_takes_flat_or_shaped_weights():
+    binary = load_tabular(BUNDLED)
+    d = binary.n_features + 1
+    flat = np.linspace(-0.1, 0.1, d)
+    assert build_initial_state(binary, flat).h.tolist() == [flat.tolist()]
+    rng = np.random.Generator(np.random.PCG64(0))
+    three = Dataset(rng.normal(size=(12, 2)), np.arange(12) % 3, 3, np.full(12, "train"))
+    weights = np.arange(9.0).reshape(3, 3) / 10
+    for h0 in (weights, weights.ravel(), list(weights.ravel())):
+        assert build_initial_state(three, h0).h.tolist() == weights.tolist()
+    with pytest.raises(ValueError, match="need 3 x 3 values, got 8"):
+        build_initial_state(three, np.zeros(8))

@@ -62,6 +62,27 @@ def test_config_validation():
     assert OptConfig(step_size=0.1, epochs=3, batch_size=8).mode == "sgd"
 
 
+@pytest.mark.parametrize("step", [-0.1, float("nan"), float("inf"), -float("inf")])
+def test_config_rejects_a_step_size_that_is_not_finite_and_positive(step):
+    with pytest.raises(ValueError, match=f"step size must be finite and positive, got {step!r}"):
+        OptConfig(step_size=step, iterations=10)
+
+
+def test_scale_is_projected_onto_the_floor():
+    """A step that would push b below zero leaves it at B_FLOOR = 1e-8,
+    lone or stacked; a criterion without a scale keeps its b."""
+    assert optimizer_module.B_FLOOR == 1e-8
+    joint = CriterionParams("sunhuber", alpha=0.05, beta=0.1, lam=1.0)
+    init = JointState(h=np.zeros((1, 2)), a=0.0, b=2.0)
+    config = OptConfig(step_size=0.5, iterations=1)
+    live = _LiveRuns([joint], [config], init)
+    live.update(np.zeros((1, 2)), 0.0, 10.0)
+    assert live.b == 1e-8
+    live = _LiveRuns([joint, CriterionParams("erm"), joint], [config] * 3, init)
+    live.update(np.zeros((3, 1, 2)), np.zeros(3), np.array([10.0, 10.0, 1.0]))
+    assert live.b.tolist() == [1e-8, 2.0, 1.5]
+
+
 def test_zero_iterations_returns_initial_state():
     ds = toy_dataset()
     init = toy_init(ds)
@@ -123,7 +144,7 @@ def test_frozen_h_objective_nonincreasing_after_burn_in():
             losses, np.zeros((4, 1)), np.zeros((4, 1)), live.a, live.b
         )
         values.append(value)
-        live.update(grad_h, grad_a, grad_b, config.b_floor)
+        live.update(grad_h, grad_a, grad_b)
     assert live.h.tolist() == [[0.0]]
     tail = values[10:]
     assert all(v2 <= v1 + 1e-12 for v1, v2 in zip(tail, tail[1:]))
@@ -354,7 +375,7 @@ def three_class_dataset(n=60, seed=2):
     labels = np.arange(n) % 3
     features = np.array([[-2.0, 0.0], [2.0, 1.0], [0.0, -2.5]])[labels]
     features = features + rng.normal(size=(n, 2))
-    return shuffle_split(Dataset(features, labels, 3, np.full(n, "train"), "toy"), seed)
+    return shuffle_split(Dataset(features, labels, 3, np.full(n, "train")), seed)
 
 
 @pytest.fixture

@@ -166,7 +166,7 @@ def ref_run(params, init, dataset, config):
         if params.kind != "erm":
             a = a - config.step_size * grad_a
         if params.kind == "sunhuber":
-            b = max(b - config.step_size * grad_b, config.b_floor)
+            b = max(b - config.step_size * grad_b, B_FLOOR)
 
     if config.mode == "batch":
         for t in range(1, config.iterations + 1):
@@ -245,7 +245,7 @@ def three_class():
     labels = np.repeat(np.arange(3), 40)
     features = centers[labels] + rng.normal(size=(labels.size, 3))
     features[0] = [15.0, 15.0, -15.0]  # one gross outlier in class 0
-    ds = Dataset(features, labels, 3, np.full(labels.size, "train"), "three-class")
+    ds = Dataset(features, labels, 3, np.full(labels.size, "train"))
     return shuffle_split(ds, 3)
 
 
@@ -281,7 +281,7 @@ def test_multiclass_matches_reference_closely(three_class, kind, mode):
     assert_relative(got_rows, want_rows)
 
 
-B_FLOOR = 1e-8  # OptConfig.b_floor
+B_FLOOR = 1e-8  # optimizer.B_FLOOR
 LEVEL = st.floats(0.01, 0.99)
 PARAMS = st.one_of(
     st.builds(
