@@ -109,8 +109,14 @@ def _cmd_train(args) -> int:
     return 0
 
 
-def _parse_floats(text):
-    return tuple(float(p.strip()) for p in text.split(",") if p.strip())
+def _parse_floats(text, path, key):
+    """The numbers of a comma-separated config value; an empty item (as in
+    ``0.1,,0.2`` or ``0.5,``) or one that is not a number is a DataError."""
+    try:
+        return tuple(float(item) for item in text.split(","))
+    except ValueError:
+        raise DataError(f"config file {path!r}: {key} takes a comma-separated list of "
+                        f"numbers with no empty item, got {text!r}") from None
 
 
 # the keys each config section takes; [methods] takes criterion kinds
@@ -149,7 +155,8 @@ def _spec_from_config(path, out_override, seed_override) -> ExperimentSpec:
     if "methods" in sections:
         for method, raw in sections["methods"].items():
             if criterion_record(method).setting is not None:
-                methods.append(MethodGrid(method, _parse_floats(raw)))
+                settings = _parse_floats(raw, path, f"[methods] {method}")
+                methods.append(MethodGrid(method, settings))
                 continue
             chosen = parser.BOOLEAN_STATES.get(raw.strip().lower())
             if chosen is None:
@@ -173,7 +180,8 @@ def _spec_from_config(path, out_override, seed_override) -> ExperimentSpec:
         label_col=data_sec.get("label_col", None),
         methods=methods,
         out_dir=str(out_dir),
-        step_sizes=DEFAULT_STEP_SIZES if steps is None else _parse_floats(steps),
+        step_sizes=(DEFAULT_STEP_SIZES if steps is None
+                    else _parse_floats(steps, path, "[experiment] step_sizes")),
         epochs=int(exp.get("epochs", 30)),
         batch_size=int(exp.get("batch_size", 32)),
         trials=int(exp.get("trials", 5)),

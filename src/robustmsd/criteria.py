@@ -439,10 +439,12 @@ class CriterionStack:
         return out
 
 
-def mean_sd(values, lam: float = 1.0):
+def mean_sd(values, lam: float = 1.0, *, mean=None):
     """Sample mean plus sqrt(lam * sample variance), variance with divisor n.
 
     Reduces the last axis: a float for one sample, an array for a stack.
+    A caller that already holds the sample mean, ``np.add.reduce(values,
+    -1) / n``, passes it as ``mean`` and it is not summed again.
     """
     values = np.atleast_1d(np.asarray(values, dtype=float))
     n = values.shape[-1]
@@ -451,10 +453,11 @@ def mean_sd(values, lam: float = 1.0):
     if lam < 0.0:
         raise ValueError(f"lam must be nonnegative, got {lam!r}")
     # the sums and divisions of np.mean and np.var, without their call overhead
-    mean = np.add.reduce(values, -1, keepdims=True) / n
-    dev = values - mean
+    if mean is None:
+        mean = np.add.reduce(values, -1) / n
+    dev = values - np.expand_dims(mean, -1)
     dev *= dev
-    out = mean[..., 0] + np.sqrt(lam * (np.add.reduce(dev, -1) / n))
+    out = mean + np.sqrt(lam * (np.add.reduce(dev, -1) / n))
     return float(out) if out.ndim == 0 else out
 
 

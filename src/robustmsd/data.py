@@ -10,7 +10,7 @@ import csv
 import io
 import math
 import os
-from dataclasses import dataclass, replace
+from dataclasses import KW_ONLY, dataclass, replace
 from pathlib import Path
 from typing import List, Optional, Sequence
 
@@ -60,6 +60,7 @@ class Dataset:
     labels: np.ndarray
     n_classes: int
     split: np.ndarray
+    _: KW_ONLY
     columns: Optional[List[ColumnGroup]] = None
     class_names: Optional[List[str]] = None
 

@@ -202,8 +202,9 @@ def _checkpoint_records(
             ).items():
                 dead.setdefault(lo + i, message)
             out = rows[s, at]
-            out[:, _COLUMN["mean_sd"]] = mean_sd(values)
-            out[:, _COLUMN["mean_loss"]] = np.add.reduce(values, -1) / n
+            mean = np.add.reduce(values, -1) / n
+            out[:, _COLUMN["mean_sd"]] = mean_sd(values, mean=mean)
+            out[:, _COLUMN["mean_loss"]] = mean
             out[:, _COLUMN["error_rate"]] = wrong / n
             out[:, _COLUMN["objective"]] = obj
     return rows.reshape(-1, len(METRIC_FIELDS))

@@ -13,10 +13,14 @@ stopping rule; nothing is evaluated symbolically.
 """
 
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import List, Sequence, Tuple
 
 import numpy as np
+
+from .optimizer import B_FLOOR
 
 __all__ = [
     "DiscreteDist",
@@ -37,7 +41,7 @@ __all__ = [
 ]
 
 PROB_TOL = 1e-12
-THRESHOLD_BLOCK = 32768  # losses bisected at once per row block (256 KiB per temporary)
+THRESHOLD_BLOCK = 65536  # losses bisected at once per row block (512 KiB per temporary)
 
 
 @dataclass(frozen=True)
@@ -173,7 +177,6 @@ def check_scale_optimized_limit(
     lam: float,
     alpha_tilde: float,
     betas: Tuple[float, ...] = (1e-3, 1e-4, 1e-5, 1e-6),
-    b_floor: float = 1e-8,
 ) -> ScaleLimitReport:
     """Sandwich of lim_{beta->0} min_b C(h;a,b)/sqrt(beta) with alpha = alpha_tilde*sqrt(beta).
 
@@ -196,8 +199,9 @@ def check_scale_optimized_limit(
     for beta in betas:
         alpha = alpha_tilde * math.sqrt(beta)
         if degenerate:
-            # rho term vanishes identically; the infimum in b sits at the floor
-            value = alpha * a + beta * b_floor
+            # rho term vanishes identically; the infimum in b sits at the
+            # optimizer's scale floor
+            value = alpha * a + beta * B_FLOOR
         else:
             b_star = optimal_scale(dist, a, beta, lam)
             value = alpha * a + beta * b_star + lam * _deviation_term(dist, a, b_star)
@@ -259,20 +263,36 @@ def _solve_thresholds(X: np.ndarray, b: float, alpha: float, lam: float) -> np.n
     alpha < lam/sqrt(2) it lies in [min - b, max + b]: every rho' term is at
     least 1/sqrt(2) at min - b and negative at max + b, so that bracket
     needs no widening as long as b does not vanish in rounding against the
-    losses; other alpha raise ValueError.  Rows are solved
-    ``THRESHOLD_BLOCK // n`` at a time (at least one), so the bisection's
-    temporaries stay in cache; a row's root depends on that row alone, so
-    the result is bitwise the same for any block size.
+    losses; other alpha raise ValueError.  Rows are solved in blocks of
+    ``THRESHOLD_BLOCK // n`` (at least one), so the bisection's temporaries
+    stay in cache, and the blocks are shared among a thread pool that lives
+    for the call, one thread per CPU this process may run on (at most one
+    per block); numpy releases the GIL in each block's elementwise passes.
+    A row's root depends on that row alone and each block writes only its
+    own rows, so the result is bitwise the same for any block size and any
+    number of threads.
     """
     if not 0.0 <= alpha < lam / math.sqrt(2.0):
         raise ValueError(f"alpha = {alpha:g} must lie in [0, lam/sqrt(2)), lam = {lam:g}")
     trials, n = X.shape
     rows = max(1, THRESHOLD_BLOCK // n)
+    blocks = [slice(start, start + rows) for start in range(0, trials, rows)]
     roots = np.empty(trials)
-    for start in range(0, trials, rows):
-        block = slice(start, start + rows)
+
+    def solve(block):
         roots[block] = _bisect_rows(X[block], b, alpha, lam)
+
+    workers = max(1, min(len(blocks), _usable_cpus()))
+    with ThreadPoolExecutor(workers) as pool:
+        list(pool.map(solve, blocks))  # re-raises a block's exception
     return roots
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on (all CPUs where affinity is unknown)."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def _bisect_rows(X: np.ndarray, b: float, alpha: float, lam: float) -> np.ndarray:
@@ -332,9 +352,10 @@ def check_location_concentration(
         |A_n - (E L - 2*(alpha/lam)*b)| <= 2*(Var/b + b*log(2/delta)/n).
 
     Passes when empirical coverage >= 1 - delta - 3*sqrt(delta(1-delta)/trials).
-    The ``(trials, n)`` sample is solved block by block, ``THRESHOLD_BLOCK``
-    losses at a time, and every threshold is bitwise what one bisection over
-    the whole array gives.
+    The ``(trials, n)`` sample is solved in row blocks of about
+    ``THRESHOLD_BLOCK`` losses, bisected in parallel on a thread per usable
+    CPU, and every threshold is bitwise what one bisection over the whole
+    array gives, whatever the number of CPUs.
     """
     if not 0.0 < delta < 1.0:
         raise ValueError("delta must lie in (0, 1)")

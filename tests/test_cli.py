@@ -309,6 +309,12 @@ def test_experiment_malformed_config_exits_1(tmp_path, capsys, text):
         ("[method]\nerm = yes\n", ("[method]",)),
         ("[methods]\nerm = 0.5\ncvar = 0.5\n", ("erm", "'0.5'")),
         ("[methods]\nerm = ye\n", ("erm", "'ye'")),
+        ("[experiment]\nstep_sizes = 0.1,,0.2\n", ("[experiment] step_sizes", "'0.1,,0.2'")),
+        ("[experiment]\nstep_sizes = 0.1, ,0.2\n", ("step_sizes", "'0.1, ,0.2'")),
+        ("[experiment]\nstep_sizes = ,0.1\n", ("step_sizes", "',0.1'")),
+        ("[experiment]\nstep_sizes = 0.1, y\n", ("step_sizes", "'0.1, y'")),
+        ("[methods]\ncvar = 0.5,\n", ("[methods] cvar", "'0.5,'")),
+        ("[methods]\nsunhuber = 0.9,,0.5\n", ("sunhuber", "'0.9,,0.5'")),
     ],
 )
 def test_config_error_names_the_key_section_or_value(tmp_path, text, named):
@@ -318,6 +324,21 @@ def test_config_error_names_the_key_section_or_value(tmp_path, text, named):
         _spec_from_config(str(cfg), None, None)
     assert "bad.ini" in str(err.value)
     assert all(part in str(err.value) for part in named)
+
+
+def test_empty_level_list_item_exits_1_before_writing(tmp_path, capsys):
+    cfg = sweep_config(tmp_path, "cvar = 0.5,")
+    assert main(["experiment", "--config", str(cfg)]) == 1
+    one_error_line(capsys, "cfg.ini", "[methods] cvar", "'0.5,'")
+    assert not (tmp_path / "exp").exists()
+
+
+def test_config_lists_keep_every_item(tmp_path):
+    cfg = sweep_config(tmp_path, "cvar = 0.5, 0.9 ,0.1")
+    cfg.write_text(cfg.read_text().replace("step_sizes = 0.01", "step_sizes = 0.2 , 0.01"))
+    spec = _spec_from_config(str(cfg), None, None)
+    assert spec.step_sizes == (0.2, 0.01)
+    assert [(g.method, g.settings) for g in spec.methods] == [("cvar", (0.5, 0.9, 0.1))]
 
 
 @pytest.mark.parametrize("flag, kept", [(f, True) for f in ("true", "Yes", "1", "on")]
@@ -439,7 +460,9 @@ def test_train_rejects_step_size_before_training(tmp_path, capsys, step):
 
 
 @pytest.mark.parametrize(
-    "steps, named", [("0.1, -0.1", "-0.1"), ("", "step_sizes"), ("nan", "nan"), ("0.1, inf", "inf")]
+    "steps, named",
+    [("0.1, -0.1", "-0.1"), ("", "step_sizes"), ("nan", "nan"), ("0.1, inf", "inf"),
+     ("0.1,,0.2", "'0.1,,0.2'"), ("0.01,", "'0.01,'")],
 )
 def test_experiment_bad_step_sizes_exit_1_before_writing(tmp_path, capsys, steps, named):
     cfg = sweep_config(tmp_path, "erm = yes")

@@ -185,6 +185,17 @@ def test_mean_sd_examples():
         mean_sd([1.0], -0.5)
 
 
+def test_mean_sd_given_mean_keeps_the_bits():
+    rng = np.random.Generator(np.random.PCG64(4))
+    stack = rng.lognormal(0.0, 2.0, (6, 333))
+    mean = np.add.reduce(stack, -1) / 333
+    assert np.array_equal(mean_sd(stack, mean=mean), mean_sd(stack))
+    assert np.array_equal(mean_sd(stack, 3.0, mean=mean), mean_sd(stack, 3.0))
+    one = stack[2]
+    assert mean_sd(one, mean=mean[2]) == mean_sd(one)
+    assert isinstance(mean_sd(one, mean=mean[2]), float)
+
+
 def mean_variance(values):
     """Sample mean plus sample variance (divisor n)."""
     values = np.asarray(values, dtype=float)

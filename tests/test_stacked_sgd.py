@@ -101,7 +101,7 @@ def three_class():
     labels = np.repeat(np.arange(3), 40)
     features = centers[labels] + rng.normal(size=(labels.size, 3))
     features[0] = [15.0, 15.0, -15.0]
-    ds = Dataset(features, labels, 3, np.full(labels.size, "train"), "three-class")
+    ds = Dataset(features, labels, 3, np.full(labels.size, "train"))
     return shuffle_split(ds, 3)
 
 

@@ -1,6 +1,8 @@
 """Numerical-oracle checks for the population-level properties."""
 
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -199,7 +201,7 @@ def whole_array_thresholds(X, b, alpha, lam):
 @pytest.mark.parametrize(
     "trials, n, b, alpha",
     [
-        (37, 2000, 20.0, 0.0),  # 37 rows: blocks of 16, 16 and 5
+        (37, 2000, 20.0, 0.0),  # 37 rows: blocks of 32 and 5
         (3, THRESHOLD_BLOCK + 1, 20.0, 0.0),  # one row per block
         (50, 1, 0.5, 0.0),
         (41, 3, 0.5, 0.0),
@@ -221,6 +223,66 @@ def test_threshold_block_size_does_not_change_bits(monkeypatch, block):
     expected = whole_array_thresholds(X, 0.5, 0.1, 1.0)
     monkeypatch.setattr(verify, "THRESHOLD_BLOCK", block)
     assert np.array_equal(_solve_thresholds(X, 0.5, 0.1, 1.0), expected)
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+@pytest.mark.parametrize("trials", [1, 11, 37])
+def test_threaded_thresholds_equal_whole_array_bisection(monkeypatch, workers, trials):
+    # blocks of four rows: one row is fewer rows than threads, 11 rows fill
+    # blocks of 4, 4 and 3, 37 rows end in a block of 1
+    rng = np.random.Generator(np.random.PCG64(trials))
+    X = rng.lognormal(0.0, 1.0, (trials, 700))
+    expected = whole_array_thresholds(X, 0.5, 0.1, 1.0)
+    pools = []
+
+    class Pool(verify.ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+            super().__init__(max_workers)
+
+    monkeypatch.setattr(verify, "THRESHOLD_BLOCK", 4 * 700)
+    monkeypatch.setattr(verify, "ThreadPoolExecutor", Pool)
+    monkeypatch.setattr(verify, "_usable_cpus", lambda: workers)
+    assert np.array_equal(_solve_thresholds(X, 0.5, 0.1, 1.0), expected)
+    assert pools == [min(workers, -(-trials // 4))]
+
+
+def test_thresholds_under_frequent_thread_switches(monkeypatch):
+    # more threads than cores, one row per block and a switch every
+    # microsecond: a row written by the wrong block would change the bits
+    rng = np.random.Generator(np.random.PCG64(9))
+    X = rng.lognormal(0.0, 1.0, (64, 50))
+    expected = whole_array_thresholds(X, 0.5, 0.1, 1.0)
+    monkeypatch.setattr(verify, "THRESHOLD_BLOCK", 50)
+    monkeypatch.setattr(verify, "_usable_cpus", lambda: 8)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        roots = _solve_thresholds(X, 0.5, 0.1, 1.0)
+    finally:
+        sys.setswitchinterval(interval)
+    assert np.array_equal(roots, expected)
+
+
+def test_threshold_pool_ends_with_the_call(monkeypatch):
+    rng = np.random.Generator(np.random.PCG64(8))
+    X = rng.standard_normal((37, 700))
+    monkeypatch.setattr(verify, "THRESHOLD_BLOCK", 700)
+    before = threading.active_count()
+    _solve_thresholds(X, 0.5, 0.1, 1.0)
+    assert threading.active_count() == before
+
+    def fail_on_nan(rows, b, alpha, lam):
+        if np.isnan(rows).any():
+            raise FloatingPointError("nan in block")
+        return bisect(rows, b, alpha, lam)
+
+    bisect = verify._bisect_rows
+    monkeypatch.setattr(verify, "_bisect_rows", fail_on_nan)
+    X[20, 3] = np.nan
+    with pytest.raises(FloatingPointError, match="nan in block"):
+        _solve_thresholds(X, 0.5, 0.1, 1.0)
+    assert threading.active_count() == before
 
 
 def test_thresholds_need_no_bracket_widening():
