@@ -31,6 +31,10 @@ __all__ = [
 
 SPLITS = ("train", "val", "test")
 MISSING = "?"  # missing-value marker of the public credit-approval tables
+# an svmlight file densifies to its largest feature index; past these the
+# loader refuses it before allocating (2**24 cells is a 128 MiB matrix)
+SVMLIGHT_MAX_WIDTH = 2**16
+SVMLIGHT_MAX_CELLS = 2**24
 
 
 class DataError(ValueError):
@@ -263,7 +267,7 @@ def _load_csv(path: Path, label_col: Optional[str]):
 
 def _load_svmlight(path: Path):
     raw_labels, feature_maps = [], []
-    max_idx = 0
+    max_idx = max_line = 0
     for line_num, line in enumerate(open_text(path), start=1):
         line = line.split("#", 1)[0].strip()
         if not line:
@@ -284,11 +288,19 @@ def _load_svmlight(path: Path):
             if idx in fmap:
                 raise DataError(f"{path}: line {line_num}: duplicate feature index {idx}")
             fmap[idx] = val
-            max_idx = max(max_idx, idx)
+            if idx > max_idx:
+                max_idx, max_line = idx, line_num
         feature_maps.append(fmap)
     if not raw_labels:
         raise DataError(f"{path}: no data rows")
-    features = np.zeros((len(raw_labels), max_idx))
+    shape = (len(raw_labels), max_idx)
+    if max_idx > SVMLIGHT_MAX_WIDTH or shape[0] * max_idx > SVMLIGHT_MAX_CELLS:
+        raise DataError(
+            f"{path}: line {max_line}: feature index {max_idx} would densify to a "
+            f"{shape[0]} x {max_idx} matrix (at most {SVMLIGHT_MAX_WIDTH} columns "
+            f"and {SVMLIGHT_MAX_CELLS} cells)"
+        )
+    features = np.zeros(shape)
     for i, fmap in enumerate(feature_maps):
         for idx, val in fmap.items():
             features[i, idx - 1] = val
@@ -305,7 +317,9 @@ def load_tabular(path, fmt: str = "csv", label_col: Optional[str] = None) -> Dat
     (``?`` among them); any other column is numeric and rejects a ``?`` or a
     non-numeric value with the offending line number.  svmlight rows are
     ``label index:value`` with 1-based indices, densified to the maximum
-    index in the file.
+    index in the file; a file whose largest index exceeds
+    ``SVMLIGHT_MAX_WIDTH``, or whose rows x largest index exceed
+    ``SVMLIGHT_MAX_CELLS``, raises DataError before anything is allocated.
     """
     path = Path(path)
     if fmt == "csv":

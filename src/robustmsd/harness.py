@@ -20,12 +20,20 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from .criteria import JointState, criterion_record, make_criterion
-from .data import DataError, Dataset, data_dir, load_tabular, open_text, preprocess, shuffle_split
+from .data import (
+    SPLITS,
+    DataError,
+    Dataset,
+    data_dir,
+    load_tabular,
+    open_text,
+    preprocess,
+    shuffle_split,
+)
 from .model import LinearModel, loss_values
 from .optimizer import (
     METRIC_FIELDS,
     RNG_ALGORITHM,
-    DivergenceError,
     OptConfig,
     TrajectoryRecord,
     check_step_size,
@@ -65,17 +73,52 @@ def _fmt(x: float) -> str:
     return repr(float(x))
 
 
+_HEADER_LINE = ",".join(TRAJECTORY_HEADER)
+_metrics_of = operator.attrgetter(*METRIC_FIELDS)
+# A trajectory row: checkpoint, split and the METRIC_FIELDS, each float in
+# ``_fmt``'s form.  csv.writer would write the same fields unquoted, as no
+# split in SPLITS or float repr holds a comma, quote or line break.  The
+# per-run metrics take "%s", which writes a float as its repr and a string
+# as it is, so the sweep passes them formatted once per checkpoint.
+_PER_RUN = tuple(METRIC_FIELDS.index(m) for m in ("model_norm", "a", "b"))
+_ROW = "%s,%s," + ",".join("%s" if k in _PER_RUN else "%r" for k in range(len(METRIC_FIELDS)))
+
+
+def _write_lines(path, lines: Sequence[str]) -> None:
+    """Write CSV lines in one write, with ``csv.writer``'s ``\\r\\n`` ends."""
+    with open(path, "w", newline="", encoding="utf-8") as f:
+        f.write("\r\n".join(lines) + "\r\n")
+
+
 def write_trajectory_csv(path, records: Sequence[TrajectoryRecord]) -> None:
+    """Write ``records`` as a trajectory CSV; a split outside ``SPLITS``
+    raises ValueError, since ``_ROW`` would not quote it."""
+    foreign = {r.split for r in records} - set(SPLITS)
+    if foreign:
+        raise ValueError(f"split {min(foreign)!r} is not one of {SPLITS}")
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", newline="", encoding="utf-8") as f:
-        writer = csv.writer(f)
-        writer.writerow(TRAJECTORY_HEADER)
-        for r in records:
-            writer.writerow(
-                [str(r.checkpoint), r.split]
-                + [_fmt(getattr(r, m)) for m in METRIC_FIELDS]
-            )
+    lines = [_HEADER_LINE]
+    lines += [_ROW % (r.checkpoint, r.split, *map(float, _metrics_of(r))) for r in records]
+    _write_lines(path, lines)
+
+
+def _trajectory_lines(checkpoints, split_names, block: np.ndarray) -> List[str]:
+    """``write_trajectory_csv``'s lines for one run's ``(checkpoints, splits,
+    METRIC_FIELDS)`` metrics block, without building its records.
+
+    A run's per-run metrics are the same on every split of a checkpoint
+    (``StackedRuns``), so the first split's are formatted for all.
+    """
+    norm, a, b = _PER_RUN
+    lines = [_HEADER_LINE]
+    for checkpoint, rows in zip(checkpoints, block.tolist()):
+        first = rows[0]
+        texts = repr(first[norm]), repr(first[a]), repr(first[b])
+        for split, row in zip(split_names, rows):
+            row[norm], row[a], row[b] = texts
+            lines.append(_ROW % (checkpoint, split, *row))
+    return lines
 
 
 def read_trajectory_csv(path) -> List[TrajectoryRecord]:
@@ -174,12 +217,14 @@ def build_initial_state(dataset: Dataset, h0: Optional[np.ndarray] = None) -> Jo
     return initial_joint_state(h0, values)
 
 
-def _final_metric(records: Sequence[TrajectoryRecord], split: str, metric: str):
-    last = max(r.checkpoint for r in records)
-    for r in records:
-        if r.checkpoint == last and r.split == split:
-            return getattr(r, metric)
-    raise ValueError(f"no final-checkpoint record for split {split!r}")
+_MEAN_SD, _MEAN_LOSS = METRIC_FIELDS.index("mean_sd"), METRIC_FIELDS.index("mean_loss")
+
+
+def _final_row(last: List[list], split_names, split: str) -> list:
+    """The metrics of ``split`` in a run's last-checkpoint block."""
+    if split not in split_names:
+        raise ValueError(f"no final-checkpoint record for split {split!r}")
+    return last[split_names.index(split)]
 
 
 def load_dataset(ref: str, fmt: str = "csv", label_col: Optional[str] = None) -> Dataset:
@@ -203,9 +248,12 @@ def load_dataset(ref: str, fmt: str = "csv", label_col: Optional[str] = None) ->
 def run_experiment(spec: ExperimentSpec, dataset: Optional[Dataset] = None) -> dict:
     """Execute the full sweep and return (and write) the manifest.
 
-    Each trial trains all its runs together in one ``run_stacked_sgd`` call.
-    Diverged runs are flagged and excluded from step-size selection; a
-    criterion with no surviving run is recorded with a null selection.
+    Each trial trains all its runs together in one ``run_stacked_sgd`` call,
+    and each finished run's CSV is written straight from its block of the
+    stacked metrics array, with the bytes ``write_trajectory_csv`` would
+    write for its records.  Diverged runs are flagged and excluded from
+    step-size selection; a criterion with no surviving run is recorded with
+    a null selection.
     """
     out = Path(spec.out_dir)
     runs_dir = out / "runs"
@@ -249,33 +297,32 @@ def run_experiment(spec: ExperimentSpec, dataset: Optional[Dataset] = None) -> d
             for step in spec.step_sizes
         ]
         trained = run_stacked_sgd(runs, build_initial_state(ds), ds)
+        names = trained.split_names
         trial_entry = {"trial": trial, "split_seed": split_seed, "runs": [], "selected": []}
         run_index = iter(range(len(runs)))
         for method, setting, params in criteria:
             best = None
             for step in spec.step_sizes:
+                i = next(run_index)
                 run_entry = {"method": method, "setting": setting, "step_size": step}
-                try:
-                    result = trained.result(next(run_index))
-                except DivergenceError as err:
+                trial_entry["runs"].append(run_entry)
+                if trained.errors[i] is not None:
                     run_entry["status"] = "diverged"
-                    run_entry["error"] = str(err)
-                    trial_entry["runs"].append(run_entry)
+                    run_entry["error"] = trained.errors[i]
                     continue
+                block = trained.metrics[:, :, i]
                 fname = f"trial{trial}_{params.label()}_step={step:g}.csv"
-                write_trajectory_csv(runs_dir / fname, result.trajectory)
-                val_loss = _final_metric(result.trajectory, "val", "mean_loss")
+                _write_lines(runs_dir / fname, _trajectory_lines(trained.checkpoints, names, block))
+                last = block[-1].tolist()
+                val_loss = _final_row(last, names, "val")[_MEAN_LOSS]
                 run_entry.update(
                     {
                         "status": "ok",
                         "file": f"runs/{fname}",
                         "final_val_mean_loss": val_loss,
-                        "final_test_mean_sd": _final_metric(
-                            result.trajectory, "test", "mean_sd"
-                        ),
+                        "final_test_mean_sd": _final_row(last, names, "test")[_MEAN_SD],
                     }
                 )
-                trial_entry["runs"].append(run_entry)
                 if best is None or val_loss < best["final_val_mean_loss"]:
                     best = run_entry
             selection = {
@@ -303,11 +350,10 @@ def aggregate_records(trajectories: Sequence[Sequence[TrajectoryRecord]]) -> Lis
     for traj in trajectories[1:]:
         if [(r.checkpoint, r.split) for r in traj] != keys:
             raise ValueError("misaligned checkpoint grids across trials")
-    metrics = operator.attrgetter(*METRIC_FIELDS)
     # (metric, cell, trial), C-contiguous: each cell's values across trials
     # form one contiguous row, which numpy reduces with the same bits as a
     # separate 1-D array
-    table = np.array([[metrics(r) for r in traj] for traj in trajectories])
+    table = np.array([[_metrics_of(r) for r in traj] for traj in trajectories])
     shape = (len(trajectories), len(keys), len(METRIC_FIELDS))
     table = np.ascontiguousarray(table.reshape(shape).T)
     means, sds = table.mean(axis=2).tolist(), table.std(axis=2).tolist()

@@ -233,8 +233,10 @@ class StackedRuns:
     """Outcome of training runs together: per run, its divergence or its trajectory.
 
     Checkpoint metrics stay in one (checkpoints, splits, runs, metrics)
-    float array; ``result`` builds the records of one run when asked, so a
-    sweep never holds every run's records at once.
+    float array; ``result`` builds the records of one run when asked.  A
+    sweep builds none: it writes each run's CSV from ``metrics[:, :, i]``,
+    formatting ``model_norm``, ``a`` and ``b`` once per checkpoint, since
+    ``_checkpoint_records`` gives a run one value of each on every split.
     """
 
     errors: List[Optional[str]]  # divergence message, None for a finished run

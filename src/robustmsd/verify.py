@@ -361,6 +361,9 @@ def check_location_concentration(
         raise ValueError("delta must lie in (0, 1)")
     if b <= 0.0 or lam <= 0.0 or alpha < 0.0:
         raise ValueError("need b > 0, lam > 0, alpha >= 0")
+    for name, count in (("trials", trials), ("n", n)):
+        if count < 1:
+            raise ValueError(f"{name} must be >= 1, got {count!r}")
     var = losses.var
     middle = 4.0 * (var / (b * b) + math.log(2.0 / delta) / n)
     if not 4.0 * alpha / lam <= middle <= 1.0 - 4.0 * alpha / lam:

@@ -6,6 +6,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from robustmsd.data import (
+    SVMLIGHT_MAX_WIDTH,
     DataError,
     Dataset,
     SynthConfig,
@@ -167,6 +168,28 @@ def test_svmlight_malformed_token(tmp_path):
     p2 = write(tmp_path, "bad2.svm", "1 2:1 2:3\n-1 1:0\n")
     with pytest.raises(DataError, match="duplicate"):
         load_tabular(p2, "svmlight")
+
+
+@pytest.mark.parametrize(
+    "body, match",
+    [
+        ("1 1000000000:1\n", "line 1: feature index 1000000000 would densify to a 1 x 1000000000"),
+        ("1 1:1\n0 65537:2 3:1\n", "line 2: feature index 65537 would densify to a 2 x 65537"),
+        ("0 1:1\n" * 300 + "1 60000:1\n", "line 301: feature index 60000 would densify to a "
+                                          "301 x 60000"),
+    ],
+)
+def test_svmlight_rejects_a_matrix_too_large_before_allocating(tmp_path, body, match):
+    p = write(tmp_path, "wide.svm", body)
+    with pytest.raises(DataError, match=f"wide.svm: {match} matrix"):
+        load_tabular(p, "svmlight")
+
+
+def test_svmlight_loads_at_the_width_cap(tmp_path):
+    p = write(tmp_path, "edge.svm", f"1 {SVMLIGHT_MAX_WIDTH}:1\n0 1:1\n")
+    ds = load_tabular(p, "svmlight")
+    assert ds.features.shape == (2, SVMLIGHT_MAX_WIDTH)
+    assert ds.features[0, -1] == 1.0
 
 
 def svmlight_indices_at_most(text, limit=1000):

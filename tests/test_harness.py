@@ -1,13 +1,20 @@
 """Harness: CSV round trips, aggregation arithmetic, experiment manifests."""
 
+import csv
+import dataclasses
+import io
 import json
 import math
+import re
 
 import numpy as np
 import pytest
 
+from robustmsd import harness
+from robustmsd.cli import main
 from robustmsd.data import Dataset, load_tabular
 from robustmsd.harness import (
+    METRIC_FIELDS,
     TRAJECTORY_HEADER,
     ExperimentSpec,
     MethodGrid,
@@ -22,6 +29,7 @@ from robustmsd.harness import (
     write_aggregate_csv,
     write_trajectory_csv,
 )
+from robustmsd.optimizer import DivergenceError
 
 BUNDLED = "src/robustmsd/datasets/credit690.csv"
 
@@ -272,3 +280,205 @@ def test_build_initial_state_takes_flat_or_shaped_weights():
         assert build_initial_state(three, h0).h.tolist() == weights.tolist()
     with pytest.raises(ValueError, match="need 3 x 3 values, got 8"):
         build_initial_state(three, np.zeros(8))
+
+
+# ------------------------------------------- byte identity of the CSV writers
+# The trajectory writers join their lines themselves; these references are
+# the former ``csv.writer`` code, whose bytes every file must keep.
+
+
+def csv_writer_bytes(header, rows):
+    buf = io.StringIO(newline="")
+    writer = csv.writer(buf)
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buf.getvalue().encode("utf-8")
+
+
+def fmt(x):
+    return repr(float(x))
+
+
+def reference_trajectory_bytes(records):
+    return csv_writer_bytes(
+        TRAJECTORY_HEADER,
+        [[str(r.checkpoint), r.split] + [fmt(getattr(r, m)) for m in METRIC_FIELDS]
+         for r in records],
+    )
+
+
+def reference_aggregate_bytes(rows):
+    header = list(rows[0])
+    return csv_writer_bytes(
+        header,
+        [[fmt(row[k]) if isinstance(row[k], float) else str(row[k]) for k in header]
+         for row in rows],
+    )
+
+
+EXTREMES = [1e-17, -0.0, float("nan"), float("inf"), -1e300, 5e-324, 0.1 + 0.2]
+
+
+def test_trajectory_writer_bytes_match_csv_writer(tmp_path):
+    records = [
+        TrajectoryRecord(np.int64(3), split, *(EXTREMES[(k + j) % len(EXTREMES)] for k in range(7)))
+        for j, split in enumerate(("train", "val", "test"))
+    ]
+    records.append(TrajectoryRecord(4, "train", *np.float64([0.5, 1.0, 0, 2.0, -0.0, 1e-17, 3.0])))
+    path = tmp_path / "nested" / "traj.csv"
+    write_trajectory_csv(path, records)
+    assert path.read_bytes() == reference_trajectory_bytes(records)
+    write_trajectory_csv(path, [])
+    assert path.read_bytes() == reference_trajectory_bytes([])
+
+
+def test_aggregate_writer_bytes_match_csv_writer(tmp_path):
+    rows = [
+        {"method": "erm", "setting": None, "checkpoint": 1, "split": "val",
+         **{f"{m}_mean": x for m, x in zip(METRIC_FIELDS, EXTREMES)}},
+        {"method": "cvar", "setting": 0.25, "checkpoint": 2, "split": "test",
+         **{f"{m}_mean": -x for m, x in zip(METRIC_FIELDS, EXTREMES)}},
+    ]
+    path = tmp_path / "nested" / "agg.csv"
+    write_aggregate_csv(path, rows)
+    assert path.read_bytes() == reference_aggregate_bytes(rows)
+
+
+def test_report_quotes_commas_in_a_method_setting_or_split(tmp_path):
+    records = [TrajectoryRecord(1, split, *EXTREMES) for split in ("tr,ain", 'v"al')]
+    with open(tmp_path / "run.csv", "w", newline="", encoding="utf-8") as f:
+        csv.writer(f).writerows(
+            [TRAJECTORY_HEADER]
+            + [[r.checkpoint, r.split] + [fmt(getattr(r, m)) for m in METRIC_FIELDS]
+               for r in records]
+        )
+    pick = {"method": "cvar,v2", "setting": [0.5, "a,b"], "file": "run.csv",
+            "all_diverged": False}
+    (tmp_path / "manifest.json").write_text(json.dumps({"trials": [{"selected": [pick]}]}))
+    assert main(["report", "--manifest", str(tmp_path / "manifest.json")]) == 0
+    with open(tmp_path / "aggregate.csv", newline="", encoding="utf-8") as f:
+        header, *rows = list(csv.reader(f))
+    assert [row[:4] for row in rows] == [
+        ["cvar,v2", "[0.5, 'a,b']", "1", "tr,ain"],
+        ["cvar,v2", "[0.5, 'a,b']", "1", 'v"al'],
+    ]
+    assert {len(row) for row in rows} == {len(header)}
+
+
+def test_trajectory_writer_rejects_a_split_it_would_not_quote(tmp_path):
+    records = [TrajectoryRecord(1, "train", *EXTREMES), TrajectoryRecord(1, "tr,ain", *EXTREMES)]
+    match = r"split 'tr,ain' is not one of \('train', 'val', 'test'\)"
+    with pytest.raises(ValueError, match=match):
+        write_trajectory_csv(tmp_path / "traj.csv", records)
+    assert not (tmp_path / "traj.csv").exists()
+
+
+def three_class_dataset():
+    rng = np.random.Generator(np.random.PCG64(11))
+    centers = np.array([[-2.0, 0.0, 1.0], [2.0, 1.0, -1.0], [0.0, -2.5, 0.5]])
+    labels = np.repeat(np.arange(3), 40)
+    features = centers[labels] + rng.normal(size=(labels.size, 3))
+    features[0] = [15.0, 15.0, -15.0]
+    return Dataset(features, labels, 3, np.full(labels.size, "train"))
+
+
+def run_keeping_stacks(monkeypatch, spec, dataset):
+    """``run_experiment`` with each trial's ``StackedRuns`` kept, after setting
+    some of its metrics to 1e-17 and -0.0.  A run's model_norm, a and b stay
+    one value per checkpoint across splits, as training leaves them."""
+    stacks = []
+    train = harness.run_stacked_sgd
+
+    def spy(runs, init, ds):
+        trained = train(runs, init, ds)
+        m = trained.metrics  # (checkpoints, splits, runs, metrics)
+        column = {name: k for k, name in enumerate(METRIC_FIELDS)}
+        m[0, :, 0, column["mean_sd"]] = 1e-17
+        m[-1, 0, 0, column["objective"]] = -0.0
+        m[:, :, 1, column["model_norm"]] = -0.0
+        m[0, :, 1, column["a"]] = 1e-17
+        m[-1, 1, 1, column["mean_loss"]] = -0.0  # run 1's final val mean loss
+        m[-1, 2, 3, column["mean_sd"]] = -0.0  # run 3's final test mean-SD
+        stacks.append(trained)
+        return trained
+
+    monkeypatch.setattr(harness, "run_stacked_sgd", spy)
+    return run_experiment(spec, dataset), stacks
+
+
+@pytest.mark.parametrize("dataset", ["binary", "three_class"])
+def test_sweep_files_are_the_csv_writer_bytes_of_each_run(tmp_path, monkeypatch, dataset):
+    data = load_tabular(BUNDLED) if dataset == "binary" else three_class_dataset()
+    out = tmp_path / "exp"
+    spec = small_spec(
+        out, methods=[MethodGrid("sunhuber", (0.9,)), MethodGrid("erm"), MethodGrid("cvar", (0.5,))],
+        step_sizes=(0.01, 0.1, 1e14),
+    )
+    manifest, stacks = run_keeping_stacks(monkeypatch, spec, data)
+    assert len(stacks) == len(manifest["trials"]) == 2
+    written, diverged = set(), 0
+    for trial, trained in zip(manifest["trials"], stacks):
+        assert len(trial["runs"]) == len(trained.errors) == 9
+        for i, run in enumerate(trial["runs"]):
+            if run["status"] == "diverged":
+                diverged += 1
+                assert run["error"] == trained.errors[i]
+                with pytest.raises(DivergenceError, match=re.escape(run["error"])):
+                    trained.result(i)
+                continue
+            records = trained.result(i).trajectory
+            assert (out / run["file"]).read_bytes() == reference_trajectory_bytes(records)
+            last = {r.split: r for r in records if r.checkpoint == records[-1].checkpoint}
+            assert repr(run["final_val_mean_loss"]) == repr(last["val"].mean_loss)
+            assert repr(run["final_test_mean_sd"]) == repr(last["test"].mean_sd)
+            written.add(run["file"])
+    assert diverged > 0
+    # a diverged run has no file
+    assert {f"runs/{p.name}" for p in (out / "runs").iterdir()} == written
+    texts = [(out / f).read_text(encoding="utf-8") for f in sorted(written)]
+    for value in ("1e-17", ",-0.0,", ",nan,nan"):
+        assert any(value in text for text in texts), value
+    rows = aggregate_trials(manifest, out)
+    write_aggregate_csv(out / "aggregate.csv", rows)
+    assert (out / "aggregate.csv").read_bytes() == reference_aggregate_bytes(rows)
+
+
+@pytest.mark.parametrize("split", ["val", "test"])
+def test_run_experiment_names_a_missing_final_split(tmp_path, monkeypatch, split):
+    train = harness.run_stacked_sgd
+
+    def without_split(runs, init, ds):
+        trained = train(runs, init, ds)
+        keep = [k for k, name in enumerate(trained.split_names) if name != split]
+        return dataclasses.replace(
+            trained, split_names=tuple(trained.split_names[k] for k in keep),
+            metrics=trained.metrics[:, keep],
+        )
+
+    monkeypatch.setattr(harness, "run_stacked_sgd", without_split)
+    with pytest.raises(ValueError, match=f"no final-checkpoint record for split '{split}'"):
+        run_experiment(small_spec(tmp_path / "exp", trials=1), load_tabular(BUNDLED))
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["--data", BUNDLED, "--criterion", "sunhuber", "--epochs", "3", "--preprocess",
+         "--split-seed", "2"],
+        ["--data", "three.csv", "--criterion", "cvar", "--iterations", "250",
+         "--checkpoint-every", "50", "--step-size", "0.3"],
+        ["--data", BUNDLED, "--criterion", "erm", "--iterations", "0"],
+    ],
+)
+def test_train_trajectory_is_the_csv_writer_bytes_of_its_records(tmp_path, args):
+    ds = three_class_dataset()
+    with open(tmp_path / "three.csv", "w", encoding="utf-8") as f:
+        f.write("x1,x2,x3,label\n")
+        for row, label in zip(ds.features.tolist(), ds.labels):
+            f.write(",".join(map(repr, row)) + f",{'abc'[label]}\n")
+    args = [str(tmp_path / a) if a == "three.csv" else a for a in args]
+    assert main(["train", *args, "--out", str(tmp_path / "out")]) == 0
+    path = tmp_path / "out" / "trajectory.csv"
+    # floats are written in shortest round-trip form, so the records read
+    # back are the records written
+    assert path.read_bytes() == reference_trajectory_bytes(read_trajectory_csv(path))

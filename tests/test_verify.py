@@ -164,6 +164,18 @@ def test_location_concentration_rejects_bad_condition():
         )
 
 
+@pytest.mark.parametrize("trials, n, message", [(0, 2000, "trials must be >= 1, got 0"),
+                                                (-3, 2000, "trials must be >= 1, got -3"),
+                                                (300, 0, "n must be >= 1, got 0"),
+                                                (300, -1, "n must be >= 1, got -1")])
+def test_location_concentration_rejects_empty_samples(trials, n, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        check_location_concentration(
+            GaussianLosses(0.0, 1.0), b=20.0, alpha=0.0, lam=1.0,
+            n=n, delta=0.05, trials=trials,
+        )
+
+
 # ------------------------------------------------- blocked threshold solve
 
 
