@@ -13,8 +13,6 @@ stopping rule; nothing is evaluated symbolically.
 """
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import List, Sequence, Tuple
 
@@ -41,7 +39,8 @@ __all__ = [
 ]
 
 PROB_TOL = 1e-12
-THRESHOLD_BLOCK = 65536  # losses bisected at once per row block (512 KiB per temporary)
+THRESHOLD_BLOCK = 65536  # losses per Newton row block (512 KiB per buffer)
+NEWTON_CAP = 200  # only a broken iteration gets here: the slowest rows tested take ~40
 
 
 @dataclass(frozen=True)
@@ -256,68 +255,70 @@ class LognormalLosses:
 
 
 def _solve_thresholds(X: np.ndarray, b: float, alpha: float, lam: float) -> np.ndarray:
-    """Row-wise root of (lam/n) sum_i rho'((x_ij - a)/b) = alpha.
+    """Row-wise root of g(a) = (lam/n) sum_i rho'((x_ij - a)/b) - alpha.
 
-    The left side is continuous and strictly decreasing in a with range
-    (-lam, lam), so for 0 <= alpha < lam each row has a unique root.  For
-    alpha < lam/sqrt(2) it lies in [min - b, max + b]: every rho' term is at
-    least 1/sqrt(2) at min - b and negative at max + b, so that bracket
-    needs no widening as long as b does not vanish in rounding against the
-    losses; other alpha raise ValueError.  Rows are solved in blocks of
-    ``THRESHOLD_BLOCK // n`` (at least one), so the bisection's temporaries
-    stay in cache, and the blocks are shared among a thread pool that lives
-    for the call, one thread per CPU this process may run on (at most one
-    per block); numpy releases the GIL in each block's elementwise passes.
-    A row's root depends on that row alone and each block writes only its
-    own rows, so the result is bitwise the same for any block size and any
-    number of threads.
+    g is smooth and strictly decreasing with range (-lam - alpha, lam - alpha).
+    For 0 <= alpha < lam/sqrt(2) each row's root lies in [min - b, max + b]:
+    every rho' term is at least 1/sqrt(2) at min - b and negative at max + b
+    (as long as b does not vanish in rounding against the losses).  Other
+    alpha raise ValueError, and so does a row holding a NaN or an
+    infinity, before anything is solved.  Rows are solved in blocks of
+    ``THRESHOLD_BLOCK // n`` (at least one) that share two buffers of that
+    size, by Newton steps from the row's mean with that bracket as a
+    safeguard.  With tol = 1e-14*(b + |a|), a row retires when its step is at
+    most tol (root a + step), or when g(a) == 0 or its bracket is at most tol
+    wide (root a; this stops a row whose g is flat to rounding).  The stop is
+    tested first, so a sub-ulp step landing on a bracket end still stops;
+    otherwise the bracket end on the iterate's side moves to it, and a Newton
+    point outside the bracket is replaced by the midpoint.  Running rows are
+    gathered into the first rows of the buffers, so a row's root depends on
+    that row alone and is bitwise the same for any block size.
     """
     if not 0.0 <= alpha < lam / math.sqrt(2.0):
         raise ValueError(f"alpha = {alpha:g} must lie in [0, lam/sqrt(2)), lam = {lam:g}")
+    mins, maxs = X.min(axis=1), X.max(axis=1)  # NaN and +-inf reach min or max
+    finite = np.isfinite(mins) & np.isfinite(maxs)
+    if not finite.all():
+        raise ValueError(f"sample row {int(np.argmin(finite))} is not finite")
     trials, n = X.shape
     rows = max(1, THRESHOLD_BLOCK // n)
-    blocks = [slice(start, start + rows) for start in range(0, trials, rows)]
-    roots = np.empty(trials)
-
-    def solve(block):
-        roots[block] = _bisect_rows(X[block], b, alpha, lam)
-
-    workers = max(1, min(len(blocks), _usable_cpus()))
-    with ThreadPoolExecutor(workers) as pool:
-        list(pool.map(solve, blocks))  # re-raises a block's exception
+    t, r = np.empty((2, min(rows, trials), n))
+    roots = X.mean(axis=1)
+    for start in range(0, trials, rows):
+        block = X[start : start + rows]
+        live = np.arange(start, start + len(block))
+        a, lo, hi = roots[live], mins[live] - b, maxs[live] + b
+        for _ in range(NEWTON_CAP):
+            tl, rl = t[: live.size], r[: live.size]
+            np.subtract(block if live.size == len(block) else X[live], a[:, None], out=tl)
+            np.divide(tl, b, out=tl)
+            np.multiply(tl, tl, out=rl)
+            np.add(rl, 1.0, out=rl)
+            np.sqrt(rl, out=rl)
+            np.divide(1.0, rl, out=rl)  # (1 + t^2)^(-1/2)
+            np.multiply(tl, rl, out=tl)  # rho'(t)
+            g = lam * np.mean(tl, axis=1) - alpha
+            np.multiply(rl, rl, out=tl)
+            np.multiply(tl, rl, out=tl)  # rho''(t) = (1 + t^2)^(-3/2)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                step = g / ((lam / b) * np.mean(tl, axis=1))  # -g/g'
+            tol = 1e-14 * (b + np.abs(a))
+            small = np.abs(step) <= tol
+            done = small | (g == 0.0) | (hi - lo <= tol)
+            roots[live[done]] = np.where(small, a + step, a)[done]
+            keep = ~done
+            if not keep.any():
+                break
+            live, a, lo, hi, g, step = live[keep], a[keep], lo[keep], hi[keep], g[keep], step[keep]
+            above = g > 0.0
+            lo = np.where(above, a, lo)
+            hi = np.where(above, hi, a)
+            a = a + step
+            outside = ~((lo < a) & (a < hi))  # also a NaN point
+            a[outside] = 0.5 * (lo[outside] + hi[outside])
+        else:
+            raise RuntimeError(f"threshold Newton did not converge in {NEWTON_CAP} steps")
     return roots
-
-
-def _usable_cpus() -> int:
-    """CPUs this process may run on (all CPUs where affinity is unknown)."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
-def _bisect_rows(X: np.ndarray, b: float, alpha: float, lam: float) -> np.ndarray:
-    """Lockstep bisection of the rows of X: 64 halvings of [min - b, max + b]."""
-    t = np.empty_like(X)
-    s = np.empty_like(X)
-
-    def g(a_col):
-        # t = (X - a)/b;  t/sqrt(t*t + 1), written into preallocated buffers
-        np.subtract(X, a_col[:, None], out=t)
-        np.divide(t, b, out=t)
-        np.multiply(t, t, out=s)
-        np.add(s, 1.0, out=s)
-        np.sqrt(s, out=s)
-        np.divide(t, s, out=t)
-        return lam * np.mean(t, axis=1) - alpha
-
-    lo = X.min(axis=1) - b
-    hi = X.max(axis=1) + b
-    for _ in range(64):
-        mid = 0.5 * (lo + hi)
-        above = g(mid) > 0.0
-        lo = np.where(above, mid, lo)
-        hi = np.where(above, hi, mid)
-    return 0.5 * (lo + hi)
 
 
 @dataclass
@@ -352,10 +353,9 @@ def check_location_concentration(
         |A_n - (E L - 2*(alpha/lam)*b)| <= 2*(Var/b + b*log(2/delta)/n).
 
     Passes when empirical coverage >= 1 - delta - 3*sqrt(delta(1-delta)/trials).
-    The ``(trials, n)`` sample is solved in row blocks of about
-    ``THRESHOLD_BLOCK`` losses, bisected in parallel on a thread per usable
-    CPU, and every threshold is bitwise what one bisection over the whole
-    array gives, whatever the number of CPUs.
+    The ``(trials, n)`` sample is solved serially in row blocks of about
+    ``THRESHOLD_BLOCK`` losses by safeguarded Newton steps, three per row on
+    verify's samples; a row's threshold does not depend on the block size.
     """
     if not 0.0 < delta < 1.0:
         raise ValueError("delta must lie in (0, 1)")

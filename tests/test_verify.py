@@ -1,11 +1,12 @@
 """Numerical-oracle checks for the population-level properties."""
 
 import math
-import sys
-import threading
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from robustmsd import verify
 from robustmsd.suite import _conjugate_grid, _conjugate_sup
@@ -176,38 +177,47 @@ def test_location_concentration_rejects_empty_samples(trials, n, message):
         )
 
 
-# ------------------------------------------------- blocked threshold solve
+# --------------------------------------------------- threshold Newton solve
+
+# Newton's roots lie within ROOT_TOL * (b + |root|) of the converged
+# reference bisection's bracket; the largest gap seen is 2.7e-16 of that scale
+ROOT_TOL = 1e-15
 
 
-def whole_array_thresholds(X, b, alpha, lam):
-    """Reference: one lockstep bisection over every row of X at once."""
+def g_rows(X, a, b, alpha, lam):
+    t = (X - a[:, None]) / b
+    return lam * np.mean(t / np.sqrt(t * t + 1.0), axis=1) - alpha
 
-    def g(a_col):
-        t = (X - a_col[:, None]) / b
-        return lam * np.mean(t / np.sqrt(t * t + 1.0), axis=1) - alpha
 
+def reference_bracket(X, b, alpha, lam):
+    """Reference: lockstep bisection of every row of X at once, from a
+    bracket widened until it holds the root, halved until no bracket
+    shrinks.  Returns the final (lo, hi); 64 halvings would leave a row
+    with a 1e12 outlier about 1.5e-8 from its root."""
     lo = X.min(axis=1) - b
     hi = X.max(axis=1) + b
     widen = b
-    while True:
-        bad = g(lo) <= 0.0
-        if not bad.any():
-            break
+    while (bad := g_rows(X, lo, b, alpha, lam) <= 0.0).any():
         lo[bad] -= widen
         widen *= 2.0
     widen = b
-    while True:
-        bad = g(hi) >= 0.0
-        if not bad.any():
-            break
+    while (bad := g_rows(X, hi, b, alpha, lam) >= 0.0).any():
         hi[bad] += widen
         widen *= 2.0
-    for _ in range(64):
+    while True:
         mid = 0.5 * (lo + hi)
-        above = g(mid) > 0.0
-        lo = np.where(above, mid, lo)
-        hi = np.where(above, hi, mid)
-    return 0.5 * (lo + hi)
+        shrinks = (lo < mid) & (mid < hi)
+        if not shrinks.any():
+            return lo, hi
+        above = g_rows(X, mid, b, alpha, lam) > 0.0
+        lo = np.where(shrinks & above, mid, lo)
+        hi = np.where(shrinks & ~above, mid, hi)
+
+
+def assert_matches_reference(roots, X, b, alpha, lam):
+    lo, hi = reference_bracket(X, b, alpha, lam)
+    tol = ROOT_TOL * (b + np.abs(roots))
+    assert np.all((lo - tol <= roots) & (roots <= hi + tol))
 
 
 @pytest.mark.parametrize(
@@ -222,87 +232,50 @@ def whole_array_thresholds(X, b, alpha, lam):
     ],
 )
 def test_blocked_thresholds_equal_whole_array_bisection(trials, n, b, alpha):
+    # equal to within ROOT_TOL
     rng = np.random.Generator(np.random.PCG64(trials * n))
     X = rng.lognormal(0.0, 1.0, (trials, n))
-    expected = whole_array_thresholds(X, b, alpha, 1.0)
-    assert np.array_equal(_solve_thresholds(X, b, alpha, 1.0), expected)
+    assert_matches_reference(_solve_thresholds(X, b, alpha, 1.0), X, b, alpha, 1.0)
 
 
 @pytest.mark.parametrize("block", [1, 4 * 700, 16 * 700, 64 * 700])
 def test_threshold_block_size_does_not_change_bits(monkeypatch, block):
+    # row 3's 1e12 outlier keeps it bisecting for ~35 steps after the other
+    # rows retire, so blocks gather their running rows differently
     rng = np.random.Generator(np.random.PCG64(5))
     X = rng.standard_normal((37, 700))
-    expected = whole_array_thresholds(X, 0.5, 0.1, 1.0)
+    X[3, 0] = 1e12
+    expected = _solve_thresholds(X, 0.5, 0.1, 1.0)
     monkeypatch.setattr(verify, "THRESHOLD_BLOCK", block)
     assert np.array_equal(_solve_thresholds(X, 0.5, 0.1, 1.0), expected)
 
 
-@pytest.mark.parametrize("workers", [1, 2, 3])
-@pytest.mark.parametrize("trials", [1, 11, 37])
-def test_threaded_thresholds_equal_whole_array_bisection(monkeypatch, workers, trials):
-    # blocks of four rows: one row is fewer rows than threads, 11 rows fill
-    # blocks of 4, 4 and 3, 37 rows end in a block of 1
-    rng = np.random.Generator(np.random.PCG64(trials))
-    X = rng.lognormal(0.0, 1.0, (trials, 700))
-    expected = whole_array_thresholds(X, 0.5, 0.1, 1.0)
-    pools = []
-
-    class Pool(verify.ThreadPoolExecutor):
-        def __init__(self, max_workers):
-            pools.append(max_workers)
-            super().__init__(max_workers)
-
-    monkeypatch.setattr(verify, "THRESHOLD_BLOCK", 4 * 700)
-    monkeypatch.setattr(verify, "ThreadPoolExecutor", Pool)
-    monkeypatch.setattr(verify, "_usable_cpus", lambda: workers)
-    assert np.array_equal(_solve_thresholds(X, 0.5, 0.1, 1.0), expected)
-    assert pools == [min(workers, -(-trials // 4))]
-
-
-def test_thresholds_under_frequent_thread_switches(monkeypatch):
-    # more threads than cores, one row per block and a switch every
-    # microsecond: a row written by the wrong block would change the bits
-    rng = np.random.Generator(np.random.PCG64(9))
-    X = rng.lognormal(0.0, 1.0, (64, 50))
-    expected = whole_array_thresholds(X, 0.5, 0.1, 1.0)
-    monkeypatch.setattr(verify, "THRESHOLD_BLOCK", 50)
-    monkeypatch.setattr(verify, "_usable_cpus", lambda: 8)
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        roots = _solve_thresholds(X, 0.5, 0.1, 1.0)
-    finally:
-        sys.setswitchinterval(interval)
-    assert np.array_equal(roots, expected)
-
-
-def test_threshold_pool_ends_with_the_call(monkeypatch):
-    rng = np.random.Generator(np.random.PCG64(8))
-    X = rng.standard_normal((37, 700))
-    monkeypatch.setattr(verify, "THRESHOLD_BLOCK", 700)
-    before = threading.active_count()
-    _solve_thresholds(X, 0.5, 0.1, 1.0)
-    assert threading.active_count() == before
-
-    def fail_on_nan(rows, b, alpha, lam):
-        if np.isnan(rows).any():
-            raise FloatingPointError("nan in block")
-        return bisect(rows, b, alpha, lam)
-
-    bisect = verify._bisect_rows
-    monkeypatch.setattr(verify, "_bisect_rows", fail_on_nan)
-    X[20, 3] = np.nan
-    with pytest.raises(FloatingPointError, match="nan in block"):
-        _solve_thresholds(X, 0.5, 0.1, 1.0)
-    assert threading.active_count() == before
+@pytest.mark.parametrize("seed", [0, 1])
+def test_threshold_coverage_equals_reference_on_verify_samples(seed):
+    # the two samples `verify --seed S` draws; a root lies in the band
+    # exactly when g is >= 0 at the band's low end and <= 0 at its high end
+    trials = 2000
+    for losses, offset in ((GaussianLosses(0.0, 1.0), 50), (LognormalLosses(0.0, 1.0), 51)):
+        r = check_location_concentration(
+            losses, b=20.0, alpha=0.0, lam=1.0, n=2000, delta=0.05, trials=trials,
+            seed=seed + offset,
+        )
+        X = losses.draw(np.random.Generator(np.random.PCG64(seed + offset)), (trials, 2000))
+        ends = np.full(trials, r.center)
+        inside = (g_rows(X, ends - r.halfwidth, 20.0, 0.0, 1.0) >= 0.0) & (
+            g_rows(X, ends + r.halfwidth, 20.0, 0.0, 1.0) <= 0.0
+        )
+        assert r.coverage == float(np.mean(inside))
+        rows = X[::50]
+        assert_matches_reference(_solve_thresholds(rows, 20.0, 0.0, 1.0), rows, 20.0, 0.0, 1.0)
 
 
 def test_thresholds_need_no_bracket_widening():
     # at min - b every rho' term is at least 1/sqrt(2), so for alpha below
     # lam/sqrt(2) the bracket [min - b, max + b] already holds every root:
-    # rows sitting mostly within b of their minimum, and row 3, whose 1e12
-    # outlier makes its bracket so wide that 64 halvings do not converge,
-    # solve to the bits of the widening reference; other alpha are refused
+    # rows sitting mostly within b of their minimum, row 3 with a 1e12
+    # outlier and row 20 at -1e6 solve to the widening reference's roots;
+    # other alpha are refused
     rng = np.random.Generator(np.random.PCG64(6))
     X = rng.standard_normal((37, 500))
     X[3] = 0.0
@@ -310,11 +283,74 @@ def test_thresholds_need_no_bracket_widening():
     X[20] = -1e6
     X[22] *= 1e-3
     b, alpha, lam = 0.5, 0.7, 1.0
-    expected = whole_array_thresholds(X, b, alpha, lam)
-    assert np.array_equal(_solve_thresholds(X, b, alpha, lam), expected)
+    assert_matches_reference(_solve_thresholds(X, b, alpha, lam), X, b, alpha, lam)
     for alpha in (-1e-3, lam / math.sqrt(2.0), 0.95):
         with pytest.raises(ValueError, match="alpha"):
             _solve_thresholds(X, b, alpha, lam)
+
+
+def test_threshold_edge_cases_stay_well_under_the_step_cap(monkeypatch):
+    monkeypatch.setattr(verify, "NEWTON_CAP", verify.NEWTON_CAP // 4)
+    b, lam = 0.5, 1.0
+    near_edge = lam / math.sqrt(2.0) * (1.0 - 1e-9)
+    rng = np.random.Generator(np.random.PCG64(7))
+    rows = rng.standard_normal((6, 500))
+    rows[0] = 0.0
+    rows[0, 0] = 1e12
+    rows[1] = -1e6
+    rows[2] = -1e6 + rows[3]
+    rows[4] = 3.0  # tied: g == 0 at the start when alpha = 0
+    singles = rng.standard_normal((9, 1))
+    for X in (rows, singles):
+        for alpha in (0.0, 0.3, near_edge):
+            assert_matches_reference(_solve_thresholds(X, b, alpha, lam), X, b, alpha, lam)
+    assert _solve_thresholds(rows, b, 0.0, lam)[4] == 3.0
+    # n = 1: rho'((x - a)/b) = alpha/lam in closed form
+    q = near_edge / lam
+    expected = singles[:, 0] - b * q / math.sqrt(1.0 - q * q)
+    np.testing.assert_allclose(_solve_thresholds(singles, b, near_edge, lam), expected,
+                               rtol=0.0, atol=1e-15 * (b + np.abs(expected)).max())
+
+
+def test_threshold_step_cap_raises(monkeypatch):
+    monkeypatch.setattr(verify, "NEWTON_CAP", 2)
+    X = np.zeros((1, 500))
+    X[0, 0] = 1e12
+    with pytest.raises(RuntimeError, match="did not converge in 2 steps"):
+        _solve_thresholds(X, 0.5, 0.0, 1.0)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_thresholds_reject_non_finite_rows(bad):
+    X = np.zeros((9, 4))
+    X[6, 1] = bad
+    X[8, 0] = np.nan
+    with pytest.raises(ValueError, match="^sample row 6 is not finite$"):
+        _solve_thresholds(X, 0.5, 0.0, 1.0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    hnp.arrays(float, st.tuples(st.integers(1, 4), st.integers(1, 30)),
+               elements=st.floats(-1e6, 1e6)),
+    st.floats(1e-3, 1e3),
+    st.floats(0.0, 0.999),
+    st.floats(0.1, 10.0),
+)
+# g is flat to rounding between the clusters, so the Newton step stays above
+# the stop tolerance there and only the bracket-width stop ends the row
+@example(np.array([[32.0, 35.0, 36.0, 0.0, 0.0, 0.0]]), 1.0, 0.0, 1.0)
+def test_threshold_g_changes_sign_across_the_root(X, b, frac, lam):
+    alpha = frac * lam / math.sqrt(2.0)
+    roots = _solve_thresholds(X, b, alpha, lam)
+    t = (X - roots[:, None]) / b
+    slope = (lam / b) * np.mean((1.0 + t * t) ** -1.5, axis=1)  # -g'(root)
+    # g is evaluated to about an ulp of lam, so where it is flat its sign is
+    # defined only to about that over the slope; and where every rho' term
+    # has rounded to +-1, g is exactly 0 over an interval, hence >= and <=
+    tol = 1e-14 * (b + np.abs(roots)) + 1e-15 * lam / slope
+    assert np.all(g_rows(X, roots - tol, b, alpha, lam) >= 0.0)
+    assert np.all(g_rows(X, roots + tol, b, alpha, lam) <= 0.0)
 
 
 def test_conjugate_sup_on_shared_grid_matches_per_call_grid():
