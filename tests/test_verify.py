@@ -1,6 +1,8 @@
 """Numerical-oracle checks for the population-level properties."""
 
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -248,6 +250,63 @@ def test_threshold_block_size_does_not_change_bits(monkeypatch, block):
     expected = _solve_thresholds(X, 0.5, 0.1, 1.0)
     monkeypatch.setattr(verify, "THRESHOLD_BLOCK", block)
     assert np.array_equal(_solve_thresholds(X, 0.5, 0.1, 1.0), expected)
+
+
+def solve_in_threads(samples, b, alpha, lam):
+    """Solve each sample in a thread of its own, all released together."""
+    start = threading.Barrier(len(samples))
+    results = [None] * len(samples)
+
+    def solve(k):
+        start.wait(timeout=60)
+        results[k] = _solve_thresholds(samples[k], b, alpha, lam)
+
+    threads = [threading.Thread(target=solve, args=(k,)) for k in range(len(samples))]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=60)
+    assert not any(thread.is_alive() for thread in threads)
+    return results
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+@pytest.mark.parametrize("trials", [1, 11, 37])
+def test_threaded_thresholds_equal_whole_array_bisection(monkeypatch, workers, trials):
+    # callers in several threads at once, each on its own shifted sample:
+    # the solve's buffers belong to the call, so each caller gets the bits of
+    # a serial call; blocks of four rows: one row is fewer rows than a block,
+    # 11 rows fill blocks of 4, 4 and 3, 37 rows end in a block of 1
+    rng = np.random.Generator(np.random.PCG64(trials))
+    X = rng.lognormal(0.0, 1.0, (trials, 700))
+    monkeypatch.setattr(verify, "THRESHOLD_BLOCK", 4 * 700)
+    samples = [X + k for k in range(workers)]
+    expected = [_solve_thresholds(S, 0.5, 0.1, 1.0) for S in samples]
+    for S, roots in zip(samples, expected):
+        assert_matches_reference(roots, S, 0.5, 0.1, 1.0)
+    for roots, serial in zip(solve_in_threads(samples, 0.5, 0.1, 1.0), expected):
+        assert roots is not None and np.array_equal(roots, serial)
+
+
+def test_thresholds_under_frequent_thread_switches(monkeypatch):
+    # more callers than cores, one row per block, a 1e12 outlier that keeps
+    # one row stepping after the others retire, and a switch every
+    # microsecond: a row written through another call's buffer would change
+    # the bits
+    rng = np.random.Generator(np.random.PCG64(9))
+    X = rng.lognormal(0.0, 1.0, (64, 50))
+    X[3, 0] = 1e12
+    monkeypatch.setattr(verify, "THRESHOLD_BLOCK", 50)
+    samples = [X + k for k in range(8)]
+    expected = [_solve_thresholds(S, 0.5, 0.1, 1.0) for S in samples]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        results = solve_in_threads(samples, 0.5, 0.1, 1.0)
+    finally:
+        sys.setswitchinterval(interval)
+    for roots, serial in zip(results, expected):
+        assert roots is not None and np.array_equal(roots, serial)
 
 
 @pytest.mark.parametrize("seed", [0, 1])
