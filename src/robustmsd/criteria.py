@@ -10,12 +10,13 @@ the threshold a and the scale b.  Alongside it live the benchmark criteria
 parameter schedule that fixes (alpha, beta) before seeing data, and the
 evaluation-side mean-SD functional.
 
-Each criterion kind is one ``Criterion`` record in ``CRITERIA``: an
-objective kernel, a value kernel and what else differs by kind.  The
-kernels take losses of shape (..., n): one run's (n,) losses with float
+Each criterion kind is one ``Criterion`` record in ``CRITERIA``: one kernel
+per kind, value-only when ``dscore`` is None, and what else differs by kind.
+A kernel takes losses of shape (..., n): one run's (n,) losses with float
 a, b and coefficients, or r stacked runs' (r, n) losses with (r,) arrays,
-every row getting the bits it has alone.  An objective reduces its batch
-to scalars plus one per-example weight on the loss gradients:
+every row getting the bits it has alone.  It reduces its batch to a value
+(one formula for a training step and a checkpoint) plus one per-example
+weight on the loss gradients:
 (l_i - a)/sqrt((l_i - a)^2 + b^2) for the joint objective, 1 for the mean,
 the active indicator for CVaR and the positive part for the divergence
 dual.  grad_h is that weight contracted with the batch's score derivatives
@@ -113,51 +114,35 @@ def _sunhuber(values, dscore, rows, a, b, alpha, beta, lam):
     grad_a = alpha - lam * mean_w
     # beta + lam*mean(b/s - 1), written without the b/s - 1 cancellation
     grad_b = beta - lam * mean_curv
-    grad_h = _col(lam, 2) * _contract(dscore, rows, w) / n
+    grad_h = None if dscore is None else _col(lam, 2) * _contract(dscore, rows, w) / n
     return value, grad_h, grad_a, grad_b
-
-
-def _sunhuber_value(values, a, b, alpha, beta, lam):
-    b_col = _col(b)
-    r = values - _col(a)
-    dev = r * r / (np.sqrt(r * r + b_col * b_col) + b_col)
-    return alpha * a + beta * b + lam * (np.add.reduce(dev, -1) / values.shape[-1])
 
 
 def _erm(values, dscore, rows, a, b):
     """Plain mean of the losses; gradient is the mean per-example gradient."""
     n = values.shape[-1]
-    return np.add.reduce(values, -1) / n, _contract(dscore, rows, None) / n, None, None
-
-
-def _erm_value(values, a, b):
-    return np.add.reduce(values, -1) / values.shape[-1]
+    grad_h = None if dscore is None else _contract(dscore, rows, None) / n
+    return np.add.reduce(values, -1) / n, grad_h, None, None
 
 
 def _cvar(values, dscore, rows, a, b, xi):
     """Variational CVaR objective a + mean((l - a)_+) / (1 - xi).
 
     At kinks (l_i == a exactly) the subgradient treating the example as
-    inactive is used, so runs are deterministic.
+    inactive is used, so runs are deterministic.  A NaN loss makes the
+    value NaN and weighs nothing in the gradient.
     """
     n = values.shape[-1]
-    inv = 1.0 / (1.0 - xi)
-    pos = values - _col(a)
-    active = pos > 0.0
-    terms = np.zeros((2,) + pos.shape)
-    weight = terms[1]
-    np.copyto(terms[0], pos, where=active)
-    np.copyto(weight, active)
+    terms = np.empty((2,) + values.shape)
+    pos = np.subtract(values, _col(a), out=terms[1])
+    np.maximum(pos, 0.0, out=terms[0])
+    weight = np.greater(pos, 0.0, out=terms[1])  # the active indicator
     mean_excess, mean_active = _means(terms, n)
-    value = a + inv * mean_excess
+    inv = 1.0 / (1.0 - xi)
+    value = a + mean_excess / (1.0 - xi)  # not inv * mean_excess, which rounds apart
     grad_a = 1.0 - inv * mean_active
-    grad_h = _col(inv, 2) * _contract(dscore, rows, weight) / n
+    grad_h = None if dscore is None else _col(inv, 2) * _contract(dscore, rows, weight) / n
     return value, grad_h, grad_a, None
-
-
-def _cvar_value(values, a, b, xi):
-    pos = np.maximum(values - _col(a), 0.0)
-    return a + (np.add.reduce(pos, -1) / values.shape[-1]) / (1.0 - xi)
 
 
 def _chisq_dro(values, dscore, rows, a, b, eta_tilde):
@@ -169,45 +154,38 @@ def _chisq_dro(values, dscore, rows, a, b, eta_tilde):
     """
     n = values.shape[-1]
     eta = (1.0 / (1.0 - eta_tilde) - 1.0) / 2.0
-    coef = np.sqrt(1.0 + 2.0 * eta)
     terms = np.empty((2,) + values.shape)
     pos = np.maximum(values - _col(a), 0.0, out=terms[1])
     np.multiply(pos, pos, out=terms[0])
     mean_sq, mean_pos = _means(terms, n)
+    value = a + np.sqrt((1.0 + 2.0 * eta) * mean_sq)  # not coef * root, which rounds apart
+    if dscore is None:
+        return value, None, None, None
+    coef = np.sqrt(1.0 + 2.0 * eta)
     flat = mean_sq == 0.0
     root = np.sqrt(mean_sq + flat)  # 1 where flat; + 0.0 leaves the rest exact
-    value = a + coef * root
     grad_a = 1.0 - coef * mean_pos / root
     grad_h = _col(coef, 2) * _contract(dscore, rows, pos)
     grad_h /= _col(n * root, 2)
     if np.count_nonzero(flat):
-        value = np.where(flat, a, value)
         grad_a = np.where(flat, 1.0, grad_a)
         grad_h[flat] = 0.0
     return value, grad_h, grad_a, None
 
 
-def _chisq_dro_value(values, a, b, eta_tilde):
-    eta = (1.0 / (1.0 - eta_tilde) - 1.0) / 2.0
-    pos = np.maximum(values - _col(a), 0.0)
-    mean_sq = np.add.reduce(pos * pos, -1) / values.shape[-1]
-    return a + np.sqrt((1.0 + 2.0 * eta) * mean_sq)
-
-
 @dataclass(frozen=True)
 class Criterion:
-    """One criterion kind: its two kernels and what else differs by kind.
+    """One criterion kind: its kernel and what else differs by kind.
 
     ``objective(values, dscore, rows, a, b, *coef)`` gives (value, grad_h,
-    grad_a, grad_b), None for a gradient the kind lacks, and
-    ``value(values, a, b, *coef)`` the value alone; ``coef`` are the
-    ``CriterionParams`` fields named in ``coefficients``.  ``setting`` is
-    the field a sweep setting fills (None: the kind takes none) and
-    ``label`` formats a run's file-name tag from its parameters.
+    grad_a, grad_b), None for a gradient the kind lacks; ``coef`` are the
+    ``CriterionParams`` fields named in ``coefficients``.  With ``dscore``
+    and ``rows`` None the call is value-only: grad_h is None, and the value
+    has the same bits.  ``setting`` is the field a sweep setting fills (None:
+    the kind takes none) and ``label`` formats a run's file-name tag.
     """
 
     objective: Callable
-    value: Callable
     coefficients: Tuple[str, ...]
     setting: Optional[str]
     label: str
@@ -215,12 +193,12 @@ class Criterion:
     updates_b: bool
 
 
-CRITERIA = {  # kernels, coefficients, setting, label, updates_a, updates_b
-    "sunhuber": Criterion(_sunhuber, _sunhuber_value, ("alpha", "beta", "lam"),
-                          "beta0", "sunhuber_b0={0.beta0:g}", True, True),
-    "erm": Criterion(_erm, _erm_value, (), None, "erm", False, False),
-    "cvar": Criterion(_cvar, _cvar_value, ("xi",), "xi", "cvar_xi={0.xi:g}", True, False),
-    "chisq_dro": Criterion(_chisq_dro, _chisq_dro_value, ("eta_tilde",), "eta_tilde",
+CRITERIA = {  # kernel, coefficients, setting, label, updates_a, updates_b
+    "sunhuber": Criterion(_sunhuber, ("alpha", "beta", "lam"), "beta0",
+                          "sunhuber_b0={0.beta0:g}", True, True),
+    "erm": Criterion(_erm, (), None, "erm", False, False),
+    "cvar": Criterion(_cvar, ("xi",), "xi", "cvar_xi={0.xi:g}", True, False),
+    "chisq_dro": Criterion(_chisq_dro, ("eta_tilde",), "eta_tilde",
                            "chisq_dro_eta={0.eta_tilde:g}", True, False),
 }
 KINDS = tuple(CRITERIA)
@@ -367,7 +345,8 @@ def criterion_value(values, state: JointState, params: CriterionParams) -> float
     values = np.asarray(values, dtype=float)
     if values.size == 0:
         raise ValueError("empty loss values")
-    return float(params.record.value(values, state.a, state.b, *params.coefficients))
+    coef = params.coefficients
+    return float(params.record.objective(values, None, None, state.a, state.b, *coef)[0])
 
 
 class CriterionStack:
@@ -433,9 +412,9 @@ class CriterionStack:
         for sl, record, coef in self.blocks:
             lo, hi = max(sl.start, start), min(sl.stop, start + values.shape[0])
             if lo < hi:
-                own = slice(lo - sl.start, hi - sl.start)
+                own = [c[lo - sl.start : hi - sl.start] for c in coef]
                 at = slice(lo - start, hi - start)
-                out[at] = record.value(values[at], a[at], b[at], *(c[own] for c in coef))
+                out[at] = record.objective(values[at], None, None, a[at], b[at], *own)[0]
         return out
 
 

@@ -356,7 +356,8 @@ def aggregate_records(trajectories: Sequence[Sequence[TrajectoryRecord]]) -> Lis
     table = np.array([[_metrics_of(r) for r in traj] for traj in trajectories])
     shape = (len(trajectories), len(keys), len(METRIC_FIELDS))
     table = np.ascontiguousarray(table.reshape(shape).T)
-    means, sds = table.mean(axis=2).tolist(), table.std(axis=2).tolist()
+    with np.errstate(invalid="ignore", over="ignore"):  # an inf cell's sd is nan, unwarned
+        means, sds = table.mean(axis=2).tolist(), table.std(axis=2).tolist()
     rows = []
     for i, (cp, split) in enumerate(keys):
         row = {"checkpoint": cp, "split": split}

@@ -262,7 +262,8 @@ def _solve_thresholds(X: np.ndarray, b: float, alpha: float, lam: float) -> np.n
     every rho' term is at least 1/sqrt(2) at min - b and negative at max + b
     (as long as b does not vanish in rounding against the losses).  Other
     alpha raise ValueError, and so does a row holding a NaN or an
-    infinity, before anything is solved.  Rows are solved in blocks of
+    infinity, or one whose max - min exceeds 1e150*b (t^2 could overflow
+    past it), before anything is solved.  Rows are solved in blocks of
     ``THRESHOLD_BLOCK // n`` (at least one) that share two buffers of that
     size, by Newton steps from the row's mean with that bracket as a
     safeguard.  With tol = 1e-14*(b + |a|), a row retires when its step is at
@@ -280,6 +281,9 @@ def _solve_thresholds(X: np.ndarray, b: float, alpha: float, lam: float) -> np.n
     finite = np.isfinite(mins) & np.isfinite(maxs)
     if not finite.all():
         raise ValueError(f"sample row {int(np.argmin(finite))} is not finite")
+    wide = maxs / 2.0 - mins / 2.0 > 0.5e150 * b  # halved, so the spread cannot overflow
+    if wide.any():
+        raise ValueError(f"sample row {int(np.argmax(wide))} spreads over more than 1e150*b")
     trials, n = X.shape
     rows = max(1, THRESHOLD_BLOCK // n)
     t, r = np.empty((2, min(rows, trials), n))

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -420,6 +420,48 @@ def test_stack_gradients_match_central_differences(case):
             check(grad_h[idx], moved, eps_h, sensitivity * xmax)
         check(grad_a, fd_a, eps_a, sensitivity)
         check(grad_b, fd_b, eps_b, sensitivity)
+
+
+def bits(x):
+    return np.asarray(x, dtype=float).view(np.uint64)
+
+
+@st.composite
+def value_cases(draw):
+    """1 to 4 stacked runs of any kinds on 1 to 6 losses that include 0,
+    1e300, inf and NaN, with thresholds that include -0.0 (a row of zero
+    losses at a = -0.0 is a flat divergence-dual row) and scales in
+    [B_FLOOR, 1e8]."""
+    r, n = draw(st.integers(1, 4)), draw(st.integers(1, 6))
+    params = draw(st.lists(st.sampled_from(KINDS).flatmap(PARAMS.get), min_size=r, max_size=r))
+    edges = st.sampled_from([0.0, 1e300, math.inf, math.nan])
+    losses = draw(arrays(np.float64, (r, n), elements=st.one_of(edges, st.floats(0.0, 1e6))))
+    a = draw(arrays(np.float64, r, elements=st.one_of(st.just(-0.0), st.floats(-10.0, 1e6))))
+    b = draw(arrays(np.float64, r, elements=st.one_of(st.just(B_FLOOR), st.floats(B_FLOOR, 1e8))))
+    return params, losses, a, b
+
+
+@settings(max_examples=300, deadline=None)
+@given(value_cases())
+@example(([CriterionParams("chisq_dro", eta_tilde=0.5)], np.zeros((1, 3)), np.array([-0.0]),
+          np.ones(1)))
+@example(([CriterionParams("cvar", xi=0.5)], np.array([[1.0, math.nan]]), np.zeros(1),
+          np.ones(1)))
+def test_training_value_equals_checkpoint_value_bitwise(case):
+    """A step's objective value has the bits of ``criterion_value`` for a lone
+    run, and ``CriterionStack.objective``'s those of ``CriterionStack.value``
+    for a stack's rows, at the extremes too."""
+    params, losses, a, b = case
+    r, n = losses.shape
+    dscore, rows = np.ones((r, n, 1)), np.ones((n, 2))
+    with np.errstate(all="ignore"):
+        for i, p in enumerate(params):
+            state = JointState(h=np.zeros((1, 2)), a=a[i], b=b[i])
+            ev = evaluate_objective(LossBatch(losses[i], dscore[i], rows), state, p)
+            assert bits(ev.value) == bits(criterion_value(losses[i], state, p))
+        stack = CriterionStack(params)
+        value = stack.objective(losses, dscore, rows, a, b)[0]
+        np.testing.assert_array_equal(bits(value), bits(stack.value(losses, a, b)))
 
 
 # --------------------------------------------------- structural properties

@@ -6,6 +6,7 @@ import io
 import json
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -363,6 +364,28 @@ def test_report_quotes_commas_in_a_method_setting_or_split(tmp_path):
         ["cvar,v2", "[0.5, 'a,b']", "1", 'v"al'],
     ]
     assert {len(row) for row in rows} == {len(header)}
+
+
+def test_report_on_extreme_metrics_raises_no_warning(tmp_path):
+    # two trials, the second the negation of the first: the inf cell's sd is
+    # nan (inf - inf), the +-1e300 cell's overflows to inf, neither warns
+    trials = []
+    for t, sign in enumerate((1.0, -1.0)):
+        name = f"run{t}.csv"
+        write_trajectory_csv(tmp_path / name, [
+            TrajectoryRecord(1, "train", *(sign * x for x in EXTREMES))
+        ])
+        pick = {"method": "erm", "setting": None, "file": name, "all_diverged": False}
+        trials.append({"selected": [pick]})
+    (tmp_path / "manifest.json").write_text(json.dumps({"trials": trials}))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main(["report", "--manifest", str(tmp_path / "manifest.json")]) == 0
+    with open(tmp_path / "aggregate.csv", newline="", encoding="utf-8") as f:
+        (row,) = list(csv.DictReader(f))
+    assert [row[f"{m}_sd"] for m in ("mean_sd", "mean_loss", "model_norm", "objective")] == [
+        "1e-17", "0.0", "nan", "inf"
+    ]
 
 
 def test_trajectory_writer_rejects_a_split_it_would_not_quote(tmp_path):

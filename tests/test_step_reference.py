@@ -95,7 +95,7 @@ def ref_objective(values, grads, a, b, params):
         inv = 1.0 / (1.0 - params.xi)
         pos = values - a
         active = pos > 0.0
-        value = a + inv * float(np.mean(np.where(active, pos, 0.0)))
+        value = ref_criterion_value(values, a, b, params)
         grad_h = inv * np.tensordot(active.astype(float), grads, axes=1) / n
         return value, grad_h, 1.0 - inv * float(np.mean(active)), None
     eta = (1.0 / (1.0 - params.eta_tilde) - 1.0) / 2.0
@@ -103,11 +103,11 @@ def ref_objective(values, grads, a, b, params):
     pos = np.maximum(values - a, 0.0)
     mean_sq = float(np.mean(pos * pos))
     if mean_sq == 0.0:
-        return float(a), np.zeros_like(grads[0]), 1.0, None
+        return ref_criterion_value(values, a, b, params), np.zeros_like(grads[0]), 1.0, None
     root = math.sqrt(mean_sq)
     grad_a = 1.0 - coef * float(np.mean(pos)) / root
     grad_h = coef * np.tensordot(pos, grads, axes=1) / (n * root)
-    return a + coef * root, grad_h, grad_a, None
+    return ref_criterion_value(values, a, b, params), grad_h, grad_a, None
 
 
 def ref_criterion_value(values, a, b, params):

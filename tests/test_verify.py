@@ -3,6 +3,7 @@
 import math
 import sys
 import threading
+import warnings
 
 import numpy as np
 import pytest
@@ -386,6 +387,23 @@ def test_thresholds_reject_non_finite_rows(bad):
     X[8, 0] = np.nan
     with pytest.raises(ValueError, match="^sample row 6 is not finite$"):
         _solve_thresholds(X, 0.5, 0.0, 1.0)
+
+
+def test_thresholds_reject_rows_too_wide_for_the_scale():
+    # past (max - min)/b = 1e150, t^2 overflows and rho' rounds to 0: the row
+    # [0, 0, 0, 1e200] at b = 1 would solve to its mean, 2.5e199, where the
+    # root is about 0.35; row 1 is within the limit, and a row whose spread
+    # overflows is refused without an overflow warning
+    X = np.zeros((5, 4))
+    X[1, 3] = 1e149
+    X[3, 3] = 1e200
+    X[4] = [-1e308, 0.0, 0.0, 1e308]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=r"^sample row 3 spreads over more than 1e150\*b$"):
+            _solve_thresholds(X, 1.0, 0.0, 1.0)
+        with pytest.raises(ValueError, match="^sample row 0 spreads"):
+            _solve_thresholds(X[4:], 1.0, 0.0, 1.0)
 
 
 @settings(max_examples=200, deadline=None)

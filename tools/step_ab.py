@@ -7,7 +7,8 @@ Each SRC is a directory holding the ``robustmsd`` package (``src/``) or a
 checkout whose ``src/`` holds it.  The two trees are imported side by side
 as ``robustmsd_a`` and ``robustmsd_b``.  Each round trains lone planar GD
 runs (n = 100, seed 0, step size 0.01, a checkpoint every 100 steps) of
-ERM and of the joint criterion, 2 000 steps each, on both sides, in an
+each criterion kind (ERM, the joint criterion, CVaR at xi = 0.5 and the
+chi^2-DRO dual at eta_tilde = 0.5), 2 000 steps each, on both sides, in an
 order that alternates between rounds.  Per side and criterion it prints
 the median and quartiles of µs per step (checkpoints included), how many
 rounds the side was the faster, and whether the two sides' final states
@@ -46,7 +47,7 @@ def load(src: str, name: str):
 
 
 class Side:
-    """One source tree's planar task, ready to train either criterion."""
+    """One source tree's planar task, ready to train each criterion."""
 
     def __init__(self, src: str, name: str):
         pkg = load(src, name)
@@ -57,6 +58,8 @@ class Side:
         self.criteria = {
             "erm": pkg.criteria.CriterionParams("erm"),
             "joint": pkg.criteria.schedule_params(n_train, 0.9, lam),
+            "cvar": pkg.criteria.CriterionParams("cvar", xi=0.5),
+            "dro": pkg.criteria.CriterionParams("chisq_dro", eta_tilde=0.5),
         }
         self.config = pkg.optimizer.OptConfig(
             step_size=0.01, iterations=STEPS, checkpoint_every=100
@@ -87,7 +90,7 @@ def main(argv):
     if len(argv) != 2:
         sys.exit("usage: python3 tools/step_ab.py SRC_A SRC_B")
     sides = {"A": Side(argv[0], "robustmsd_a"), "B": Side(argv[1], "robustmsd_b")}
-    kinds = ("erm", "joint")
+    kinds = ("erm", "joint", "cvar", "dro")
     times = {(s, k): [] for s in sides for k in kinds}
     outputs = {}
     for side in sides.values():  # warm-up, untimed
