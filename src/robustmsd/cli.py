@@ -14,7 +14,6 @@ from .criteria import KINDS, criterion_record
 from .data import DataError, SynthConfig, generate_2d_outlier, preprocess, shuffle_split
 from .harness import (
     DEFAULT_LEVELS,
-    DEFAULT_STEP_SIZES,
     ExperimentSpec,
     MethodGrid,
     aggregate_trials,
@@ -75,22 +74,16 @@ def _cmd_train(args) -> int:
     h0 = None if args.init is None else [float(v) for v in args.init.split(",")]
     init = build_initial_state(dataset, h0)
 
-    if args.iterations is not None:
-        config = OptConfig(
-            step_size=args.step_size,
-            iterations=args.iterations,
-            seed=args.seed,
-            checkpoint_every=args.checkpoint_every,
-        )
-        result = run_batch_gd(params, init, dataset, config)
-    else:
-        config = OptConfig(
-            step_size=args.step_size,
-            epochs=args.epochs,
-            batch_size=args.batch_size,
-            seed=args.seed,
-        )
-        result = run_minibatch_sgd(params, init, dataset, config)
+    gd = args.iterations is not None
+    config = OptConfig(
+        step_size=args.step_size,
+        iterations=args.iterations,
+        epochs=None if gd else args.epochs,
+        batch_size=None if gd else args.batch_size,
+        seed=args.seed,
+        checkpoint_every=args.checkpoint_every,
+    )
+    result = (run_batch_gd if gd else run_minibatch_sgd)(params, init, dataset, config)
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -109,22 +102,44 @@ def _cmd_train(args) -> int:
     return 0
 
 
-def _parse_floats(text, path, key):
-    """The numbers of a comma-separated config value; an empty item (as in
-    ``0.1,,0.2`` or ``0.5,``) or one that is not a number is a DataError."""
+def _floats(text):
+    """The numbers of a comma-separated value; an empty item (as in ``0.1,,0.2``
+    or ``0.5,``) is not a number."""
+    return tuple(float(item) for item in text.split(","))
+
+
+_FLOATS = "a comma-separated list of numbers with no empty item"
+
+
+def _parse(text, path, key, convert, what):
+    """``convert(text)``; a value it refuses is a DataError naming the file and key."""
     try:
-        return tuple(float(item) for item in text.split(","))
-    except ValueError:
-        raise DataError(f"config file {path!r}: {key} takes a comma-separated list of "
-                        f"numbers with no empty item, got {text!r}") from None
+        return convert(text)
+    except (KeyError, ValueError):
+        raise DataError(f"config file {path!r}: {key} takes {what}, got {text!r}") from None
 
 
-# the keys each config section takes; [methods] takes criterion kinds
-_CONFIG_KEYS = {
-    "data": ("path", "format", "label_col"),
-    "experiment": ("trials", "seed", "epochs", "batch_size", "lam", "step_sizes", "out"),
-    "methods": KINDS,
+# each key of [data] and [experiment]: the ExperimentSpec field it fills, how
+# its value is read and what it takes; an absent key leaves the field's default
+_FIELDS = {
+    "data": {
+        "path": ("data", str, "text"),
+        "format": ("data_format", str, "text"),
+        "label_col": ("label_col", str, "text"),
+    },
+    "experiment": {
+        "trials": ("trials", int, "an integer"),
+        "seed": ("seed", int, "an integer"),
+        "epochs": ("epochs", int, "an integer"),
+        "batch_size": ("batch_size", int, "an integer"),
+        "lam": ("lam", lambda text: None if text == "auto" else float(text), "auto or a number"),
+        "step_sizes": ("step_sizes", _floats, _FLOATS),
+        "out": ("out_dir", str, "text"),
+    },
 }
+# the keys each config section takes; [methods] takes criterion kinds
+_CONFIG_KEYS = {"data": tuple(_FIELDS["data"]), "experiment": tuple(_FIELDS["experiment"]),
+                "methods": KINDS}
 
 
 def _spec_from_config(path, out_override, seed_override) -> ExperimentSpec:
@@ -147,22 +162,21 @@ def _spec_from_config(path, out_override, seed_override) -> ExperimentSpec:
             if key not in _CONFIG_KEYS[name]:
                 raise DataError(f"config file {path!r} has an unknown key {key!r} in "
                                 f"[{name}] (known: {', '.join(_CONFIG_KEYS[name])})")
-    data_sec = sections.get("data", {})
-    if "path" not in data_sec:
+    values = {"out_dir": "results"}
+    for name, fields in _FIELDS.items():
+        for key, raw in sections.get(name, {}).items():
+            field, convert, what = fields[key]
+            values[field] = _parse(raw, path, f"[{name}] {key}", convert, what)
+    if "data" not in values:
         raise DataError(f"config file {path!r} has no [data] section with a path")
-    exp = sections.get("experiment", {})
     methods = []
     if "methods" in sections:
         for method, raw in sections["methods"].items():
+            key = f"[methods] {method}"
             if criterion_record(method).setting is not None:
-                settings = _parse_floats(raw, path, f"[methods] {method}")
-                methods.append(MethodGrid(method, settings))
-                continue
-            chosen = parser.BOOLEAN_STATES.get(raw.strip().lower())
-            if chosen is None:
-                raise DataError(f"config file {path!r}: [methods] {method} takes yes/no "
-                                f"(true/false, on/off, 1/0), got {raw!r}")
-            if chosen:
+                methods.append(MethodGrid(method, _parse(raw, path, key, _floats, _FLOATS)))
+            elif _parse(raw, path, key, lambda text: parser.BOOLEAN_STATES[text.lower()],
+                        "yes/no (true/false, on/off, 1/0)"):
                 methods.append(MethodGrid(method))
     else:
         methods = [
@@ -171,23 +185,11 @@ def _spec_from_config(path, out_override, seed_override) -> ExperimentSpec:
             MethodGrid("cvar", DEFAULT_LEVELS),
             MethodGrid("chisq_dro", DEFAULT_LEVELS),
         ]
-    lam_raw = exp.get("lam", "auto")
-    steps = exp.get("step_sizes")
-    out_dir = out_override or exp.get("out", "results")
-    return ExperimentSpec(
-        data=data_sec["path"],
-        data_format=data_sec.get("format", "csv"),
-        label_col=data_sec.get("label_col", None),
-        methods=methods,
-        out_dir=str(out_dir),
-        step_sizes=(DEFAULT_STEP_SIZES if steps is None
-                    else _parse_floats(steps, path, "[experiment] step_sizes")),
-        epochs=int(exp.get("epochs", 30)),
-        batch_size=int(exp.get("batch_size", 32)),
-        trials=int(exp.get("trials", 5)),
-        seed=seed_override if seed_override is not None else int(exp.get("seed", 0)),
-        lam=None if lam_raw == "auto" else float(lam_raw),
-    )
+    if out_override:
+        values["out_dir"] = out_override
+    if seed_override is not None:
+        values["seed"] = seed_override
+    return ExperimentSpec(methods=methods, **values)
 
 
 def _cmd_experiment(args) -> int:

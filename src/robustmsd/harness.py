@@ -37,8 +37,7 @@ from .optimizer import (
     OptConfig,
     TrajectoryRecord,
     check_step_size,
-    initial_joint_state,
-    run_stacked_sgd,
+    train,
 )
 
 __all__ = [
@@ -204,17 +203,17 @@ def default_lam(n_train: int) -> float:
 @np.errstate(over="ignore", invalid="ignore")  # JointState rejects a non-finite a or b
 def build_initial_state(dataset: Dataset, h0: Optional[np.ndarray] = None) -> JointState:
     """Zero weights, or ``h0``'s K x (d + 1) values (flat or shaped; K = 1 for binary
-    data), with (a, b) seeded from the initial train losses."""
+    data), with a = the mean and b = max(sd, 1e-2) of the initial train losses."""
     shape = (1 if dataset.n_classes == 2 else dataset.n_classes, dataset.n_features + 1)
-    h0 = np.zeros(shape) if h0 is None else np.asarray(h0, dtype=float)
+    h0 = np.zeros(shape) if h0 is None else np.array(h0, dtype=float)
     if h0.size != shape[0] * shape[1]:
         raise ValueError(f"initial weights need {shape[0]} x {shape[1]} values, got {h0.size}")
     h0 = h0.reshape(shape)
-    train = dataset.split_indices("train")
-    values = loss_values(
-        LinearModel(weights=h0), dataset.features[train], dataset.labels[train]
-    )
-    return initial_joint_state(h0, values)
+    idx = dataset.split_indices("train")
+    if idx.size == 0:
+        raise ValueError("dataset has no training examples")
+    values = loss_values(LinearModel(weights=h0), dataset.features[idx], dataset.labels[idx])
+    return JointState(h=h0, a=float(np.mean(values)), b=max(float(np.std(values)), 1e-2))
 
 
 _MEAN_SD, _MEAN_LOSS = METRIC_FIELDS.index("mean_sd"), METRIC_FIELDS.index("mean_loss")
@@ -248,7 +247,7 @@ def load_dataset(ref: str, fmt: str = "csv", label_col: Optional[str] = None) ->
 def run_experiment(spec: ExperimentSpec, dataset: Optional[Dataset] = None) -> dict:
     """Execute the full sweep and return (and write) the manifest.
 
-    Each trial trains all its runs together in one ``run_stacked_sgd`` call,
+    Each trial trains all its runs together in one ``train`` call,
     and each finished run's CSV is written straight from its block of the
     stacked metrics array, with the bytes ``write_trajectory_csv`` would
     write for its records.  Diverged runs are flagged and excluded from
@@ -296,7 +295,7 @@ def run_experiment(spec: ExperimentSpec, dataset: Optional[Dataset] = None) -> d
             for _, _, params in criteria
             for step in spec.step_sizes
         ]
-        trained = run_stacked_sgd(runs, build_initial_state(ds), ds)
+        trained = train(runs, build_initial_state(ds), ds)
         names = trained.split_names
         trial_entry = {"trial": trial, "split_seed": split_seed, "runs": [], "selected": []}
         run_index = iter(range(len(runs)))

@@ -6,23 +6,24 @@ Lipschitz near b = 0).  CVaR and the divergence-ball dual update (h, a);
 the plain mean updates h alone.  A single shared step size is used for all
 blocks, so comparisons across criteria stay fair.
 
-Shuffling uses numpy's PCG64 generator; the algorithm identifier is recorded
-in every RunResult so trajectories can be reproduced bit-for-bit.
+Shuffling uses numpy's PCG64 generator (``RNG_ALGORITHM``, which the
+sweep's manifest records), so trajectories can be reproduced bit-for-bit.
 
-One loop (``_train``) trains any number of runs: runs that share the data,
-the initial state and the schedule see the same batches,
-so their weights are stacked as one (R, K, d) array and each step is one
-array program over all of them.  Its schedule, full-batch for GD
-(``run_batch_gd``) or mini-batch for SGD (``run_stacked_sgd``), binds each
-batch for scoring once.  A lone run (R = 1) keeps (K, d) weights and float
-a, b and step size, which the kernels take as they are: its time is mostly
-per-step overhead, and as (1,) arrays a planar step costs ~90% more (~41
-against ~77 us for the joint criterion).  Per-run results are bitwise
-those of training each run alone.
+One entry point (``train``) trains any number of runs whose configs agree
+on all but the step size: they see the same batches, so their weights are
+stacked as one (R, K, d) array and each step is one array program over all
+of them.  The shared config picks the schedule, full-batch GD when it sets
+``iterations`` and mini-batch SGD otherwise, which binds each batch for
+scoring once.  ``run_batch_gd`` and ``run_minibatch_sgd`` train one run.
+A lone run (R = 1) keeps (K, d) weights and float a, b and step size,
+which the kernels take as they are: its time is mostly per-step overhead,
+and as (1,) arrays a planar step costs ~90% more (~41 against ~77 us for
+the joint criterion).  Per-run results are bitwise those of training each
+run alone.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -47,10 +48,9 @@ __all__ = [
     "TrajectoryRecord",
     "RunResult",
     "StackedRuns",
-    "initial_joint_state",
+    "train",
     "run_batch_gd",
     "run_minibatch_sgd",
-    "run_stacked_sgd",
 ]
 
 RNG_ALGORITHM = "pcg64"
@@ -99,10 +99,6 @@ class OptConfig:
         if self.checkpoint_every < 1:
             raise ValueError("checkpoint_every must be positive")
 
-    @property
-    def mode(self) -> str:
-        return "batch" if self.iterations is not None else "sgd"
-
 
 # TrajectoryRecord fields after (checkpoint, split), in order
 METRIC_FIELDS = ("mean_sd", "mean_loss", "error_rate", "model_norm", "objective", "a", "b")
@@ -128,19 +124,6 @@ class TrajectoryRecord:
 class RunResult:
     final_state: JointState
     trajectory: List[TrajectoryRecord]
-    rng_algorithm: str = RNG_ALGORITHM
-
-
-def initial_joint_state(h0, initial_losses) -> JointState:
-    """Build the starting (h, a, b): a = mean loss at h0, b = max(sd, 1e-2)."""
-    values = np.asarray(initial_losses, dtype=float)
-    if values.size == 0:
-        raise ValueError("initial_joint_state requires at least one loss")
-    return JointState(
-        h=np.asarray(h0, dtype=float).copy(),
-        a=float(np.mean(values)),
-        b=max(float(np.std(values)), 1e-2),
-    )
 
 
 def _norms(H: np.ndarray) -> np.ndarray:
@@ -368,23 +351,31 @@ def _minibatches(config: OptConfig, train, bind):
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def _train(runs, init: JointState, dataset: Dataset, schedule) -> StackedRuns:
-    """The training loop: every (criterion, config) run, stepped together.
+def train(
+    runs: Sequence[Tuple[CriterionParams, OptConfig]], init: JointState, dataset: Dataset
+) -> StackedRuns:
+    """Train every (criterion, config) run together, stepped in lockstep.
 
-    ``schedule`` (``_full_batch`` or ``_minibatches``) reads the first
-    config; the configs agree on all but the step size.  A run that trips
-    the divergence guard stops there and carries its message, its only
-    report (numpy's overflow and invalid-value warnings are off in here);
-    the others go on.
+    The configs must agree on every field but the step size; their
+    ``iterations`` picks full-batch GD, their ``epochs`` and ``batch_size``
+    mini-batch SGD.  A run that trips the divergence guard stops there and
+    carries the message a lone run would raise, its only report (numpy's
+    overflow and invalid-value warnings are off in here); the others go on.
     """
+    if not runs:
+        raise ValueError("no runs to train")
     criteria, configs = zip(*runs)
-    bind, train, splits = _bind_run(init.h, dataset)
+    first = configs[0]
+    if any(replace(c, step_size=first.step_size) != first for c in configs[1:]):
+        raise ValueError("stacked runs must share every config field but the step size")
+    schedule = _full_batch if first.iterations is not None else _minibatches
+    bind, train_idx, splits = _bind_run(init.h, dataset)
     live = _LiveRuns(criteria, configs, init)
     model = LinearModel(weights=live.h, includes_bias=False)
     errors: List[Optional[str]] = [None] * len(runs)
     checkpoints, metrics = [], []
     shape = (len(splits), len(runs), len(METRIC_FIELDS))
-    for batch, where, checkpoint in schedule(configs[0], train, bind):
+    for batch, where, checkpoint in schedule(first, train_idx, bind):
         model.weights = live.h
         losses = loss_batch(model, batch)
         value, grad_h, grad_a, grad_b = live.stack.objective(
@@ -427,37 +418,18 @@ def run_batch_gd(
     iteration, each recording full-split metrics.  Deterministic given the
     inputs; raises DivergenceError if the run trips the divergence guard.
     """
-    if config.mode != "batch":
+    if config.iterations is None:
         raise ValueError("run_batch_gd requires a batch-mode OptConfig")
-    return _train([(criterion, config)], init, dataset, _full_batch).result(0)
-
-
-def run_stacked_sgd(
-    runs: Sequence[Tuple[CriterionParams, OptConfig]],
-    init: JointState,
-    dataset: Dataset,
-) -> StackedRuns:
-    """Mini-batch SGD of several (criterion, config) runs trained together.
-
-    The configs must agree on everything but the step size.  A run that
-    trips the divergence guard stops there and carries the message a lone
-    run would raise; the others go on.
-    """
-    if not runs:
-        raise ValueError("no runs to train")
-    configs = [config for _, config in runs]
-    if any(c.mode != "sgd" for c in configs):
-        raise ValueError("run_minibatch_sgd requires an sgd-mode OptConfig")
-    if len({(c.epochs, c.batch_size, c.seed) for c in configs}) > 1:
-        raise ValueError("stacked runs must share epochs, batch_size and seed")
-    return _train(runs, init, dataset, _minibatches)
+    return train([(criterion, config)], init, dataset).result(0)
 
 
 def run_minibatch_sgd(
     criterion: CriterionParams, init: JointState, dataset: Dataset, config: OptConfig
 ) -> RunResult:
-    """Mini-batch SGD of one run: ``run_stacked_sgd`` with a single row.
+    """Mini-batch SGD of one run: ``train`` with a single row.
 
     Raises DivergenceError if the run trips the divergence guard.
     """
-    return run_stacked_sgd([(criterion, config)], init, dataset).result(0)
+    if config.iterations is not None:
+        raise ValueError("run_minibatch_sgd requires an sgd-mode OptConfig")
+    return train([(criterion, config)], init, dataset).result(0)

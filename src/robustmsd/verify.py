@@ -40,7 +40,10 @@ __all__ = [
 
 PROB_TOL = 1e-12
 THRESHOLD_BLOCK = 65536  # losses per Newton row block (512 KiB per buffer)
-NEWTON_CAP = 200  # only a broken iteration gets here: the slowest rows tested take ~40
+# A Newton point outside the bracket is replaced by its midpoint, and 545
+# halvings take the widest admitted bracket, (1e150 + 2) b, below the 1e-14 b
+# stop; the widest rows tested take ~500 steps, verify's rows three
+NEWTON_CAP = 600
 
 
 @dataclass(frozen=True)
@@ -304,7 +307,8 @@ def _solve_thresholds(X: np.ndarray, b: float, alpha: float, lam: float) -> np.n
             g = lam * np.mean(tl, axis=1) - alpha
             np.multiply(rl, rl, out=tl)
             np.multiply(tl, rl, out=tl)  # rho''(t) = (1 + t^2)^(-3/2)
-            with np.errstate(divide="ignore", invalid="ignore"):
+            # rho'' underflows far from the root: an infinite step is outside
+            with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
                 step = g / ((lam / b) * np.mean(tl, axis=1))  # -g/g'
             tol = 1e-14 * (b + np.abs(a))
             small = np.abs(step) <= tol

@@ -315,6 +315,10 @@ def test_experiment_malformed_config_exits_1(tmp_path, capsys, text):
         ("[experiment]\nstep_sizes = 0.1, y\n", ("step_sizes", "'0.1, y'")),
         ("[methods]\ncvar = 0.5,\n", ("[methods] cvar", "'0.5,'")),
         ("[methods]\nsunhuber = 0.9,,0.5\n", ("sunhuber", "'0.9,,0.5'")),
+        ("[experiment]\nepochs = 2.5\n", ("[experiment] epochs", "'2.5'")),
+        ("[experiment]\nseed = 1.5\n", ("[experiment] seed", "'1.5'")),
+        ("[experiment]\ntrials = x\n", ("[experiment] trials", "'x'")),
+        ("[experiment]\nlam = abc\n", ("[experiment] lam", "'abc'")),
     ],
 )
 def test_config_error_names_the_key_section_or_value(tmp_path, text, named):

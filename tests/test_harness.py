@@ -410,7 +410,7 @@ def run_keeping_stacks(monkeypatch, spec, dataset):
     some of its metrics to 1e-17 and -0.0.  A run's model_norm, a and b stay
     one value per checkpoint across splits, as training leaves them."""
     stacks = []
-    train = harness.run_stacked_sgd
+    train = harness.train
 
     def spy(runs, init, ds):
         trained = train(runs, init, ds)
@@ -425,7 +425,7 @@ def run_keeping_stacks(monkeypatch, spec, dataset):
         stacks.append(trained)
         return trained
 
-    monkeypatch.setattr(harness, "run_stacked_sgd", spy)
+    monkeypatch.setattr(harness, "train", spy)
     return run_experiment(spec, dataset), stacks
 
 
@@ -468,7 +468,7 @@ def test_sweep_files_are_the_csv_writer_bytes_of_each_run(tmp_path, monkeypatch,
 
 @pytest.mark.parametrize("split", ["val", "test"])
 def test_run_experiment_names_a_missing_final_split(tmp_path, monkeypatch, split):
-    train = harness.run_stacked_sgd
+    train = harness.train
 
     def without_split(runs, init, ds):
         trained = train(runs, init, ds)
@@ -478,7 +478,7 @@ def test_run_experiment_names_a_missing_final_split(tmp_path, monkeypatch, split
             metrics=trained.metrics[:, keep],
         )
 
-    monkeypatch.setattr(harness, "run_stacked_sgd", without_split)
+    monkeypatch.setattr(harness, "train", without_split)
     with pytest.raises(ValueError, match=f"no final-checkpoint record for split '{split}'"):
         run_experiment(small_spec(tmp_path / "exp", trials=1), load_tabular(BUNDLED))
 

@@ -1,10 +1,11 @@
-"""Stacked SGD: many runs trained together equal each run trained alone.
+"""Stacked training: many runs trained together equal each run trained alone.
 
-``run_stacked_sgd`` trains a grid of (criterion, step size) runs as one
-array program.  Every run must carry the bits it has when trained alone
-(``run_minibatch_sgd``, the one-run case), diverged runs must carry the
-message a lone run raises, and each criterion's block kernel must equal
-its single-run objective row by row.
+``train`` trains a grid of (criterion, step size) runs as one array
+program, by mini-batch SGD or full-batch GD.  Every run must carry the
+bits it has when trained alone (``run_minibatch_sgd`` or ``run_batch_gd``,
+the one-run cases), diverged runs must carry the message a lone run
+raises, and each criterion's block kernel must equal its single-run
+objective row by row.
 """
 
 from pathlib import Path
@@ -22,7 +23,14 @@ from robustmsd.criteria import (
     criterion_value,
     evaluate_objective,
 )
-from robustmsd.data import Dataset, load_tabular, preprocess, shuffle_split
+from robustmsd.data import (
+    Dataset,
+    SynthConfig,
+    generate_2d_outlier,
+    load_tabular,
+    preprocess,
+    shuffle_split,
+)
 from robustmsd.harness import (
     DEFAULT_LEVELS,
     DEFAULT_STEP_SIZES,
@@ -35,8 +43,9 @@ from robustmsd.model import LossBatch
 from robustmsd.optimizer import (
     DivergenceError,
     OptConfig,
+    run_batch_gd,
     run_minibatch_sgd,
-    run_stacked_sgd,
+    train,
 )
 
 BUNDLED = Path(__file__).resolve().parents[1] / "src/robustmsd/datasets/credit690.csv"
@@ -109,7 +118,7 @@ def test_sixty_runs_equal_each_run_alone(credit):
     runs = grid_runs(credit, DEFAULT_STEP_SIZES, epochs=4, batch_size=32, seed=1)
     assert len(runs) == 60
     init = build_initial_state(credit)
-    stacked = run_stacked_sgd(runs, init, credit)
+    stacked = train(runs, init, credit)
     assert stacked.errors == [None] * 60
     for i, (params, config) in enumerate(runs):
         assert_same_run(stacked.result(i), run_minibatch_sgd(params, init, credit, config))
@@ -118,7 +127,7 @@ def test_sixty_runs_equal_each_run_alone(credit):
 def test_three_class_stack_equals_each_run_alone(three_class):
     runs = grid_runs(three_class, (0.01, 0.05), epochs=3, batch_size=16, seed=2)
     init = build_initial_state(three_class)
-    stacked = run_stacked_sgd(runs, init, three_class)
+    stacked = train(runs, init, three_class)
     for i, (params, config) in enumerate(runs):
         assert_same_run(
             stacked.result(i), run_minibatch_sgd(params, init, three_class, config)
@@ -134,7 +143,7 @@ def test_diverging_step_leaves_the_others_unchanged(credit, tmp_path):
     for batch_size, steps in ((32, (0.01, 1e14, 0.1)), (552, (0.1, 1e11, 1e300))):
         runs = grid_runs(credit, steps, epochs=3, batch_size=batch_size, seed=5)
         init = build_initial_state(credit)
-        stacked = run_stacked_sgd(runs, init, credit)
+        stacked = train(runs, init, credit)
         assert any(e is not None for e in stacked.errors)
         assert any(e is None for e in stacked.errors)
         for i, (params, config) in enumerate(runs):
@@ -153,23 +162,44 @@ def test_diverging_step_leaves_the_others_unchanged(credit, tmp_path):
             ).read_bytes()
 
 
+def test_planar_gd_stack_equals_each_run_alone():
+    planar = generate_2d_outlier(SynthConfig(n=100, seed=0))
+    n = int(planar.split_indices("train").size)
+    lam = default_lam(n)
+    criteria = [
+        make_criterion(kind, setting, n, lam)
+        for kind, setting in (("sunhuber", 0.9), ("erm", None), ("cvar", 0.5), ("chisq_dro", 0.5))
+    ]
+    runs = [
+        (params, OptConfig(step_size=step, iterations=300, checkpoint_every=100))
+        for params in criteria
+        for step in (0.01, 0.1)
+    ]
+    init = build_initial_state(planar)
+    stacked = train(runs, init, planar)
+    assert stacked.errors == [None] * 8
+    assert stacked.checkpoints == (100, 200, 300)
+    for i, (params, config) in enumerate(runs):
+        assert_same_run(stacked.result(i), run_batch_gd(params, init, planar, config))
+
+
 def test_stacked_runs_must_share_all_but_the_step_size(credit):
     init = build_initial_state(credit)
     erm = CriterionParams("erm")
-    base = dict(epochs=2, batch_size=32, seed=0)
-    with pytest.raises(ValueError, match="share"):
-        run_stacked_sgd(
-            [
-                (erm, OptConfig(step_size=0.1, **base)),
-                (erm, OptConfig(step_size=0.1, **{**base, "seed": 1})),
-            ],
-            init,
-            credit,
-        )
-    with pytest.raises(ValueError, match="sgd-mode"):
-        run_stacked_sgd([(erm, OptConfig(step_size=0.1, iterations=3))], init, credit)
+    sgd, gd = dict(epochs=2, batch_size=32, seed=0), dict(iterations=3)
+    for first, second in (
+        (sgd, {**sgd, "seed": 1}),
+        (sgd, {**sgd, "checkpoint_every": 5}),
+        (gd, {**gd, "seed": 1}),
+        (gd, {**gd, "checkpoint_every": 5}),
+        (gd, {"iterations": 4}),
+        (gd, sgd),
+    ):
+        runs = [(erm, OptConfig(step_size=0.1, **first)), (erm, OptConfig(step_size=0.2, **second))]
+        with pytest.raises(ValueError, match="share"):
+            train(runs, init, credit)
     with pytest.raises(ValueError, match="no runs"):
-        run_stacked_sgd([], init, credit)
+        train([], init, credit)
 
 
 # ------------------------------------------------ block kernels vs scalar

@@ -168,7 +168,7 @@ def ref_run(params, init, dataset, config):
         if params.kind == "sunhuber":
             b = max(b - config.step_size * grad_b, B_FLOOR)
 
-    if config.mode == "batch":
+    if config.iterations is not None:
         for t in range(1, config.iterations + 1):
             step(train)
             if t % config.checkpoint_every == 0 or t == config.iterations:
@@ -194,7 +194,7 @@ def run_both(kind, dataset, config):
     n_train = int(dataset.split_indices("train").size)
     params = criterion_for(kind, n_train)
     init = build_initial_state(dataset)
-    run = run_batch_gd if config.mode == "batch" else run_minibatch_sgd
+    run = run_batch_gd if config.iterations is not None else run_minibatch_sgd
     result = run(params, init, dataset, config)
     got_rows = [
         (r.checkpoint, r.split, r.mean_sd, r.mean_loss, r.error_rate,

@@ -380,6 +380,20 @@ def test_threshold_step_cap_raises(monkeypatch):
         _solve_thresholds(X, 0.5, 0.0, 1.0)
 
 
+@pytest.mark.parametrize("spread", [1e58, 1e60, 1e100, 1e149])
+def test_thresholds_of_rows_near_the_spread_limit_converge_unwarned(spread):
+    # far from the root rho'' underflows, so each Newton point leaves the
+    # bracket and the step halves it: ~3.3 steps per decade of spread
+    X = np.zeros((2, 4))
+    X[0, 3] = spread
+    X[1, 0] = -spread
+    for alpha in (0.0, 0.3):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            roots = _solve_thresholds(X, 1.0, alpha, 1.0)
+        assert_matches_reference(roots, X, 1.0, alpha, 1.0)
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_thresholds_reject_non_finite_rows(bad):
     X = np.zeros((9, 4))
