@@ -75,14 +75,10 @@ def _cmd_train(args) -> int:
     init = build_initial_state(dataset, h0)
 
     gd = args.iterations is not None
-    config = OptConfig(
-        step_size=args.step_size,
-        iterations=args.iterations,
-        epochs=None if gd else args.epochs,
-        batch_size=None if gd else args.batch_size,
-        seed=args.seed,
-        checkpoint_every=args.checkpoint_every,
-    )
+    # SGD checkpoints at each epoch's end, so --checkpoint-every is GD's alone
+    schedule = (dict(iterations=args.iterations, checkpoint_every=args.checkpoint_every) if gd
+                else dict(epochs=args.epochs, batch_size=args.batch_size))
+    config = OptConfig(step_size=args.step_size, seed=args.seed, **schedule)
     result = (run_batch_gd if gd else run_minibatch_sgd)(params, init, dataset, config)
 
     out = Path(args.out)
@@ -119,27 +115,20 @@ def _parse(text, path, key, convert, what):
         raise DataError(f"config file {path!r}: {key} takes {what}, got {text!r}") from None
 
 
-# each key of [data] and [experiment]: the ExperimentSpec field it fills, how
-# its value is read and what it takes; an absent key leaves the field's default
-_FIELDS = {
-    "data": {
-        "path": ("data", str, "text"),
-        "format": ("data_format", str, "text"),
-        "label_col": ("label_col", str, "text"),
-    },
-    "experiment": {
-        "trials": ("trials", int, "an integer"),
-        "seed": ("seed", int, "an integer"),
-        "epochs": ("epochs", int, "an integer"),
-        "batch_size": ("batch_size", int, "an integer"),
-        "lam": ("lam", lambda text: None if text == "auto" else float(text), "auto or a number"),
-        "step_sizes": ("step_sizes", _floats, _FLOATS),
-        "out": ("out_dir", str, "text"),
-    },
+# each [experiment] key that is not text: the ExperimentSpec field it fills,
+# how its value is read and what it takes; an absent key leaves the default
+_NUMBERS = {
+    "trials": ("trials", int, "an integer"),
+    "seed": ("seed", int, "an integer"),
+    "epochs": ("epochs", int, "an integer"),
+    "batch_size": ("batch_size", int, "an integer"),
+    "lam": ("lam", lambda text: None if text == "auto" else float(text), "auto or a number"),
+    "step_sizes": ("step_sizes", _floats, _FLOATS),
 }
+# the ExperimentSpec field of each [data] key
+_DATA = {"path": "data", "format": "data_format", "label_col": "label_col"}
 # the keys each config section takes; [methods] takes criterion kinds
-_CONFIG_KEYS = {"data": tuple(_FIELDS["data"]), "experiment": tuple(_FIELDS["experiment"]),
-                "methods": KINDS}
+_CONFIG_KEYS = {"data": tuple(_DATA), "experiment": (*_NUMBERS, "out"), "methods": KINDS}
 
 
 def _spec_from_config(path, out_override, seed_override) -> ExperimentSpec:
@@ -162,11 +151,12 @@ def _spec_from_config(path, out_override, seed_override) -> ExperimentSpec:
             if key not in _CONFIG_KEYS[name]:
                 raise DataError(f"config file {path!r} has an unknown key {key!r} in "
                                 f"[{name}] (known: {', '.join(_CONFIG_KEYS[name])})")
-    values = {"out_dir": "results"}
-    for name, fields in _FIELDS.items():
-        for key, raw in sections.get(name, {}).items():
-            field, convert, what = fields[key]
-            values[field] = _parse(raw, path, f"[{name}] {key}", convert, what)
+    values = {_DATA[key]: raw for key, raw in sections.get("data", {}).items()}
+    experiment = dict(sections.get("experiment", {}))
+    values["out_dir"] = experiment.pop("out", "results")
+    for key, raw in experiment.items():
+        field, convert, what = _NUMBERS[key]
+        values[field] = _parse(raw, path, f"[experiment] {key}", convert, what)
     if "data" not in values:
         raise DataError(f"config file {path!r} has no [data] section with a path")
     methods = []

@@ -40,8 +40,8 @@ __all__ = [
 
 PROB_TOL = 1e-12
 THRESHOLD_BLOCK = 65536  # losses per Newton row block (512 KiB per buffer)
-# A Newton point outside the bracket is replaced by its midpoint, and 545
-# halvings take the widest admitted bracket, (1e150 + 2) b, below the 1e-14 b
+# A Newton point outside the bracket is replaced by its midpoint, and 549
+# halvings take the widest admitted bracket, (1e150 + 2) b, below the 1e-15 b
 # stop; the widest rows tested take ~500 steps, verify's rows three
 NEWTON_CAP = 600
 
@@ -270,8 +270,10 @@ def _solve_thresholds(X: np.ndarray, b: float, alpha: float, lam: float) -> np.n
     ``THRESHOLD_BLOCK // n`` (at least one) that share two buffers of that
     size, by Newton steps from the row's mean with that bracket as a
     safeguard.  With tol = 1e-14*(b + |a|), a row retires when its step is at
-    most tol (root a + step), or when g(a) == 0 or its bracket is at most tol
-    wide (root a; this stops a row whose g is flat to rounding).  The stop is
+    most tol (root a + step), or when g(a) == 0 or its bracket is at most
+    tol/10 wide (root a; this stops a row whose g is flat to rounding, such
+    as one far wider than b whose g steps across zero between two floats,
+    within 1e-15*(b + |a|) of the sign change).  The stop is
     tested first, so a sub-ulp step landing on a bracket end still stops;
     otherwise the bracket end on the iterate's side moves to it, and a Newton
     point outside the bracket is replaced by the midpoint.  Running rows are
@@ -312,7 +314,7 @@ def _solve_thresholds(X: np.ndarray, b: float, alpha: float, lam: float) -> np.n
                 step = g / ((lam / b) * np.mean(tl, axis=1))  # -g/g'
             tol = 1e-14 * (b + np.abs(a))
             small = np.abs(step) <= tol
-            done = small | (g == 0.0) | (hi - lo <= tol)
+            done = small | (g == 0.0) | (hi - lo <= 0.1 * tol)
             roots[live[done]] = np.where(small, a + step, a)[done]
             keep = ~done
             if not keep.any():

@@ -350,7 +350,7 @@ def test_thresholds_need_no_bracket_widening():
 
 
 def test_threshold_edge_cases_stay_well_under_the_step_cap(monkeypatch):
-    monkeypatch.setattr(verify, "NEWTON_CAP", verify.NEWTON_CAP // 4)
+    monkeypatch.setattr(verify, "NEWTON_CAP", 50)
     b, lam = 0.5, 1.0
     near_edge = lam / math.sqrt(2.0) * (1.0 - 1e-9)
     rng = np.random.Generator(np.random.PCG64(7))
@@ -383,11 +383,13 @@ def test_threshold_step_cap_raises(monkeypatch):
 @pytest.mark.parametrize("spread", [1e58, 1e60, 1e100, 1e149])
 def test_thresholds_of_rows_near_the_spread_limit_converge_unwarned(spread):
     # far from the root rho'' underflows, so each Newton point leaves the
-    # bracket and the step halves it: ~3.3 steps per decade of spread
+    # bracket and the step halves it: ~3.3 steps per decade of spread; at
+    # alpha 0.7 and at the edge, row 1's root lies within b of -spread, where
+    # g steps across zero between two floats and only the bracket stop ends it
     X = np.zeros((2, 4))
     X[0, 3] = spread
     X[1, 0] = -spread
-    for alpha in (0.0, 0.3):
+    for alpha in (0.0, 0.3, 0.7, 1.0 / math.sqrt(2.0) * (1.0 - 1e-9)):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             roots = _solve_thresholds(X, 1.0, alpha, 1.0)
