@@ -179,7 +179,10 @@ def _spec_from_config(path, out_override, seed_override) -> ExperimentSpec:
         values["out_dir"] = out_override
     if seed_override is not None:
         values["seed"] = seed_override
-    return ExperimentSpec(methods=methods, **values)
+    try:
+        return ExperimentSpec(methods=methods, **values)
+    except ValueError as err:  # an out-of-range value; the text names its field
+        raise DataError(f"config file {path!r}: {err}") from None
 
 
 def _cmd_experiment(args) -> int:

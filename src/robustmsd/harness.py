@@ -13,7 +13,7 @@ import csv
 import json
 import math
 import operator
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 from typing import List, Optional, Sequence, Tuple
 
@@ -217,13 +217,8 @@ def build_initial_state(dataset: Dataset, h0: Optional[np.ndarray] = None) -> Jo
 
 
 _MEAN_SD, _MEAN_LOSS = METRIC_FIELDS.index("mean_sd"), METRIC_FIELDS.index("mean_loss")
-
-
-def _final_row(last: List[list], split_names, split: str) -> list:
-    """The metrics of ``split`` in a run's last-checkpoint block."""
-    if split not in split_names:
-        raise ValueError(f"no final-checkpoint record for split {split!r}")
-    return last[split_names.index(split)]
+# the fields a setting's selection copies from its chosen run
+_PICKED = ("step_size", "file", "final_test_mean_sd")
 
 
 def load_dataset(ref: str, fmt: str = "csv", label_col: Optional[str] = None) -> Dataset:
@@ -247,93 +242,65 @@ def load_dataset(ref: str, fmt: str = "csv", label_col: Optional[str] = None) ->
 def run_experiment(spec: ExperimentSpec, dataset: Optional[Dataset] = None) -> dict:
     """Execute the full sweep and return (and write) the manifest.
 
-    Each trial trains all its runs together in one ``train`` call,
-    and each finished run's CSV is written straight from its block of the
-    stacked metrics array, with the bytes ``write_trajectory_csv`` would
-    write for its records.  Diverged runs are flagged and excluded from
-    step-size selection; a criterion with no surviving run is recorded with
-    a null selection.
+    Each trial trains all its runs together in one ``train`` call.  Run
+    ``i = k*S + j`` is criterion setting ``k`` under step size ``j`` (S step
+    sizes): criterion-major, as the stack's blocks are stretches of rows of
+    one kind.  Each finished run's CSV is written straight from its block
+    of the stacked metrics array, with the bytes ``write_trajectory_csv``
+    would write for its records.  Diverged runs are flagged and excluded
+    from step-size selection; a setting with no surviving run is recorded
+    with a null selection.
     """
     out = Path(spec.out_dir)
-    runs_dir = out / "runs"
     if dataset is None:
         dataset = load_dataset(spec.data, spec.data_format, spec.label_col)
-
-    spec_echo = asdict(spec)
-    spec_echo["methods"] = [
-        {"method": g.method, "settings": list(g.settings)} for g in spec.methods
-    ]
-    spec_echo["step_sizes"] = list(spec.step_sizes)
-    manifest = {
-        "rng_algorithm": RNG_ALGORITHM,
-        "spec": spec_echo,
-        "trials": [],
-    }
+    manifest = {"rng_algorithm": RNG_ALGORITHM, "spec": asdict(spec), "trials": []}
+    n_steps = len(spec.step_sizes)
+    settings = [(grid.method, setting) for grid in spec.methods for setting in grid.expanded()]
 
     for trial in range(spec.trials):
         split_seed = spec.seed + trial
         ds = preprocess(shuffle_split(dataset, split_seed))
         n_train = int(ds.split_indices("train").size)
         lam = spec.lam if spec.lam is not None else default_lam(n_train)
-        criteria = [
-            (grid.method, setting, make_criterion(grid.method, setting, n_train, lam))
-            for grid in spec.methods
-            for setting in grid.expanded()
-        ]
         # every method and setting is checked before anything is written
-        runs_dir.mkdir(parents=True, exist_ok=True)
-        runs = [
-            (
-                params,
-                OptConfig(
-                    step_size=step,
-                    epochs=spec.epochs,
-                    batch_size=spec.batch_size,
-                    seed=split_seed,
-                ),
-            )
-            for _, _, params in criteria
-            for step in spec.step_sizes
-        ]
+        criteria = [make_criterion(method, setting, n_train, lam) for method, setting in settings]
+        config = OptConfig(step_size=spec.step_sizes[0], epochs=spec.epochs,
+                           batch_size=spec.batch_size, seed=split_seed)
+        runs = [(params, replace(config, step_size=step))
+                for params in criteria for step in spec.step_sizes]
         trained = train(runs, build_initial_state(ds), ds)
         names = trained.split_names
-        trial_entry = {"trial": trial, "split_seed": split_seed, "runs": [], "selected": []}
-        run_index = iter(range(len(runs)))
-        for method, setting, params in criteria:
-            best = None
-            for step in spec.step_sizes:
-                i = next(run_index)
-                run_entry = {"method": method, "setting": setting, "step_size": step}
-                trial_entry["runs"].append(run_entry)
-                if trained.errors[i] is not None:
-                    run_entry["status"] = "diverged"
-                    run_entry["error"] = trained.errors[i]
-                    continue
-                block = trained.metrics[:, :, i]
-                fname = f"trial{trial}_{params.label()}_step={step:g}.csv"
-                _write_lines(runs_dir / fname, _trajectory_lines(trained.checkpoints, names, block))
-                last = block[-1].tolist()
-                val_loss = _final_row(last, names, "val")[_MEAN_LOSS]
-                run_entry.update(
-                    {
-                        "status": "ok",
-                        "file": f"runs/{fname}",
-                        "final_val_mean_loss": val_loss,
-                        "final_test_mean_sd": _final_row(last, names, "test")[_MEAN_SD],
-                    }
-                )
-                if best is None or val_loss < best["final_val_mean_loss"]:
-                    best = run_entry
-            selection = {
-                "method": method,
-                "setting": setting,
-                "step_size": best["step_size"] if best else None,
-                "file": best["file"] if best else None,
-                "final_test_mean_sd": best["final_test_mean_sd"] if best else None,
-                "all_diverged": best is None,
-            }
-            trial_entry["selected"].append(selection)
-        manifest["trials"].append(trial_entry)
+        for split in ("val", "test"):
+            if split not in names:
+                raise ValueError(f"no final-checkpoint record for split {split!r}")
+        val, test = names.index("val"), names.index("test")
+        (out / "runs").mkdir(parents=True, exist_ok=True)
+        entries = []
+        for i, (params, opt) in enumerate(runs):
+            method, setting = settings[i // n_steps]
+            entry = {"method": method, "setting": setting, "step_size": opt.step_size}
+            entries.append(entry)
+            if trained.errors[i] is not None:
+                entry.update(status="diverged", error=trained.errors[i])
+                continue
+            block = trained.metrics[:, :, i]
+            fname = f"runs/trial{trial}_{params.label()}_step={opt.step_size:g}.csv"
+            _write_lines(out / fname, _trajectory_lines(trained.checkpoints, names, block))
+            last = block[-1].tolist()
+            entry.update(status="ok", file=fname, final_val_mean_loss=last[val][_MEAN_LOSS],
+                         final_test_mean_sd=last[test][_MEAN_SD])
+        selected = []
+        for k, (method, setting) in enumerate(settings):
+            finished = [e for e in entries[k * n_steps : (k + 1) * n_steps] if e["status"] == "ok"]
+            # min keeps the first of equal losses
+            best = min(finished, key=operator.itemgetter("final_val_mean_loss"), default=None)
+            pick = {key: best[key] if best else None for key in _PICKED}
+            selected.append({"method": method, "setting": setting, **pick,
+                             "all_diverged": best is None})
+        manifest["trials"].append(
+            {"trial": trial, "split_seed": split_seed, "runs": entries, "selected": selected}
+        )
 
     with open(out / "manifest.json", "w", encoding="utf-8") as f:
         json.dump(manifest, f, indent=2, sort_keys=True)
@@ -373,8 +340,8 @@ _SELECTION_FIELDS = ("method", "setting", "file", "all_diverged")
 def load_manifest(path) -> dict:
     """Read a manifest, checking every field that ``aggregate_trials`` reads.
 
-    A file that is not JSON, or lacks one of those fields, raises
-    ``DataError`` naming the file and the field.
+    A file that is not JSON, lists no trials, or lacks one of those fields,
+    raises ``DataError`` naming the file and the field.
     """
     try:
         with open(path, encoding="utf-8") as f:
@@ -387,6 +354,8 @@ def load_manifest(path) -> dict:
 
     if not isinstance(manifest, dict) or not isinstance(manifest.get("trials"), list):
         fail("no list field 'trials'")
+    if not manifest["trials"]:
+        fail("no trials")
     for i, trial in enumerate(manifest["trials"]):
         if not isinstance(trial, dict) or not isinstance(trial.get("selected"), list):
             fail(f"trial {i} has no list field 'selected'")
@@ -409,21 +378,13 @@ def aggregate_trials(manifest: dict, base_dir) -> List[dict]:
     their divergence flags.
     """
     base = Path(base_dir)
-    trials = manifest["trials"]
-    if not trials:
-        raise ValueError("manifest has no trials")
     rows: List[dict] = []
-    n_sel = len(trials[0]["selected"])
-    for k in range(n_sel):
-        head = trials[0]["selected"][k]
-        picks = [t["selected"][k] for t in trials]
+    for picks in zip(*(t["selected"] for t in manifest["trials"])):
         if any(p["all_diverged"] for p in picks):
             continue
         trajs = [read_trajectory_csv(base / p["file"]) for p in picks]
-        for row in aggregate_records(trajs):
-            rows.append(
-                {"method": head["method"], "setting": head["setting"], **row}
-            )
+        labels = {"method": picks[0]["method"], "setting": picks[0]["setting"]}
+        rows += [{**labels, **row} for row in aggregate_records(trajs)]
     return rows
 
 

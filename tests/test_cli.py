@@ -319,6 +319,10 @@ def test_experiment_malformed_config_exits_1(tmp_path, capsys, text):
         ("[experiment]\nseed = 1.5\n", ("[experiment] seed", "'1.5'")),
         ("[experiment]\ntrials = x\n", ("[experiment] trials", "'x'")),
         ("[experiment]\nlam = abc\n", ("[experiment] lam", "'abc'")),
+        ("[experiment]\ntrials = 0\n", ("trials must be >= 1",)),
+        ("[experiment]\nepochs = 0\n", ("epochs must be >= 1", "got 0")),
+        ("[experiment]\nbatch_size = 0\n", ("batch_size must be >= 1", "got 0")),
+        ("[experiment]\nstep_sizes = -0.1\n", ("step size", "got -0.1")),
     ],
 )
 def test_config_error_names_the_key_section_or_value(tmp_path, text, named):
@@ -334,6 +338,14 @@ def test_empty_level_list_item_exits_1_before_writing(tmp_path, capsys):
     cfg = sweep_config(tmp_path, "cvar = 0.5,")
     assert main(["experiment", "--config", str(cfg)]) == 1
     one_error_line(capsys, "cfg.ini", "[methods] cvar", "'0.5,'")
+    assert not (tmp_path / "exp").exists()
+
+
+def test_batch_larger_than_train_split_exits_1_before_writing(tmp_path, capsys):
+    cfg = sweep_config(tmp_path, "erm = yes")
+    cfg.write_text(cfg.read_text().replace("epochs = 1\n", "epochs = 1\nbatch_size = 1000\n"))
+    assert main(["experiment", "--config", str(cfg)]) == 1
+    one_error_line(capsys, "batch_size 1000 exceeds train size 552")
     assert not (tmp_path / "exp").exists()
 
 
@@ -365,6 +377,7 @@ def test_methods_flag_accepts_yes_and_no(tmp_path, flag, kept):
             "'file'",
         ),
         ("not json", "not JSON"),
+        ('{"trials": []}', "no trials"),
     ],
 )
 def test_report_malformed_manifest_exits_1(tmp_path, capsys, text, field):

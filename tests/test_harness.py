@@ -483,6 +483,26 @@ def test_run_experiment_names_a_missing_final_split(tmp_path, monkeypatch, split
         run_experiment(small_spec(tmp_path / "exp", trials=1), load_tabular(BUNDLED))
 
 
+def test_all_diverged_sweep_selects_nothing_and_report_exits_1(tmp_path, capsys):
+    out = tmp_path / "exp"
+    manifest = run_experiment(small_spec(out, step_sizes=(1e14,)), load_tabular(BUNDLED))
+    assert json.loads((out / "manifest.json").read_text(encoding="utf-8")) == json.loads(
+        json.dumps(manifest)
+    )
+    picks = [p for t in manifest["trials"] for p in t["selected"]]
+    assert len(picks) == 4
+    for pick in picks:
+        assert pick["all_diverged"] is True
+        assert pick["step_size"] is None and pick["file"] is None
+        assert pick["final_test_mean_sd"] is None
+    assert all(r["status"] == "diverged" for t in manifest["trials"] for r in t["runs"])
+    assert list((out / "runs").iterdir()) == []
+    assert main(["report", "--manifest", str(out / "manifest.json")]) == 1
+    err = capsys.readouterr().err
+    assert err == "error: nothing to aggregate\n"
+    assert not (out / "aggregate.csv").exists()
+
+
 @pytest.mark.parametrize(
     "args",
     [

@@ -14,9 +14,12 @@ instead, whose ``[data] path`` must be absolute or ``bundled:``.  Both
 sides write to the same relative ``out`` directory under their own
 temporary root, so their manifests' ``out_dir`` agree.  Per side it prints
 the median and quartiles of seconds per sweep (experiment + report) and
-how many rounds the side was the faster; then whether the two output
-trees are equal byte for byte, naming every file that differs.  Exits 1
-when they differ.  Needs only the stdlib and numpy.
+how many rounds the side was the faster; then the two commands' exit
+codes, which must be the same on both sides in every round (a sweep
+whose runs all diverge has ``report`` exit 1 on both, and is still
+compared), and whether the two output trees are equal byte for byte,
+naming every file that differs.  Exits 1 when they differ, and with an
+error when the exit codes do.  Needs only the stdlib and numpy.
 """
 
 import argparse
@@ -67,13 +70,15 @@ class Side:
         self.root = root
         (root / "sweep.ini").write_text(config, encoding="utf-8")
 
-    def run(self, seed: int) -> float:
-        """Seconds of one experiment + report, from a fresh output directory."""
+    def run(self, seed: int):
+        """Seconds of one experiment + report, from a fresh output directory,
+        and the two commands' exit codes; their output goes nowhere."""
         shutil.rmtree(self.root / OUT, ignore_errors=True)
         here = os.getcwd()
         os.chdir(self.root)
         try:
-            with contextlib.redirect_stdout(io.StringIO()):
+            with contextlib.redirect_stdout(io.StringIO()), \
+                    contextlib.redirect_stderr(io.StringIO()):
                 start = time.perf_counter()
                 codes = (
                     self.main(["experiment", "--config", "sweep.ini", "--out", OUT,
@@ -83,9 +88,7 @@ class Side:
                 elapsed = time.perf_counter() - start
         finally:
             os.chdir(here)
-        if codes != (0, 0):
-            sys.exit(f"error: {self.root} exited {codes} (experiment, report)")
-        return elapsed
+        return elapsed, codes
 
     def outputs(self):
         """Every file under the output directory, keyed by its relative path."""
@@ -107,13 +110,17 @@ def main(argv):
         for s, src in (("A", args.src_a), ("B", args.src_b)):
             (Path(tmp) / s).mkdir()
             sides[s] = Side(src, f"robustmsd_{s.lower()}", Path(tmp) / s, config)
-        for side in sides.values():  # warm-up, untimed
-            side.run(args.seed)
-        times = {s: [] for s in sides}
+        runs = {s: [side.run(args.seed)] for s, side in sides.items()}  # warm-up, untimed
         for r in range(ROUNDS):
             for s in ("A", "B") if r % 2 == 0 else ("B", "A"):
-                times[s].append(sides[s].run(args.seed))
+                runs[s].append(sides[s].run(args.seed))
         a_out, b_out = sides["A"].outputs(), sides["B"].outputs()
+    codes = {s: {c for _, c in xs} for s, xs in runs.items()}
+    if codes["A"] != codes["B"] or len(codes["A"]) != 1:
+        sys.exit(f"error: exit codes (experiment, report) differ: A {sorted(codes['A'])}, "
+                 f"B {sorted(codes['B'])}")
+    (code,) = codes["A"]
+    times = {s: [t for t, _ in xs[1:]] for s, xs in runs.items()}
     print(f"{ROUNDS} alternating rounds of experiment + report, seed {args.seed}, "
           f"config {args.config or 'one credit690 trial'}")
     print(f"A = {args.src_a}\nB = {args.src_b}")
@@ -124,6 +131,7 @@ def main(argv):
         print(f"{s}: median {q2:.3f} s  quartiles [{q1:.3f}, {q3:.3f}]"
               f"  wins {wins[s]}/{ROUNDS}")
     print(f"B/A median {statistics.median(b) / statistics.median(a):.3f}")
+    print(f"exit codes (experiment, report) on both sides: {code}")
     differ = sorted(f for f in a_out.keys() | b_out.keys() if a_out.get(f) != b_out.get(f))
     print(f"{len(a_out)} files in A, {len(b_out)} in B, byte-identical: "
           f"{'NO' if differ else 'yes'}")
