@@ -16,6 +16,7 @@ from .harness import (
     DEFAULT_LEVELS,
     ExperimentSpec,
     MethodGrid,
+    SpecError,
     aggregate_trials,
     build_initial_state,
     default_lam,
@@ -187,7 +188,10 @@ def _spec_from_config(path, out_override, seed_override) -> ExperimentSpec:
 
 def _cmd_experiment(args) -> int:
     spec = _spec_from_config(args.config, args.out, args.seed)
-    manifest = run_experiment(spec)
+    try:
+        manifest = run_experiment(spec)
+    except SpecError as err:  # a value the data rules out; the text names its field
+        raise DataError(f"config file {args.config!r}: [experiment] {err}") from None
     n_runs = sum(len(t["runs"]) for t in manifest["trials"])
     n_div = sum(
         1 for t in manifest["trials"] for r in t["runs"] if r["status"] == "diverged"

@@ -105,16 +105,20 @@ def _sunhuber(values, dscore, rows, a, b, alpha, beta, lam):
     rr = r * r
     s = np.sqrt(rr + b_col * b_col)
     sb = s + b_col
-    terms = np.empty((3,) + r.shape)
+    terms = np.empty((1 if dscore is None else 3,) + r.shape)
     np.divide(rr, sb, out=terms[0])
-    w = np.divide(r, s, out=terms[1])
-    np.divide(rr, np.multiply(s, sb, out=terms[2]), out=terms[2])  # 1 - b/s
-    mean_dev, mean_w, mean_curv = _means(terms, n)
-    value = alpha * a + beta * b + lam * mean_dev
+    if dscore is not None:
+        w = np.divide(r, s, out=terms[1])
+        np.divide(rr, np.multiply(s, sb, out=terms[2]), out=terms[2])  # 1 - b/s
+    means = _means(terms, n)
+    value = alpha * a + beta * b + lam * means[0]
+    if dscore is None:
+        return value, None, None, None
+    _, mean_w, mean_curv = means
     grad_a = alpha - lam * mean_w
     # beta + lam*mean(b/s - 1), written without the b/s - 1 cancellation
     grad_b = beta - lam * mean_curv
-    grad_h = None if dscore is None else _col(lam, 2) * _contract(dscore, rows, w) / n
+    grad_h = _col(lam, 2) * _contract(dscore, rows, w) / n
     return value, grad_h, grad_a, grad_b
 
 
@@ -133,15 +137,18 @@ def _cvar(values, dscore, rows, a, b, xi):
     value NaN and weighs nothing in the gradient.
     """
     n = values.shape[-1]
-    terms = np.empty((2,) + values.shape)
-    pos = np.subtract(values, _col(a), out=terms[1])
+    terms = np.empty((1 if dscore is None else 2,) + values.shape)
+    pos = np.subtract(values, _col(a), out=terms[-1])  # terms[0] when value-only
     np.maximum(pos, 0.0, out=terms[0])
-    weight = np.greater(pos, 0.0, out=terms[1])  # the active indicator
-    mean_excess, mean_active = _means(terms, n)
+    if dscore is not None:
+        weight = np.greater(pos, 0.0, out=terms[1])  # the active indicator
+    means = _means(terms, n)
+    value = a + means[0] / (1.0 - xi)  # not inv * the mean excess, which rounds apart
+    if dscore is None:
+        return value, None, None, None
     inv = 1.0 / (1.0 - xi)
-    value = a + mean_excess / (1.0 - xi)  # not inv * mean_excess, which rounds apart
-    grad_a = 1.0 - inv * mean_active
-    grad_h = None if dscore is None else _col(inv, 2) * _contract(dscore, rows, weight) / n
+    grad_a = 1.0 - inv * means[1]
+    grad_h = _col(inv, 2) * _contract(dscore, rows, weight) / n
     return value, grad_h, grad_a, None
 
 
@@ -180,7 +187,8 @@ class Criterion:
     ``objective(values, dscore, rows, a, b, *coef)`` gives (value, grad_h,
     grad_a, grad_b), None for a gradient the kind lacks; ``coef`` are the
     ``CriterionParams`` fields named in ``coefficients``.  With ``dscore``
-    and ``rows`` None the call is value-only: grad_h is None, and the value
+    and ``rows`` None the call is value-only: it computes only the value's
+    per-example terms and returns None for every gradient, and the value
     has the same bits.  ``setting`` is the field a sweep setting fills (None:
     the kind takes none) and ``label`` formats a run's file-name tag.
     """

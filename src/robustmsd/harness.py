@@ -44,6 +44,7 @@ __all__ = [
     "TrajectoryRecord",
     "MethodGrid",
     "ExperimentSpec",
+    "SpecError",
     "write_trajectory_csv",
     "read_trajectory_csv",
     "make_criterion",
@@ -196,6 +197,11 @@ class ExperimentSpec:
             check_step_size(step)
 
 
+class SpecError(ValueError):
+    """An ``ExperimentSpec`` field the loaded data rules out; the text starts
+    with the field's name."""
+
+
 def default_lam(n_train: int) -> float:
     return math.log(n_train) / math.sqrt(n_train)
 
@@ -262,6 +268,8 @@ def run_experiment(spec: ExperimentSpec, dataset: Optional[Dataset] = None) -> d
         split_seed = spec.seed + trial
         ds = preprocess(shuffle_split(dataset, split_seed))
         n_train = int(ds.split_indices("train").size)
+        if spec.batch_size > n_train:
+            raise SpecError(f"batch_size {spec.batch_size} exceeds train size {n_train}")
         lam = spec.lam if spec.lam is not None else default_lam(n_train)
         # every method and setting is checked before anything is written
         criteria = [make_criterion(method, setting, n_train, lam) for method, setting in settings]

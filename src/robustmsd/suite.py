@@ -22,6 +22,7 @@ from .criteria import (
     partial_objective_grads,
 )
 from .verify import (
+    THRESHOLD_BLOCK,
     DiscreteDist,
     GaussianLosses,
     GradientDist,
@@ -48,16 +49,35 @@ class PropertyOutcome:
         return "PASS" if self.passed else "FAIL"
 
 
-def _conjugate_grid():
-    """Grid u for the numerical conjugate sup, and rho(u) on it."""
-    fine = np.linspace(-10.0, 10.0, 2_000_001)
+def _conjugate_grid_blocks():
+    """The points u of the numerical conjugate sup, a block at a time.
+
+    First ``np.linspace(-10, 10, 2_000_001)`` in blocks of
+    ``THRESHOLD_BLOCK`` points, each rebuilt with linspace's own formula
+    (``i * step + start``, the last point set to the stop) so every point
+    has linspace's bits, then the geometric tails out to 1e6 and their
+    negatives.
+    """
+    count = 2_000_001
+    step = 20.0 / (count - 1)
+    for lo in range(0, count, THRESHOLD_BLOCK):
+        u = np.arange(lo, min(lo + THRESHOLD_BLOCK, count), dtype=float) * step - 10.0
+        if lo + THRESHOLD_BLOCK >= count:
+            u[-1] = 10.0
+        yield u
     tails = np.geomspace(10.0, 1e6, 20_000)
-    u = np.concatenate([fine, tails, -tails])
-    return u, np.sqrt(u * u + 1.0) - 1.0
+    yield tails
+    yield -tails
 
 
-def _conjugate_sup(x: float, u: np.ndarray, rho_u: np.ndarray) -> float:
-    return float(np.max(x * u - rho_u))
+def _conjugate_sups(xs) -> List[float]:
+    """sup_u x*u - rho(u) over the grid for each x in ``xs``; rho(u) is
+    computed once per block and every sup updated from it."""
+    sups = [-math.inf] * len(xs)
+    for u in _conjugate_grid_blocks():
+        rho_u = np.sqrt(u * u + 1.0) - 1.0
+        sups = [max(sup, float(np.max(x * u - rho_u))) for sup, x in zip(sups, xs)]
+    return sups
 
 
 def _closed_forms() -> PropertyOutcome:
@@ -76,11 +96,8 @@ def _closed_forms() -> PropertyOutcome:
         abs(rho_mod.pseudo_huber(1.0, 1.0) - (math.sqrt(2.0) - 1.0)) < 1e-12,
         abs(rho_mod.pseudo_huber(2.0, 1e4) - 2.0) < 1e-3,
     ]
-    u, rho_u = _conjugate_grid()
-    sup_err = max(
-        abs(rho_mod.rho_conjugate(x) - _conjugate_sup(x, u, rho_u))
-        for x in (-0.99, -0.9, -0.5, -0.1, 0.0, 0.1, 0.5, 0.9, 0.99)
-    )
+    xs = (-0.99, -0.9, -0.5, -0.1, 0.0, 0.1, 0.5, 0.9, 0.99)
+    sup_err = max(abs(rho_mod.rho_conjugate(x) - sup) for x, sup in zip(xs, _conjugate_sups(xs)))
     ok = all(checks) and sup_err < 1e-6
     return PropertyOutcome(
         "rho_closed_forms", ok, f"conjugate sup deviation {sup_err:.2e}"

@@ -39,7 +39,9 @@ __all__ = [
 ]
 
 PROB_TOL = 1e-12
-THRESHOLD_BLOCK = 65536  # losses per Newton row block (512 KiB per buffer)
+# losses per drawn and Newton-solved row block (512 KiB per buffer); the
+# suite's conjugate grid is streamed in blocks of as many points
+THRESHOLD_BLOCK = 65536
 # A Newton point outside the bracket is replaced by its midpoint, and 549
 # halvings take the widest admitted bracket, (1e150 + 2) b, below the 1e-15 b
 # stop; the widest rows tested take ~500 steps, verify's rows three
@@ -363,9 +365,13 @@ def check_location_concentration(
         |A_n - (E L - 2*(alpha/lam)*b)| <= 2*(Var/b + b*log(2/delta)/n).
 
     Passes when empirical coverage >= 1 - delta - 3*sqrt(delta(1-delta)/trials).
-    The ``(trials, n)`` sample is solved serially in row blocks of about
-    ``THRESHOLD_BLOCK`` losses by safeguarded Newton steps, three per row on
-    verify's samples; a row's threshold does not depend on the block size.
+    The ``(trials, n)`` sample is drawn from one PCG64 generator and solved
+    in blocks of ``THRESHOLD_BLOCK // n`` rows (at least one), each drawn
+    only when it is solved, by safeguarded Newton steps, three per row on
+    verify's samples.  The generator fills values in order and a row's
+    threshold depends on that row alone, so every threshold has the bits of
+    drawing and solving the whole sample at once, in memory that does not
+    grow with ``trials``.
     """
     if not 0.0 < delta < 1.0:
         raise ValueError("delta must lie in (0, 1)")
@@ -382,8 +388,11 @@ def check_location_concentration(
             f"middle={middle:g}, 1-4a/lam={1-4*alpha/lam:g}"
         )
     rng = np.random.Generator(np.random.PCG64(seed))
-    X = losses.draw(rng, (trials, n))
-    A = _solve_thresholds(X, b, alpha, lam)
+    rows = max(1, THRESHOLD_BLOCK // n)
+    A = np.empty(trials)
+    for start in range(0, trials, rows):
+        block = losses.draw(rng, (min(rows, trials - start), n))
+        A[start : start + len(block)] = _solve_thresholds(block, b, alpha, lam)
     center = losses.mean - 2.0 * (alpha / lam) * b
     halfwidth = 2.0 * (var / b + b * math.log(2.0 / delta) / n)
     coverage = float(np.mean(np.abs(A - center) <= halfwidth))

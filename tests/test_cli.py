@@ -345,7 +345,8 @@ def test_batch_larger_than_train_split_exits_1_before_writing(tmp_path, capsys):
     cfg = sweep_config(tmp_path, "erm = yes")
     cfg.write_text(cfg.read_text().replace("epochs = 1\n", "epochs = 1\nbatch_size = 1000\n"))
     assert main(["experiment", "--config", str(cfg)]) == 1
-    one_error_line(capsys, "batch_size 1000 exceeds train size 552")
+    one_error_line(capsys, "config file", "cfg.ini",
+                   "[experiment] batch_size 1000 exceeds train size 552")
     assert not (tmp_path / "exp").exists()
 
 

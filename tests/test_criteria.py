@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from robustmsd.criteria import (
+    CRITERIA,
     KINDS,
     CriterionParams,
     CriterionStack,
@@ -462,6 +463,34 @@ def test_training_value_equals_checkpoint_value_bitwise(case):
         stack = CriterionStack(params)
         value = stack.objective(losses, dscore, rows, a, b)[0]
         np.testing.assert_array_equal(bits(value), bits(stack.value(losses, a, b)))
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_value_only_kernel_call_keeps_the_full_calls_value_bitwise(kind, data):
+    """Each kind's kernel called value-only (``dscore`` and ``rows`` None)
+    returns None for every gradient and the value of the full call bit for
+    bit, for a lone run and for a stack of runs of that kind, on batches
+    long enough for numpy's pairwise summation to split them."""
+    record = CRITERIA[kind]
+    r, n = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 300))
+    params = data.draw(st.lists(PARAMS[kind], min_size=r, max_size=r))
+    edges = st.sampled_from([0.0, 1e300, math.inf, math.nan])
+    elements = st.one_of(edges, st.floats(0.0, 1e6))
+    losses = data.draw(arrays(np.float64, (r, n), elements=elements))
+    a = data.draw(arrays(np.float64, r, elements=st.floats(-10.0, 1e6)))
+    b = data.draw(arrays(np.float64, r, elements=st.floats(B_FLOOR, 1e8)))
+    dscore, rows = np.ones((r, n, 1)), np.ones((n, 2))
+    coef = [np.array(c) for c in zip(*(p.coefficients for p in params))]
+    calls = [(losses[i], dscore[i], float(a[i]), float(b[i]), p.coefficients)
+             for i, p in enumerate(params)] + [(losses, dscore, a, b, coef)]
+    with np.errstate(all="ignore"):
+        for values, ds, at, bt, c in calls:
+            only = record.objective(values, None, None, at, bt, *c)
+            full = record.objective(values, ds, rows, at, bt, *c)
+            assert only[1:] == (None, None, None)
+            np.testing.assert_array_equal(bits(only[0]), bits(full[0]))
 
 
 # --------------------------------------------------- structural properties

@@ -3,6 +3,7 @@
 import math
 import sys
 import threading
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -12,7 +13,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from robustmsd import verify
-from robustmsd.suite import _conjugate_grid, _conjugate_sup
+from robustmsd.suite import _closed_forms, _conjugate_grid_blocks, _conjugate_sups
 from robustmsd.verify import (
     THRESHOLD_BLOCK,
     DiscreteDist,
@@ -446,14 +447,63 @@ def test_threshold_g_changes_sign_across_the_root(X, b, frac, lam):
     assert np.all(g_rows(X, roots + tol, b, alpha, lam) <= 0.0)
 
 
-def test_conjugate_sup_on_shared_grid_matches_per_call_grid():
-    u, rho_u = _conjugate_grid()
+def bits(x):
+    return np.asarray(x, dtype=float).view(np.uint64)
+
+
+def test_conjugate_grid_blocks_and_sups_equal_the_whole_grids_bitwise():
+    blocks = list(_conjugate_grid_blocks())
+    assert max(len(u) for u in blocks) <= THRESHOLD_BLOCK
     fine = np.linspace(-10.0, 10.0, 2_000_001)
     tails = np.geomspace(10.0, 1e6, 20_000)
     grid = np.concatenate([fine, tails, -tails])
-    for x in (-0.99, -0.9, -0.5, -0.1, 0.0, 0.1, 0.5, 0.9, 0.99):
-        old = float(np.max(x * grid - (np.sqrt(grid * grid + 1.0) - 1.0)))
-        assert _conjugate_sup(x, u, rho_u) == old
+    np.testing.assert_array_equal(bits(np.concatenate(blocks)), bits(grid))
+    xs = (-0.99, -0.9, -0.5, -0.1, 0.0, 0.1, 0.5, 0.9, 0.99)
+    rho_grid = np.sqrt(grid * grid + 1.0) - 1.0
+    whole = [float(np.max(x * grid - rho_grid)) for x in xs]
+    assert bits(_conjugate_sups(xs)).tolist() == bits(whole).tolist()
+
+
+def traced_peak(fn, *args, **kwargs):
+    """The largest traced allocation total, in bytes, while ``fn`` runs."""
+    tracemalloc.start()
+    try:
+        fn(*args, **kwargs)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_closed_forms_run_in_bounded_memory():
+    # the whole 2 040 001-point grid would trace about 62 MB
+    assert traced_peak(_closed_forms) <= 4 * 2**20
+
+
+def test_full_size_location_concentration_runs_in_bounded_memory():
+    # drawing the whole 2000 x 2000 sample would trace about 32 MB
+    peak = traced_peak(
+        check_location_concentration, GaussianLosses(0.0, 1.0), b=20.0, alpha=0.0,
+        lam=1.0, n=2000, delta=0.05, trials=2000, seed=50,
+    )
+    assert peak <= 4 * 2**20
+
+
+@pytest.mark.parametrize("losses", [GaussianLosses(0.0, 1.0), LognormalLosses(0.0, 1.0)])
+def test_streamed_blocks_are_the_rows_of_one_whole_draw(monkeypatch, losses):
+    # the row blocks check_location_concentration draws and solves, joined,
+    # are the sample one (trials, n) draw from its generator makes
+    seen = []
+
+    def recording(X, b, alpha, lam):
+        seen.append(X.copy())
+        return _solve_thresholds(X, b, alpha, lam)
+
+    monkeypatch.setattr(verify, "_solve_thresholds", recording)
+    check_location_concentration(losses, b=20.0, alpha=0.0, lam=1.0, n=700, delta=0.05,
+                                 trials=100, seed=3)
+    assert [len(X) for X in seen] == [THRESHOLD_BLOCK // 700, 100 - THRESHOLD_BLOCK // 700]
+    whole = losses.draw(np.random.Generator(np.random.PCG64(3)), (100, 700))
+    np.testing.assert_array_equal(bits(np.concatenate(seen)), bits(whole))
 
 
 # --------------------------------------------------------- stationarity

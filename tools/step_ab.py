@@ -27,14 +27,19 @@ ROUNDS = 20
 STEPS = 2000
 
 
-def load(src: str, name: str):
-    """Import the ``robustmsd`` package under ``src`` as module ``name``."""
-    root = Path(src)
+def package_root(src: str) -> Path:
+    """The directory holding the ``robustmsd`` package: ``src`` or its ``src/``."""
+    root = Path(src).resolve()
     if not (root / "robustmsd").is_dir():
         root = root / "src"
-    pkg = root / "robustmsd"
-    if not (pkg / "__init__.py").is_file():
+    if not (root / "robustmsd" / "__init__.py").is_file():
         sys.exit(f"error: no robustmsd package under {src}")
+    return root
+
+
+def load(src: str, name: str):
+    """Import the ``robustmsd`` package under ``src`` as module ``name``."""
+    pkg = package_root(src) / "robustmsd"
     spec = importlib.util.spec_from_file_location(
         name, pkg / "__init__.py", submodule_search_locations=[str(pkg)]
     )
