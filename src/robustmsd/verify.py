@@ -60,6 +60,8 @@ class DiscreteDist:
         object.__setattr__(self, "probs", np.asarray(self.probs, dtype=float))
         if self.values.shape != self.probs.shape or self.values.ndim != 1:
             raise ValueError("values and probs must be matching 1-D arrays")
+        if self.values.size == 0:
+            raise ValueError("a distribution needs at least one atom")
         if np.any(self.probs <= 0.0):
             raise ValueError("atom probabilities must be positive")
         if abs(float(self.probs.sum()) - 1.0) > PROB_TOL:
@@ -69,13 +71,13 @@ class DiscreteDist:
 
     @classmethod
     def from_atoms(cls, atoms: Sequence[Tuple[float, float]]) -> "DiscreteDist":
-        vals, probs = zip(*atoms)
+        vals, probs = zip(*atoms) if atoms else ((), ())
         return cls(np.array(vals), np.array(probs))
 
     @classmethod
     def uniform(cls, values) -> "DiscreteDist":
         values = np.asarray(values, dtype=float)
-        return cls(values, np.full(values.size, 1.0 / values.size))
+        return cls(values, np.ones(values.size) / values.size)
 
     def mean(self) -> float:
         return float(self.probs @ self.values)
@@ -88,12 +90,6 @@ class DiscreteDist:
         return float(self.probs @ (self.values - a) ** 2)
 
 
-def _scale_condition_lhs(dist: DiscreteDist, a: float, b: float) -> float:
-    """E[b / sqrt((L-a)^2 + b^2)]: continuous, increasing in b, range (P(L=a), 1)."""
-    r = dist.values - a
-    return float(dist.probs @ (b / np.sqrt(r * r + b * b)))
-
-
 def _deviation_term(dist: DiscreteDist, a: float, b: float) -> float:
     """E[sqrt((L-a)^2 + b^2) - b], in the cancellation-free form."""
     r = dist.values - a
@@ -103,37 +99,41 @@ def _deviation_term(dist: DiscreteDist, a: float, b: float) -> float:
 def optimal_scale(dist: DiscreteDist, a: float, beta: float, lam: float) -> float:
     """Optimal scale: the root b of E[b/sqrt((L-a)^2+b^2)] = 1 - beta/lam.
 
-    The left side is continuous and strictly increasing in b with range
-    (P(L=a), 1), so a unique root exists iff P(L=a) < 1 - beta/lam; the
-    bracket endpoints are checked before bisecting to relative tolerance
-    1e-10.
+    The left side is continuous, strictly increasing and concave in b > 0
+    with range (P(L=a), 1), so a unique root exists iff P(L=a) < 1 - beta/lam.
+    Newton's method from below never passes the root: it starts at the
+    Newton point of b = 0+, E[b/s] ~ P(L=a) + b E[1/|L-a|; L != a], and
+    stops when a step is at most 1e-14 b or the left side is already at or
+    above the target.
     """
     if not 0.0 < beta < lam:
         raise ValueError(f"need 0 < beta < lam, got beta={beta!r}, lam={lam!r}")
     target = 1.0 - beta / lam
-    p_at_a = float(dist.probs[dist.values == a].sum())
+    r = dist.values - a
+    at_a = r == 0.0
+    p_at_a = float(dist.probs[at_a].sum())
     if p_at_a >= target:
         raise ValueError(
             f"degenerate distribution: P(L=a)={p_at_a:g} >= 1-beta/lam={target:g}; "
             "the scale condition is unsatisfiable"
         )
-    # Start from the theoretical upper bound sqrt(lam/(2 beta) E(L-a)^2).
-    hi = math.sqrt(lam / (2.0 * beta) * dist.second_moment_about(a)) * 2.0
-    while _scale_condition_lhs(dist, a, hi) <= target:
-        hi *= 2.0
-    lo = hi / 2.0
-    while _scale_condition_lhs(dist, a, lo) >= target:
-        lo /= 2.0
-    assert _scale_condition_lhs(dist, a, lo) < target < _scale_condition_lhs(
-        dist, a, hi
-    )
-    while hi - lo > 1e-10 * hi:
-        mid = 0.5 * (lo + hi)
-        if _scale_condition_lhs(dist, a, mid) < target:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    # every quantity below is a ratio of at most 1, so none overflows for
+    # atoms at any scale; hypot does not underflow where r*r + b*b would
+    gaps = np.abs(r[~at_a])
+    m = float(gaps.min())
+    b = (target - p_at_a) * m / float(dist.probs[~at_a] @ (m / gaps))
+    for _ in range(NEWTON_CAP):
+        s = np.hypot(r, b)
+        v = b / s
+        g = float(dist.probs @ v) - target
+        if g >= 0.0:
+            return b
+        u = r / s
+        step = -g * b / float(dist.probs @ (v * u * u))  # -g / g', g' = E[r^2 / s^3]
+        b += step
+        if step <= 1e-14 * b:
+            return b
+    raise RuntimeError(f"optimal-scale Newton did not converge in {NEWTON_CAP} steps")
 
 
 @dataclass
@@ -155,7 +155,7 @@ def check_scale_bounds(
     lower = lam / (4.0 * beta) * float(dist.probs @ (inside * r * r))
     upper = lam / (2.0 * beta) * dist.second_moment_about(a)
     b_sq = b_star * b_star
-    # tiny slack for the bisection tolerance on b_star
+    # tiny slack for the rounding of b_star (Newton stops at a 1e-14 b step)
     tol = 1e-8 * max(1.0, b_sq)
     passed = (lower <= b_sq + tol) and (b_sq <= upper + tol)
     return ScaleBoundsReport(b_star, b_sq, lower, upper, passed)
@@ -184,7 +184,7 @@ def check_scale_optimized_limit(
 ) -> ScaleLimitReport:
     """Sandwich of lim_{beta->0} min_b C(h;a,b)/sqrt(beta) with alpha = alpha_tilde*sqrt(beta).
 
-    Each beta is handled by the bisection oracle for the optimal scale; the
+    Each beta is handled by the Newton oracle for the optimal scale; the
     limit is accepted when the last two scaled values differ by < 1% and the
     final value lies in
 
@@ -450,32 +450,15 @@ def check_stationarity_equivalence(
     return StationarityReport(mv_grad, diffs, nonincreasing and small)
 
 
-def _location_residual(dist: DiscreteDist, a: float, b: float) -> float:
-    """E[(L-a)/sqrt((L-a)^2 + b^2)]: continuous, strictly decreasing in a."""
+def _unit_split(dist: DiscreteDist, a: float, b: float) -> Tuple[float, float]:
+    """(E[(L-a)/s], E[b/s]) with s = sqrt((L-a)^2 + b^2); at b = 0 their
+    limits as b -> 0+, E[sign(L-a)] and P(L=a)."""
     r = dist.values - a
-    return float(dist.probs @ (r / np.sqrt(r * r + b * b)))
-
-
-def _solve_location(dist: DiscreteDist, b: float, target: float) -> float:
-    lo = float(dist.values.min()) - b
-    hi = float(dist.values.max()) + b
-    widen = b
-    while _location_residual(dist, lo, b) <= target:
-        lo -= widen
-        widen *= 2.0
-    widen = b
-    while _location_residual(dist, hi, b) >= target:
-        hi += widen
-        widen *= 2.0
-    for _ in range(200):
-        if hi - lo <= 1e-15 * max(1.0, abs(lo), abs(hi)):
-            break
-        mid = 0.5 * (lo + hi)
-        if _location_residual(dist, mid, b) > target:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    if b == 0.0:
+        u = dist.probs[r > 0.0].sum() - dist.probs[r < 0.0].sum()
+        return float(u), float(dist.probs[r == 0.0].sum())
+    s = np.hypot(r, b)
+    return float(dist.probs @ (r / s)), float(dist.probs @ (b / s))
 
 
 @dataclass
@@ -484,7 +467,6 @@ class PairOptimalityReport:
     b_star: float
     location_residual: float
     scale_residual: float
-    sweeps: int
     converged: bool
     passed: bool
 
@@ -495,19 +477,28 @@ def check_pair_optimality(
     beta: float,
     lam: float,
     tol: float = 1e-10,
-    max_sweeps: int = 10_000,
 ) -> PairOptimalityReport:
-    """Jointly minimize over (a, b) by alternating bisections and check both
-    first-order equalities
+    """Jointly minimize f(a, b) = alpha a + beta b + lam E[sqrt((L-a)^2+b^2) - b]
+    over a and b >= 0 and check both first-order equalities
 
         E[(L-a)/sqrt((L-a)^2+b^2)] = alpha/lam,
         E[b/sqrt((L-a)^2+b^2)]     = 1 - beta/lam.
 
-    The partial objective is jointly convex in (a, b), so failure to drive
-    both residuals below ``tol`` within ``max_sweeps`` is reported as
-    non-convergence.  Existence of an interior optimum requires
-    (alpha/lam)^2 + (1-beta/lam)^2 < 1 (Cauchy-Schwarz on the two unit-split
-    terms); configurations violating it are rejected.
+    b is profiled out: phi(a) = min_b f(a, b) is convex with
+    phi'(a) = alpha - lam E[(L-a)/s] at b*(a) = ``optimal_scale``.  Where
+    P(L=a) >= 1 - beta/lam, b*(a) = 0 and phi has a kink whose
+    subdifferential is alpha - lam E[sign(L-a)] +- lam
+    sqrt(P(L=a)^2 - (1-beta/lam)^2).  The minimizer is bracketed by widening
+    [min - 1, max + 1] and bisected on the sign of phi' until the bracket is
+    at most 1e-15 (|a| + b*(a)) wide or holds no float between its ends, so
+    the stop scales with the atoms even when they are close together.  A
+    kink atom inside the bracket is tried before the midpoint, and one whose
+    subdifferential holds 0 is the minimizer, with b = 0.  Both residuals
+    are then taken at the minimizer (at b = 0, their limits as b -> 0+);
+    they are below ``tol`` (``converged``) only for an interior optimum.
+    Existence of one requires (alpha/lam)^2 + (1-beta/lam)^2 < 1
+    (Cauchy-Schwarz on the two unit-split terms); configurations violating
+    it are rejected.
     """
     if not 0.0 <= alpha < lam:
         raise ValueError("need 0 <= alpha < lam")
@@ -519,19 +510,39 @@ def check_pair_optimality(
             f"(alpha/lam)^2 + (1-beta/lam)^2 = {ratio_sq:g} >= 1: "
             "the two first-order equalities cannot hold simultaneously"
         )
-    a = dist.mean()
-    b = max(math.sqrt(dist.var()), 1e-6)
-    loc_target = alpha / lam
-    sweeps = 0
-    res_loc = res_scale = math.inf
-    while sweeps < max_sweeps:
-        sweeps += 1
-        a = _solve_location(dist, b, loc_target)
-        b = optimal_scale(dist, a, beta, lam)
-        res_loc = abs(_location_residual(dist, a, b) - loc_target)
-        res_scale = abs(_scale_condition_lhs(dist, a, b) - (1.0 - beta / lam))
-        if max(res_loc, res_scale) <= tol:
+    target = 1.0 - beta / lam
+    values = dist.values
+    kinks = values[(values[:, None] == values) @ dist.probs >= target]
+
+    def slope(a):
+        """(b*(a), phi'(a)); at a kink the end of the subdifferential nearest
+        0, which is 0 when the subdifferential holds it."""
+        p_at_a = float(dist.probs[values == a].sum())
+        if p_at_a < target:
+            b = optimal_scale(dist, a, beta, lam)
+            return b, alpha - lam * _unit_split(dist, a, b)[0]
+        g = alpha - lam * _unit_split(dist, a, 0.0)[0]
+        return 0.0, math.copysign(max(abs(g) - lam * math.sqrt(p_at_a**2 - target**2), 0.0), g)
+
+    lo, hi = float(values.min()) - 1.0, float(values.max()) + 1.0
+    widen = 1.0
+    while slope(lo)[1] > 0.0:
+        lo, widen = lo - widen, 2.0 * widen
+    widen = 1.0
+    while slope(hi)[1] < 0.0:
+        hi, widen = hi + widen, 2.0 * widen
+    while True:
+        inside = kinks[(lo < kinks) & (kinks < hi)]
+        a = float(inside[0]) if inside.size else 0.5 * (lo + hi)
+        b, g = slope(a)
+        if g == 0.0 or hi - lo <= 1e-15 * (abs(a) + b) or not lo < a < hi:
             break
+        if g < 0.0:
+            lo = a
+        else:
+            hi = a
+    u, v = _unit_split(dist, a, b)
+    res_loc, res_scale = abs(u - alpha / lam), abs(v - target)
     converged = max(res_loc, res_scale) <= tol
     passed = converged and res_loc <= 1e-8 and res_scale <= 1e-8
-    return PairOptimalityReport(a, b, res_loc, res_scale, sweeps, converged, passed)
+    return PairOptimalityReport(a, b, res_loc, res_scale, converged, passed)

@@ -1,14 +1,17 @@
 """Numerical-oracle checks for the population-level properties."""
 
+import importlib.util
 import math
 import sys
 import threading
+import time
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -52,6 +55,25 @@ def test_optimal_scale_symmetric_closed_form():
     expected = 0.5 / math.sqrt(1.0 - 0.25)
     assert b == pytest.approx(expected, rel=1e-8)
     assert b == pytest.approx(0.57735, abs=1e-5)
+
+
+@pytest.mark.parametrize("spread", [1e-200, 1e-3, 1.0, 7.5, 1e200])
+@pytest.mark.parametrize("eta", [0.01, 0.5, 0.99])
+def test_optimal_scale_matches_symmetric_closed_form_tightly(spread, eta):
+    # the root's relative condition number grows like (1 - target^2)^(-3/2),
+    # about 350 at eta = 0.01; test_optimal_scale_converges_at_tiny_beta
+    # covers small eta
+    target = 1.0 - eta
+    b = optimal_scale(symmetric_pair(spread, center=3.0 * spread), 3.0 * spread, eta, 1.0)
+    assert b == pytest.approx(spread * target / math.sqrt(1.0 - target**2), rel=1e-12)
+
+
+def test_optimal_scale_converges_at_tiny_beta():
+    d = DiscreteDist.uniform([-3.0, 0.0, 0.0, 0.5, 4.0])
+    b = optimal_scale(d, 0.2, 1e-6, 1.0)
+    r = d.values - 0.2
+    assert float(d.probs @ (b / np.hypot(r, b))) == pytest.approx(1.0 - 1e-6, abs=1e-15)
+    assert b == pytest.approx(math.sqrt(float(d.probs @ r**2) / 2e-6), rel=1e-5)
 
 
 def test_optimal_scale_grows_as_beta_shrinks():
@@ -563,6 +585,73 @@ def test_pair_optimality_alpha_near_lambda():
     assert r.a_star < -1.0
 
 
+def test_pair_optimality_reports_a_kink_optimum():
+    # P(L=0) = 0.8 >= 1 - beta/lam = 0.5, so b*(0) = 0, and 0 lies in phi's
+    # subdifferential there: 0.1 - 0.2 +- sqrt(0.8^2 - 0.5^2)
+    d = DiscreteDist.uniform([0.0, 0.0, 0.0, 0.0, 10.0])
+    start = time.perf_counter()
+    r = check_pair_optimality(d, alpha=0.1, beta=0.5, lam=1.0)
+    assert time.perf_counter() - start < 0.05
+    assert r.a_star == 0.0 and r.b_star == 0.0
+    assert not r.converged and not r.passed
+    assert r.location_residual == pytest.approx(0.1)  # |E[sign(L)] - alpha/lam|
+    assert r.scale_residual == pytest.approx(0.3)  # P(L=0) - (1 - beta/lam)
+
+
+def pair_objective(d, alpha, beta, lam, a, b):
+    return alpha * a + beta * b + lam * float(d.probs @ (np.hypot(d.values - a, b) - b))
+
+
+@st.composite
+def pair_problems(draw):
+    pool = np.array(draw(st.lists(st.floats(-5.0, 5.0, allow_subnormal=False),
+                                  min_size=1, max_size=6)))
+    # distinct atoms differ by more than 1e-5 of their size: the optimum can
+    # lie between them, where closer atoms leave too few floats to place a
+    # within 1e-10 of it (see test_pair_optimality_between_adjacent_floats)
+    gap, size = np.abs(pool[:, None] - pool), np.maximum(np.abs(pool[:, None]), np.abs(pool))
+    assume(np.all((gap == 0.0) | (gap > 1e-5 * size)))
+    values = draw(st.lists(st.sampled_from(list(pool)), min_size=2, max_size=6))
+    weights = np.array(draw(st.lists(st.floats(0.1, 1.0), min_size=len(values),
+                                     max_size=len(values))))
+    lam = draw(st.floats(0.2, 3.0))
+    alpha = draw(st.floats(0.0, 0.99)) * lam
+    beta = draw(st.floats(0.01, 0.99)) * lam
+    assume((alpha / lam) ** 2 + (1.0 - beta / lam) ** 2 < 1.0)
+    return DiscreteDist(np.array(values), weights / weights.sum()), alpha, beta, lam
+
+
+@settings(max_examples=150, deadline=None)
+@given(pair_problems())
+# a trial point within a subnormal distance of an atom: 1/|L - a| overflows
+@example((DiscreteDist.uniform([0.0, 4.85575243e-308]), 0.0, 0.25, 1.0))
+@example((DiscreteDist.uniform([-5.0, 2.3e-308, 5.0]), 0.0, 0.25, 1.0))
+def test_pair_optimality_meets_both_equalities_or_finds_a_kink(problem):
+    d, alpha, beta, lam = problem
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        r = check_pair_optimality(d, alpha, beta, lam)
+    if r.b_star > 0.0:
+        assert r.passed
+        assert r.location_residual <= 1e-10 and r.scale_residual <= 1e-10
+        return
+    assert r.b_star == 0.0
+    assert float(d.probs[d.values == r.a_star].sum()) >= 1.0 - beta / lam
+    best = pair_objective(d, alpha, beta, lam, r.a_star, 0.0)
+    for k in range(8):
+        angle = math.pi * (k + 0.5) / 8.0
+        a, b = r.a_star + 1e-6 * math.cos(angle), 1e-6 * math.sin(angle)
+        assert best <= pair_objective(d, alpha, beta, lam, a, b) + 1e-13
+
+
+def test_pair_optimality_between_adjacent_floats():
+    # the optimum lies strictly between the two atoms, where no float is
+    d = DiscreteDist.uniform([0.1, math.nextafter(0.1, 1.0)])
+    r = check_pair_optimality(d, alpha=0.0, beta=0.25, lam=1.0)
+    assert r.a_star in d.values and 0.0 < r.b_star < 1e-16
+    assert not r.passed and r.location_residual > 0.4
+
+
 def test_pair_optimality_rejects_infeasible_pair():
     with pytest.raises(ValueError, match="cannot hold"):
         check_pair_optimality(symmetric_pair(), alpha=0.99, beta=0.05, lam=1.0)
@@ -581,8 +670,34 @@ def test_discrete_dist_validation():
     assert d.var() == pytest.approx(8.0 / 3.0)
 
 
+@pytest.mark.parametrize("make", [
+    lambda: DiscreteDist.uniform([]),
+    lambda: DiscreteDist.from_atoms([]),
+    lambda: DiscreteDist(np.array([]), np.array([])),
+])
+def test_discrete_dist_needs_an_atom(make):
+    with pytest.raises(ValueError, match="at least one atom"):
+        make()
+
+
 def test_location_concentration_deterministic_given_seed():
     kw = dict(b=20.0, alpha=0.0, lam=1.0, n=500, delta=0.05, trials=100, seed=77)
     r1 = check_location_concentration(GaussianLosses(0.0, 1.0), **kw)
     r2 = check_location_concentration(GaussianLosses(0.0, 1.0), **kw)
     assert r1.coverage == r2.coverage
+
+
+def test_verify_ab_names_each_differing_cell():
+    path = Path(__file__).resolve().parents[1] / "tools" / "verify_ab.py"
+    spec = importlib.util.spec_from_file_location("verify_ab", path)
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    head = b"property,status,detail\r\nrho,PASS,deviation 1e-12\r\n"
+    a = head + b"pair,PASS,worst residual 9.35e-11\r\nold,PASS,x\r\n"
+    b = head + b"pair,FAIL,worst residual 2.60e-16\r\n"
+    assert tool.differing_cells(a, a) == []
+    assert tool.differing_cells(a, b) == [
+        "  pair status: A 'PASS'  B 'FAIL'",
+        "  pair detail: A 'worst residual 9.35e-11'  B 'worst residual 2.60e-16'",
+        "  old: only in A",
+    ]

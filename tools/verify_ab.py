@@ -13,11 +13,15 @@ includes the import).  One untimed run per side comes first.  Per side it
 prints the median and quartiles of seconds, how many rounds the side was
 the faster, and the median and largest peak RSS; then whether every
 ``verify_report.csv`` the two sides wrote is the same byte for byte.
-Exits 1 when they differ, and with an error when the exit codes of
-``verify`` differ.  Needs only the stdlib and numpy.
+When they differ it prints each cell that differs between the first
+report of each side, as the property and column with the A and B cells,
+and exits 1; it exits with an error when the exit codes of ``verify``
+differ.  Needs only the stdlib and numpy.
 """
 
 import argparse
+import csv
+import io
 import json
 import statistics
 import subprocess
@@ -55,6 +59,23 @@ def run(root: Path, out: Path, flags):
     return child["code"], child["seconds"], child["peak_kb"], report
 
 
+def differing_cells(report_a: bytes, report_b: bytes):
+    """One line per cell that differs between two reports: property, column, A and B."""
+    tables = [list(csv.reader(io.StringIO(r.decode()))) for r in (report_a, report_b)]
+    header = tables[0][0]
+    rows = [{row[0]: row for row in table[1:]} for table in tables]
+    lines = []
+    for prop in dict.fromkeys([*rows[0], *rows[1]]):
+        a, b = (side.get(prop) for side in rows)
+        if a is None or b is None:
+            lines.append(f"  {prop}: only in {'A' if b is None else 'B'}")
+            continue
+        for column, cell_a, cell_b in zip(header[1:], a[1:], b[1:]):
+            if cell_a != cell_b:
+                lines.append(f"  {prop} {column}: A {cell_a!r}  B {cell_b!r}")
+    return lines
+
+
 def main(argv):
     parser = argparse.ArgumentParser(prog="verify_ab.py", description=__doc__.split("\n")[0])
     parser.add_argument("src_a")
@@ -85,10 +106,16 @@ def main(argv):
               f"  peak RSS median {statistics.median(peaks):.1f} MB, max {max(peaks):.1f} MB")
     print(f"B/A median {statistics.median(b) / statistics.median(a):.3f}")
     print(f"verify exit code on both sides: {next(iter(codes['A']))}")
-    reports = {x[3] for xs in runs.values() for x in xs}
-    print(f"{2 * (ROUNDS + 1)} verify_report.csv files byte-identical: "
-          f"{'yes' if len(reports) == 1 else 'NO'}")
-    return 0 if len(reports) == 1 else 1
+    reports = {s: {x[3] for x in xs} for s, xs in runs.items()}
+    same = len(reports["A"] | reports["B"]) == 1
+    print(f"{2 * (ROUNDS + 1)} verify_report.csv files byte-identical: {'yes' if same else 'NO'}")
+    if not same:
+        print("cells that differ between A's and B's first reports:")
+        print("\n".join(differing_cells(runs["A"][0][3], runs["B"][0][3]) or ["  (none)"]))
+        for s, side in reports.items():
+            if len(side) > 1:
+                print(f"{s}'s own reports differ between rounds")
+    return 0 if same else 1
 
 
 if __name__ == "__main__":
