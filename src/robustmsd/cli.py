@@ -66,14 +66,13 @@ def _cmd_train(args) -> int:
     if args.preprocess:
         dataset = preprocess(dataset)
     n_train = int(dataset.split_indices("train").size)
-    lam = default_lam(n_train) if args.lam == "auto" else float(args.lam)
+    lam = default_lam(n_train) if args.lam is None else args.lam
     # each setting flag is named after the CriterionParams field it fills
     field = criterion_record(args.criterion).setting
     setting = getattr(args, field) if field else None
     params = make_criterion(args.criterion, setting, n_train, lam)
 
-    h0 = None if args.init is None else [float(v) for v in args.init.split(",")]
-    init = build_initial_state(dataset, h0)
+    init = build_initial_state(dataset, args.init)
 
     gd = args.iterations is not None
     # SGD checkpoints at each epoch's end, so --checkpoint-every is GD's alone
@@ -105,7 +104,24 @@ def _floats(text):
     return tuple(float(item) for item in text.split(","))
 
 
+def _lam(text):
+    """None for ``auto``, else the number."""
+    return None if text == "auto" else float(text)
+
+
 _FLOATS = "a comma-separated list of numbers with no empty item"
+_LAM = "auto or a number"
+
+
+def _flag(convert, what):
+    """An argparse type that reads a flag as the config file reads its key, so
+    a value it refuses is a usage error naming the flag and ``what`` it takes."""
+    def parse(text):
+        try:
+            return convert(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"takes {what}, got {text!r}") from None
+    return parse
 
 
 def _parse(text, path, key, convert, what):
@@ -123,7 +139,7 @@ _NUMBERS = {
     "seed": ("seed", int, "an integer"),
     "epochs": ("epochs", int, "an integer"),
     "batch_size": ("batch_size", int, "an integer"),
-    "lam": ("lam", lambda text: None if text == "auto" else float(text), "auto or a number"),
+    "lam": ("lam", _lam, _LAM),
     "step_sizes": ("step_sizes", _floats, _FLOATS),
 }
 # the ExperimentSpec field of each [data] key
@@ -190,8 +206,8 @@ def _cmd_experiment(args) -> int:
     spec = _spec_from_config(args.config, args.out, args.seed)
     try:
         manifest = run_experiment(spec)
-    except SpecError as err:  # a value the data rules out; the text names its field
-        raise DataError(f"config file {args.config!r}: [experiment] {err}") from None
+    except SpecError as err:  # the text names the config values at fault
+        raise DataError(f"config file {args.config!r}: {err}") from None
     n_runs = sum(len(t["runs"]) for t in manifest["trials"])
     n_div = sum(
         1 for t in manifest["trials"] for r in t["runs"] if r["status"] == "diverged"
@@ -260,7 +276,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--beta0", type=float, default=0.9)
     p.add_argument("--xi", type=float, default=0.5)
     p.add_argument("--eta-tilde", type=float, default=0.5)
-    p.add_argument("--lam", default="auto", help="'auto' = log(n)/sqrt(n)")
+    p.add_argument("--lam", type=_flag(_lam, _LAM), default="auto",
+                   help="'auto' = log(n)/sqrt(n)")
     p.add_argument("--step-size", type=float, default=0.01)
     p.add_argument("--iterations", type=int, default=None)
     p.add_argument("--checkpoint-every", type=int, default=100)
@@ -268,7 +285,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--batch-size", type=int, default=32)
     p.add_argument("--split-seed", type=int, default=None)
     p.add_argument("--preprocess", action="store_true")
-    p.add_argument("--init", default=None, help="comma-separated initial weights")
+    p.add_argument("--init", type=_flag(_floats, _FLOATS), default=None,
+                   help="comma-separated initial weights")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=".")
     p.set_defaults(func=_cmd_train)

@@ -198,8 +198,8 @@ class ExperimentSpec:
 
 
 class SpecError(ValueError):
-    """An ``ExperimentSpec`` field the loaded data rules out; the text starts
-    with the field's name."""
+    """An ``ExperimentSpec`` the loaded data or its run-file names rule out;
+    the text names the config values at fault."""
 
 
 def default_lam(n_train: int) -> float:
@@ -245,6 +245,26 @@ def load_dataset(ref: str, fmt: str = "csv", label_col: Optional[str] = None) ->
     return load_tabular(path, fmt, label_col)
 
 
+def _run_files(trial: int, settings, runs) -> List[str]:
+    """Each run's CSV name; SpecError names two runs whose names coincide,
+    as settings or step sizes that print alike under ``%g`` make."""
+    files, first = [], {}
+    n_steps = len(runs) // len(settings)
+
+    def run(i):
+        method, setting = settings[i // n_steps]
+        what = method if setting is None else f"{method} {setting!r}"
+        return f"{what} at step size {runs[i][1].step_size!r}"
+
+    for i, (params, opt) in enumerate(runs):
+        fname = f"runs/trial{trial}_{params.label()}_step={opt.step_size:g}.csv"
+        if fname in first:
+            raise SpecError(f"runs {run(first[fname])} and {run(i)} would both write {fname}")
+        first[fname] = i
+        files.append(fname)
+    return files
+
+
 def run_experiment(spec: ExperimentSpec, dataset: Optional[Dataset] = None) -> dict:
     """Execute the full sweep and return (and write) the manifest.
 
@@ -255,7 +275,8 @@ def run_experiment(spec: ExperimentSpec, dataset: Optional[Dataset] = None) -> d
     of the stacked metrics array, with the bytes ``write_trajectory_csv``
     would write for its records.  Diverged runs are flagged and excluded
     from step-size selection; a setting with no surviving run is recorded
-    with a null selection.
+    with a null selection.  Two runs whose file names would coincide raise
+    SpecError before the trial trains or writes anything.
     """
     out = Path(spec.out_dir)
     if dataset is None:
@@ -269,7 +290,9 @@ def run_experiment(spec: ExperimentSpec, dataset: Optional[Dataset] = None) -> d
         ds = preprocess(shuffle_split(dataset, split_seed))
         n_train = int(ds.split_indices("train").size)
         if spec.batch_size > n_train:
-            raise SpecError(f"batch_size {spec.batch_size} exceeds train size {n_train}")
+            raise SpecError(
+                f"[experiment] batch_size {spec.batch_size} exceeds train size {n_train}"
+            )
         lam = spec.lam if spec.lam is not None else default_lam(n_train)
         # every method and setting is checked before anything is written
         criteria = [make_criterion(method, setting, n_train, lam) for method, setting in settings]
@@ -277,6 +300,7 @@ def run_experiment(spec: ExperimentSpec, dataset: Optional[Dataset] = None) -> d
                            batch_size=spec.batch_size, seed=split_seed)
         runs = [(params, replace(config, step_size=step))
                 for params in criteria for step in spec.step_sizes]
+        files = _run_files(trial, settings, runs)
         trained = train(runs, build_initial_state(ds), ds)
         names = trained.split_names
         for split in ("val", "test"):
@@ -285,7 +309,7 @@ def run_experiment(spec: ExperimentSpec, dataset: Optional[Dataset] = None) -> d
         val, test = names.index("val"), names.index("test")
         (out / "runs").mkdir(parents=True, exist_ok=True)
         entries = []
-        for i, (params, opt) in enumerate(runs):
+        for i, (_, opt) in enumerate(runs):
             method, setting = settings[i // n_steps]
             entry = {"method": method, "setting": setting, "step_size": opt.step_size}
             entries.append(entry)
@@ -293,10 +317,9 @@ def run_experiment(spec: ExperimentSpec, dataset: Optional[Dataset] = None) -> d
                 entry.update(status="diverged", error=trained.errors[i])
                 continue
             block = trained.metrics[:, :, i]
-            fname = f"runs/trial{trial}_{params.label()}_step={opt.step_size:g}.csv"
-            _write_lines(out / fname, _trajectory_lines(trained.checkpoints, names, block))
+            _write_lines(out / files[i], _trajectory_lines(trained.checkpoints, names, block))
             last = block[-1].tolist()
-            entry.update(status="ok", file=fname, final_val_mean_loss=last[val][_MEAN_LOSS],
+            entry.update(status="ok", file=files[i], final_val_mean_loss=last[val][_MEAN_LOSS],
                          final_test_mean_sd=last[test][_MEAN_SD])
         selected = []
         for k, (method, setting) in enumerate(settings):

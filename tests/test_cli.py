@@ -9,7 +9,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from robustmsd.cli import _spec_from_config, main
+from robustmsd.cli import _spec_from_config, build_parser, main
 from robustmsd.criteria import KINDS
 from robustmsd.data import DataError
 from robustmsd.harness import ExperimentSpec
@@ -466,6 +466,39 @@ def one_error_line(capsys, *named):
     assert all(part in err for part in named), err
 
 
+def test_settings_sharing_a_run_file_exit_1_before_writing(tmp_path, capsys):
+    cfg = sweep_config(tmp_path, "erm = yes\ncvar = 0.5, 0.5000000001")
+    assert main(["experiment", "--config", str(cfg)]) == 1
+    one_error_line(capsys, "config file", "cfg.ini",
+                   "runs cvar 0.5 at step size 0.01 and cvar 0.5000000001 at step size 0.01 "
+                   "would both write runs/trial0_cvar_xi=0.5_step=0.01.csv")
+    assert not (tmp_path / "exp").exists()
+
+
+@pytest.mark.parametrize(
+    "flag, value, named",
+    [("--lam", "abc", "auto or a number"), ("--lam", "", "auto or a number"),
+     ("--init", "a,b,c", "comma-separated list"), ("--init", "1,,2", "no empty item")],
+)
+def test_train_flag_that_does_not_parse_exits_2_naming_it(tmp_path, capsys, flag, value, named):
+    with pytest.raises(SystemExit) as exit_:
+        main(["train", "--data", "bundled:credit690", "--criterion", "sunhuber",
+              flag, value, "--out", str(tmp_path / "run")])
+    assert exit_.value.code == 2
+    err = capsys.readouterr().err
+    assert f"argument {flag}: takes" in err and named in err and repr(value) in err, err
+    assert not (tmp_path / "run").exists()
+
+
+def test_train_lam_and_init_flags_parse_as_the_config_reads_them():
+    parse = build_parser().parse_args
+    base = ["train", "--data", "bundled:credit690", "--criterion", "erm"]
+    assert (parse(base).lam, parse(base).init) == (None, None)  # auto: log(n)/sqrt(n)
+    args = parse(base + ["--lam", "0.5", "--init", "1,-2.5,3e2"])
+    assert (args.lam, args.init) == (0.5, (1.0, -2.5, 300.0))
+    assert parse(base + ["--lam", "auto"]).lam is None
+
+
 @pytest.mark.parametrize("step", ["nan", "inf", "-0.1", "0"])
 def test_train_rejects_step_size_before_training(tmp_path, capsys, step):
     main(["synth", "--n", "100", "--seed", "0", "--out", str(tmp_path)])
@@ -480,7 +513,11 @@ def test_train_rejects_step_size_before_training(tmp_path, capsys, step):
 @pytest.mark.parametrize(
     "steps, named",
     [("0.1, -0.1", "-0.1"), ("", "step_sizes"), ("nan", "nan"), ("0.1, inf", "inf"),
-     ("0.1,,0.2", "'0.1,,0.2'"), ("0.01,", "'0.01,'")],
+     ("0.1,,0.2", "'0.1,,0.2'"), ("0.01,", "'0.01,'"),
+     # step sizes that share a run file name
+     ("0.01, 0.0100000001", "erm at step size 0.01 and erm at step size 0.0100000001 "
+                            "would both write runs/trial0_erm_step=0.01.csv"),
+     ("0.1, 0.01, 0.01", "erm at step size 0.01 and erm at step size 0.01 would")],
 )
 def test_experiment_bad_step_sizes_exit_1_before_writing(tmp_path, capsys, steps, named):
     cfg = sweep_config(tmp_path, "erm = yes")

@@ -7,6 +7,7 @@ import threading
 import time
 import tracemalloc
 import warnings
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -16,7 +17,13 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from robustmsd import verify
-from robustmsd.suite import _closed_forms, _conjugate_grid_blocks, _conjugate_sups
+from robustmsd.criteria import CRITERIA, CriterionParams, JointState, criterion_value
+from robustmsd.suite import (
+    _closed_forms,
+    _conjugate_grid_blocks,
+    _conjugate_sups,
+    _partial_convexity,
+)
 from robustmsd.verify import (
     THRESHOLD_BLOCK,
     DiscreteDist,
@@ -528,6 +535,85 @@ def test_streamed_blocks_are_the_rows_of_one_whole_draw(monkeypatch, losses):
     np.testing.assert_array_equal(bits(np.concatenate(seen)), bits(whole))
 
 
+def pcg(seed):
+    return np.random.Generator(np.random.PCG64(seed))
+
+
+@pytest.mark.parametrize("seed", [0, 50])
+@pytest.mark.parametrize("mean, sd", [(0.0, 1.0), (-3.25, 0.7), (1e3, 2.5e-3)])
+def test_gaussian_draw_is_bitwise_mean_plus_sd_times_standard_normal(seed, mean, sd):
+    rng, ref = pcg(seed), pcg(seed)
+    drawn = GaussianLosses(mean, sd).draw(rng, (32, 2000))
+    np.testing.assert_array_equal(bits(drawn), bits(mean + sd * ref.standard_normal((32, 2000))))
+    assert rng.random() == ref.random()
+
+
+@pytest.mark.parametrize("seed", [0, 51])
+@pytest.mark.parametrize("mu, sigma", [(0.0, 1.0), (-2.0, 0.3), (1.5, 2.0)])
+def test_lognormal_draw_is_within_an_ulp_of_rng_lognormal(seed, mu, sigma):
+    # np.exp against numpy's scalar libm exp of the same normal draws
+    rng, ref = pcg(seed), pcg(seed)
+    drawn = LognormalLosses(mu, sigma).draw(rng, (32, 2000))
+    expected = ref.lognormal(mu, sigma, (32, 2000))
+    assert np.all(np.abs(drawn - expected) <= np.spacing(expected))
+    assert rng.random() == ref.random()
+
+
+@dataclass(frozen=True)
+class LibmLognormal(LognormalLosses):
+    """The lognormal sampler through numpy's own ``rng.lognormal``."""
+
+    def draw(self, rng, size):
+        return rng.lognormal(self.mu, self.sigma, size)
+
+
+@pytest.mark.parametrize("seed", [50, 51])
+def test_lognormal_coverage_equals_the_rng_lognormal_reference(seed):
+    kw = dict(b=20.0, alpha=0.0, lam=1.0, n=2000, delta=0.05, trials=300, seed=seed)
+    r = check_location_concentration(LognormalLosses(0.0, 1.0), **kw)
+    assert r == check_location_concentration(LibmLognormal(0.0, 1.0), **kw)
+
+
+def convexity_values(n_pairs, seed):
+    """The partial-convexity property's objective values by one
+    ``criterion_value`` call per point, pair by pair, with its detail."""
+    rng = pcg(seed)
+    losses = rng.normal(size=20) * 3.0
+    params = CriterionParams("sunhuber", alpha=0.05, beta=0.1, lam=1.0)
+
+    def value(a, b):
+        return criterion_value(losses, JointState(h=np.zeros(1), a=a, b=b), params)
+
+    values, worst = [], -math.inf
+    for _ in range(n_pairs):
+        a1, a2 = rng.normal(scale=5.0, size=2)
+        b1, b2 = rng.uniform(1e-3, 10.0, size=2)
+        mid, one, two = value(0.5 * (a1 + a2), 0.5 * (b1 + b2)), value(a1, b1), value(a2, b2)
+        values.append((mid, one, two))
+        worst = max(worst, mid - 0.5 * (one + two))
+    return np.array(values).T, f"{n_pairs} midpoint pairs, worst gap {worst:.2e}"
+
+
+@pytest.mark.parametrize("seed", [10, 11])
+@pytest.mark.parametrize("n_pairs", [200, 1000])
+def test_stacked_convexity_values_equal_per_pair_criterion_values(monkeypatch, n_pairs, seed):
+    expected, detail = convexity_values(n_pairs, seed)
+    # the property's one kernel call, recorded: (3, n_pairs) midpoints and ends
+    record = CRITERIA["sunhuber"]
+    calls = []
+
+    def recording(*args):
+        out = record.objective(*args)
+        calls.append(out[0])
+        return out
+
+    monkeypatch.setitem(CRITERIA, "sunhuber", replace(record, objective=recording))
+    outcome = _partial_convexity(n_pairs, seed)
+    assert len(calls) == 1
+    np.testing.assert_array_equal(bits(calls[0].reshape(3, n_pairs)), bits(expected))
+    assert outcome.detail == detail and outcome.passed
+
+
 # --------------------------------------------------------- stationarity
 
 
@@ -687,11 +773,16 @@ def test_location_concentration_deterministic_given_seed():
     assert r1.coverage == r2.coverage
 
 
-def test_verify_ab_names_each_differing_cell():
+def verify_ab_tool():
     path = Path(__file__).resolve().parents[1] / "tools" / "verify_ab.py"
     spec = importlib.util.spec_from_file_location("verify_ab", path)
     tool = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tool)
+    return tool
+
+
+def test_verify_ab_names_each_differing_cell():
+    tool = verify_ab_tool()
     head = b"property,status,detail\r\nrho,PASS,deviation 1e-12\r\n"
     a = head + b"pair,PASS,worst residual 9.35e-11\r\nold,PASS,x\r\n"
     b = head + b"pair,FAIL,worst residual 2.60e-16\r\n"
@@ -700,4 +791,16 @@ def test_verify_ab_names_each_differing_cell():
         "  pair status: A 'PASS'  B 'FAIL'",
         "  pair detail: A 'worst residual 9.35e-11'  B 'worst residual 2.60e-16'",
         "  old: only in A",
+    ]
+
+
+def test_verify_ab_gives_each_property_its_median_seconds():
+    tool = verify_ab_tool()
+    stderr = "time rho 0.047 s\nnot a time line\ntime pair 0.000 s\n"
+    assert tool.TIME_LINE.findall(stderr) == [("rho", "0.047"), ("pair", "0.000")]
+    a = [{"rho": 0.04, "pair": 0.0}, {"rho": 0.05, "pair": 0.0}, {"rho": 0.09, "pair": 0.0}]
+    b = [{"rho": 0.02, "pair": 0.001}]
+    assert tool.property_lines(a, b) == [
+        f"  {'rho':<32}    0.050    0.020    0.400",
+        f"  {'pair':<32}    0.000    0.001      nan",
     ]

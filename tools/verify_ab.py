@@ -11,7 +11,10 @@ per side, in an order that alternates between rounds, each in a fresh
 of the command and its own peak RSS (``getrusage(RUSAGE_SELF)``, which
 includes the import).  One untimed run per side comes first.  Per side it
 prints the median and quartiles of seconds, how many rounds the side was
-the faster, and the median and largest peak RSS; then whether every
+the faster, and the median and largest peak RSS; then each property's
+median seconds per side, from the ``time <property> <seconds> s`` lines
+``verify`` writes to stderr, so a change shows which property it moved;
+then whether every
 ``verify_report.csv`` the two sides wrote is the same byte for byte.
 When they differ it prints each cell that differs between the first
 report of each side, as the property and column with the A and B cells,
@@ -23,6 +26,8 @@ import argparse
 import csv
 import io
 import json
+import math
+import re
 import statistics
 import subprocess
 import sys
@@ -39,24 +44,30 @@ CHILD = """\
 import contextlib, io, json, resource, sys, time
 sys.path.insert(0, sys.argv[1])
 from robustmsd.cli import main
-with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+err = io.StringIO()
+with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
     start = time.perf_counter()
     code = main(sys.argv[2:])
     seconds = time.perf_counter() - start
 peak_kb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-print(json.dumps({"code": code, "seconds": seconds, "peak_kb": peak_kb}))
+print(json.dumps({"code": code, "seconds": seconds, "peak_kb": peak_kb,
+                  "stderr": err.getvalue()}))
 """
+# the wall-time line verify writes to stderr for each property
+TIME_LINE = re.compile(r"^time (\S+) (\S+) s$", re.MULTILINE)
 
 
 def run(root: Path, out: Path, flags):
-    """One ``verify`` in a fresh process: (exit code, seconds, peak KiB, report bytes)."""
+    """One ``verify`` in a fresh process: (exit code, seconds, peak KiB,
+    report bytes, {property: seconds})."""
     proc = subprocess.run([sys.executable, "-c", CHILD, str(root), "verify", *flags,
                            "--out", str(out)], capture_output=True, text=True, cwd=out.parent)
     if proc.returncode != 0:
         sys.exit(f"error: verify from {root} failed to run:\n{proc.stderr}")
     child = json.loads(proc.stdout.splitlines()[-1])
     report = (out / "verify_report.csv").read_bytes()
-    return child["code"], child["seconds"], child["peak_kb"], report
+    times = {name: float(s) for name, s in TIME_LINE.findall(child["stderr"])}
+    return child["code"], child["seconds"], child["peak_kb"], report, times
 
 
 def differing_cells(report_a: bytes, report_b: bytes):
@@ -73,6 +84,17 @@ def differing_cells(report_a: bytes, report_b: bytes):
         for column, cell_a, cell_b in zip(header[1:], a[1:], b[1:]):
             if cell_a != cell_b:
                 lines.append(f"  {prop} {column}: A {cell_a!r}  B {cell_b!r}")
+    return lines
+
+
+def property_lines(times_a, times_b):
+    """One line per property: its median seconds on each side and B/A; each
+    side's ``times`` hold one {property: seconds} per run."""
+    lines = []
+    for name in dict.fromkeys(name for t in (*times_a, *times_b) for name in t):
+        a, b = (statistics.median(t.get(name, math.nan) for t in ts) for ts in (times_a, times_b))
+        ratio = b / a if a else math.nan  # verify writes its times to 1 ms
+        lines.append(f"  {name:<32} {a:8.3f} {b:8.3f} {ratio:8.3f}")
     return lines
 
 
@@ -105,6 +127,8 @@ def main(argv):
         print(f"{s}: median {q2:.3f} s  quartiles [{q1:.3f}, {q3:.3f}]  wins {wins[s]}/{ROUNDS}"
               f"  peak RSS median {statistics.median(peaks):.1f} MB, max {max(peaks):.1f} MB")
     print(f"B/A median {statistics.median(b) / statistics.median(a):.3f}")
+    print("median seconds per property:          A        B      B/A")
+    print("\n".join(property_lines(*([x[4] for x in runs[s][1:]] for s in ("A", "B")))))
     print(f"verify exit code on both sides: {next(iter(codes['A']))}")
     reports = {s: {x[3] for x in xs} for s, xs in runs.items()}
     same = len(reports["A"] | reports["B"]) == 1
