@@ -109,8 +109,17 @@ def _lam(text):
     return None if text == "auto" else float(text)
 
 
+def _seed(text):
+    """The integer, which must not be negative: numpy's generators take no other seed."""
+    seed = int(text)
+    if seed < 0:
+        raise ValueError(text)
+    return seed
+
+
 _FLOATS = "a comma-separated list of numbers with no empty item"
 _LAM = "auto or a number"
+_SEED = "a non-negative integer"
 
 
 def _flag(convert, what):
@@ -122,6 +131,9 @@ def _flag(convert, what):
         except ValueError:
             raise argparse.ArgumentTypeError(f"takes {what}, got {text!r}") from None
     return parse
+
+
+_SEED_FLAG = _flag(_seed, _SEED)  # every --seed and --split-seed
 
 
 def _parse(text, path, key, convert, what):
@@ -136,7 +148,7 @@ def _parse(text, path, key, convert, what):
 # how its value is read and what it takes; an absent key leaves the default
 _NUMBERS = {
     "trials": ("trials", int, "an integer"),
-    "seed": ("seed", int, "an integer"),
+    "seed": ("seed", _seed, _SEED),
     "epochs": ("epochs", int, "an integer"),
     "batch_size": ("batch_size", int, "an integer"),
     "lam": ("lam", _lam, _LAM),
@@ -256,7 +268,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("synth", help="generate the planar two-class task")
     p.add_argument("--n", type=int, default=100)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_SEED_FLAG, default=0)
     p.add_argument("--out", default=".")
     p.add_argument("--outlier-scale", type=float, default=-10.0)
     p.add_argument("--covariance-scale", type=float, default=1.0)
@@ -283,23 +295,23 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--checkpoint-every", type=int, default=100)
     p.add_argument("--epochs", type=int, default=30)
     p.add_argument("--batch-size", type=int, default=32)
-    p.add_argument("--split-seed", type=int, default=None)
+    p.add_argument("--split-seed", type=_SEED_FLAG, default=None)
     p.add_argument("--preprocess", action="store_true")
     p.add_argument("--init", type=_flag(_floats, _FLOATS), default=None,
                    help="comma-separated initial weights")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_SEED_FLAG, default=0)
     p.add_argument("--out", default=".")
     p.set_defaults(func=_cmd_train)
 
     p = sub.add_parser("experiment", help="full sweep from a config file")
     p.add_argument("--config", required=True)
     p.add_argument("--out", default=None)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=_SEED_FLAG, default=None)
     p.set_defaults(func=_cmd_experiment)
 
     p = sub.add_parser("verify", help="run the numerical property suite")
     p.add_argument("--quick", action="store_true")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_SEED_FLAG, default=0)
     p.add_argument("--out", default=".")
     p.set_defaults(func=_cmd_verify)
 

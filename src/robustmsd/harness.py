@@ -185,6 +185,8 @@ class ExperimentSpec:
     def __post_init__(self):
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.epochs < 1:
             raise ValueError(f"epochs must be >= 1, got {self.epochs}")
         if self.batch_size < 1:
@@ -219,7 +221,11 @@ def build_initial_state(dataset: Dataset, h0: Optional[np.ndarray] = None) -> Jo
     if idx.size == 0:
         raise ValueError("dataset has no training examples")
     values = loss_values(LinearModel(weights=h0), dataset.features[idx], dataset.labels[idx])
-    return JointState(h=h0, a=float(np.mean(values)), b=max(float(np.std(values)), 1e-2))
+    mean, sd = float(np.mean(values)), float(np.std(values))
+    if not (math.isfinite(mean) and math.isfinite(sd)):
+        raise ValueError("the initial weights give non-finite train losses "
+                         f"(mean {mean!r}, sd {sd!r})")
+    return JointState(h=h0, a=mean, b=max(sd, 1e-2))
 
 
 _MEAN_SD, _MEAN_LOSS = METRIC_FIELDS.index("mean_sd"), METRIC_FIELDS.index("mean_loss")

@@ -163,11 +163,9 @@ def check_scale_bounds(
 
 @dataclass
 class ScaleLimitReport:
-    betas: Tuple[float, ...]
     scaled_values: List[float]
     lower: float
     upper: float
-    rel_change: float
     verdict: str  # "pass" | "fail" | "inconclusive"
 
     @property
@@ -220,7 +218,7 @@ def check_scale_optimized_limit(
         verdict = "pass"
     else:
         verdict = "fail"
-    return ScaleLimitReport(tuple(betas), scaled, lower, upper, rel_change, verdict)
+    return ScaleLimitReport(scaled, lower, upper, verdict)
 
 
 @dataclass(frozen=True)
@@ -344,7 +342,6 @@ class CoverageReport:
     required: float
     center: float
     halfwidth: float
-    trials: int
     passed: bool
 
 
@@ -402,7 +399,7 @@ def check_location_concentration(
     halfwidth = 2.0 * (var / b + b * math.log(2.0 / delta) / n)
     coverage = float(np.mean(np.abs(A - center) <= halfwidth))
     required = 1.0 - delta - 3.0 * math.sqrt(delta * (1.0 - delta) / trials)
-    return CoverageReport(coverage, required, center, halfwidth, trials, coverage >= required)
+    return CoverageReport(coverage, required, center, halfwidth, coverage >= required)
 
 
 @dataclass(frozen=True)

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from robustmsd.cli import _spec_from_config, build_parser, main
 from robustmsd.criteria import KINDS
 from robustmsd.data import DataError
-from robustmsd.harness import ExperimentSpec
+from robustmsd.harness import ExperimentSpec, MethodGrid
 from robustmsd.suite import run_property_suite
 
 
@@ -487,6 +487,50 @@ def test_train_flag_that_does_not_parse_exits_2_naming_it(tmp_path, capsys, flag
     assert exit_.value.code == 2
     err = capsys.readouterr().err
     assert f"argument {flag}: takes" in err and named in err and repr(value) in err, err
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["synth", "--seed", "-1"], "--seed"),
+        (["train", "--data", "bundled:credit690", "--criterion", "erm", "--split-seed", "-1"],
+         "--split-seed"),
+        (["train", "--data", "bundled:credit690", "--criterion", "erm", "--epochs", "1",
+          "--batch-size", "10", "--seed", "-1"], "--seed"),
+        (["experiment", "--config", "missing.ini", "--seed", "-3"], "--seed"),
+        (["verify", "--seed", "-100"], "--seed"),
+        (["verify", "--quick", "--seed", "-1"], "--seed"),
+    ],
+)
+def test_negative_seed_flag_exits_2_naming_it(tmp_path, capsys, argv, flag):
+    with pytest.raises(SystemExit) as exit_:
+        main(argv + ["--out", str(tmp_path / "out")])
+    assert exit_.value.code == 2
+    assert f"argument {flag}: takes a non-negative integer, got '-" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_negative_seed_in_a_config_or_spec_is_refused(tmp_path):
+    cfg = tmp_path / "neg.ini"
+    cfg.write_text("[data]\npath = bundled:credit690\n[experiment]\nseed = -2\n", encoding="utf-8")
+    with pytest.raises(DataError, match=r"neg\.ini.*\[experiment\] seed takes a non-negative "
+                                        r"integer, got '-2'"):
+        _spec_from_config(str(cfg), None, None)
+    with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
+        ExperimentSpec(data="bundled:credit690", methods=[MethodGrid("erm")],
+                       out_dir=str(tmp_path), seed=-1)
+    for seed in ("0", "7", str(2**70)):
+        assert build_parser().parse_args(["verify", "--seed", seed]).seed == int(seed)
+
+
+def test_initial_weights_with_non_finite_losses_exit_1_naming_them(tmp_path, capsys):
+    main(["synth", "--n", "40", "--seed", "0", "--out", str(tmp_path)])
+    capsys.readouterr()
+    for init in ("1e308,1e308,1e308", "1e200,1e200,1e200"):
+        assert main(["train", "--data", str(tmp_path / "synth.csv"), "--criterion", "sunhuber",
+                     "--iterations", "3", "--init", init, "--out", str(tmp_path / "run")]) == 1
+        one_error_line(capsys, "the initial weights give non-finite train losses")
     assert not (tmp_path / "run").exists()
 
 

@@ -283,6 +283,14 @@ def test_build_initial_state_takes_flat_or_shaped_weights():
         build_initial_state(three, np.zeros(8))
 
 
+def test_build_initial_state_names_weights_whose_losses_are_not_finite():
+    binary = load_tabular(BUNDLED)
+    for scale in (1e308, 1e200):  # losses overflow; losses finite but their sd overflows
+        h0 = np.full(binary.n_features + 1, scale)
+        with pytest.raises(ValueError, match="initial weights give non-finite train losses"):
+            build_initial_state(binary, h0)
+
+
 # ------------------------------------------- byte identity of the CSV writers
 # The trajectory writers join their lines themselves; these references are
 # the former ``csv.writer`` code, whose bytes every file must keep.

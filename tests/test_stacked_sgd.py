@@ -8,6 +8,7 @@ raises, and each criterion's block kernel must equal its single-run
 objective row by row.
 """
 
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -41,6 +42,7 @@ from robustmsd.harness import (
 )
 from robustmsd.model import LossBatch
 from robustmsd.optimizer import (
+    METRIC_FIELDS,
     DivergenceError,
     OptConfig,
     run_batch_gd,
@@ -261,3 +263,85 @@ def test_block_kernels_equal_scalar_objectives_bitwise(batch):
         assert_bitwise(
             np.array([values_only[i]]), np.array([criterion_value(losses[i], state, p)])
         )
+
+
+# ------------------------------------------------ train end to end
+
+
+@st.composite
+def training_problems(draw):
+    """A small dataset, an initial state, stacked runs of mixed kinds in any
+    order (each with its own step size), and the schedule they share."""
+    n_train, d = draw(st.integers(2, 12)), draw(st.integers(1, 3))
+    n_classes, n_val = draw(st.sampled_from((2, 3))), draw(st.integers(0, 3))
+    rng = np.random.Generator(np.random.PCG64(draw(st.integers(0, 2**32 - 1))))
+    n = n_train + n_val
+    features = rng.normal(size=(n, d)) * draw(st.sampled_from((1.0, 30.0)))
+    labels = rng.integers(0, n_classes, size=n)
+    ds = Dataset(features, labels, n_classes, np.array(["train"] * n_train + ["val"] * n_val))
+    init = build_initial_state(ds)
+    if draw(st.booleans()):
+        init = JointState(init.h, init.a, B_FLOOR)
+    lam = default_lam(n_train)
+    levels = st.sampled_from(DEFAULT_LEVELS)
+    # beta0 / sqrt(n) must stay below lam = log(n) / sqrt(n), so beta0 < log 2
+    setting = {"sunhuber": st.sampled_from((0.3, 0.6)), "erm": st.none(),
+               "cvar": levels, "chisq_dro": levels}
+    kinds = draw(st.lists(st.sampled_from(sorted(setting)), min_size=1, max_size=5))
+    criteria = [make_criterion(kind, draw(setting[kind]), n_train, lam) for kind in kinds]
+    # mostly small steps, some large enough to diverge at a step or a checkpoint
+    exponents = st.one_of(st.floats(-3.0, 1.0), st.floats(1.0, 300.0))
+    steps = [10.0 ** draw(exponents) for _ in criteria]
+    if draw(st.booleans()):
+        schedule = dict(iterations=draw(st.integers(1, 30)),
+                        checkpoint_every=draw(st.integers(1, 10)))
+    else:
+        schedule = dict(epochs=draw(st.integers(1, 3)), batch_size=draw(st.integers(1, n_train)),
+                        seed=draw(st.integers(0, 2**32 - 1)))
+    return ds, init, criteria, steps, schedule
+
+
+def stack(ds, init, criteria, steps, **schedule):
+    return train([(p, OptConfig(step_size=s, **schedule)) for p, s in zip(criteria, steps)],
+                 init, ds)
+
+
+def assert_same_finished_runs(got, want, pairs):
+    """Runs ``i`` of ``got`` and ``j`` of ``want`` finished alike, bitwise."""
+    assert got.checkpoints == want.checkpoints
+    for i, j in pairs:
+        assert_bitwise(got.metrics[:, :, i], want.metrics[:, :, j])
+        assert_bitwise(got.h[i], want.h[j])
+        assert_bitwise([got.a[i], got.b[i]], [want.a[j], want.b[j]])
+
+
+A_COLUMN, B_COLUMN = METRIC_FIELDS.index("a"), METRIC_FIELDS.index("b")
+
+
+@settings(max_examples=60, deadline=None)
+@given(training_problems())
+def test_train_stacks_runs_as_they_train_alone(problem):
+    ds, init, criteria, steps, schedule = problem
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no numpy warning may escape
+        stacked = stack(ds, init, criteria, steps, **schedule)
+        for i, (params, step) in enumerate(zip(criteria, steps)):
+            alone = stack(ds, init, [params], [step], **schedule)
+            assert stacked.errors[i] == alone.errors[0]
+            if alone.errors[0] is not None:
+                continue
+            assert_same_finished_runs(stacked, alone, [(i, 0)])
+            a, b = stacked.metrics[..., i, A_COLUMN], stacked.metrics[..., i, B_COLUMN]
+            # a and b are recorded, at every checkpoint, exactly when the kind optimizes them
+            assert (np.isnan(a) != params.updates_a).all()
+            assert (np.isnan(b) != params.updates_b).all()
+            if params.updates_b:
+                assert (b >= B_FLOOR).all() and stacked.b[i] >= B_FLOOR
+        # an SGD epoch over the whole train split is one full-batch GD step
+        epochs = schedule.get("epochs", 2)
+        n_train = int(ds.split_indices("train").size)
+        sgd = stack(ds, init, criteria, steps, epochs=epochs, batch_size=n_train, seed=7)
+        gd = stack(ds, init, criteria, steps, iterations=epochs, checkpoint_every=1)
+    finished = [i for i, pair in enumerate(zip(sgd.errors, gd.errors)) if pair == (None, None)]
+    if finished:
+        assert_same_finished_runs(sgd, gd, [(i, i) for i in finished])
