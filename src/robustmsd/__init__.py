@@ -28,7 +28,7 @@ from .criteria import (
 )
 from .data import Dataset, SynthConfig, generate_2d_outlier, load_tabular
 from .model import LinearModel, LossBatch
-from .optimizer import OptConfig, RunResult, run_batch_gd, run_minibatch_sgd
+from .optimizer import OptConfig, RunResult, run_batch_gd
 
 __all__ = [
     "__version__",
@@ -46,5 +46,4 @@ __all__ = [
     "OptConfig",
     "RunResult",
     "run_batch_gd",
-    "run_minibatch_sgd",
 ]

@@ -27,7 +27,7 @@ from .harness import (
     write_aggregate_csv,
     write_trajectory_csv,
 )
-from .optimizer import DivergenceError, OptConfig, run_batch_gd, run_minibatch_sgd
+from .optimizer import DivergenceError, OptConfig, run_batch_gd, train
 from .suite import run_property_suite
 
 
@@ -79,7 +79,10 @@ def _cmd_train(args) -> int:
     schedule = (dict(iterations=args.iterations, checkpoint_every=args.checkpoint_every) if gd
                 else dict(epochs=args.epochs, batch_size=args.batch_size))
     config = OptConfig(step_size=args.step_size, seed=args.seed, **schedule)
-    result = (run_batch_gd if gd else run_minibatch_sgd)(params, init, dataset, config)
+    if gd:  # tests/test_acceptance.py imports run_batch_gd; perfbench counts its spans
+        result = run_batch_gd(params, init, dataset, config)
+    else:
+        result = train([(params, config)], init, dataset).result(0)
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -109,17 +112,20 @@ def _lam(text):
     return None if text == "auto" else float(text)
 
 
-def _seed(text):
-    """The integer, which must not be negative: numpy's generators take no other seed."""
-    seed = int(text)
-    if seed < 0:
-        raise ValueError(text)
-    return seed
+def _at_least(low):
+    """A reader of integers no less than ``low``."""
+    def read(text):
+        value = int(text)
+        if value < low:
+            raise ValueError(text)
+        return value
+    return read
 
 
+_non_negative = _at_least(0)  # seeds too: numpy's generators take no negative seed
 _FLOATS = "a comma-separated list of numbers with no empty item"
 _LAM = "auto or a number"
-_SEED = "a non-negative integer"
+_NON_NEGATIVE = "a non-negative integer"
 
 
 def _flag(convert, what):
@@ -133,7 +139,9 @@ def _flag(convert, what):
     return parse
 
 
-_SEED_FLAG = _flag(_seed, _SEED)  # every --seed and --split-seed
+# train reads its counts and sizes whichever mode the run takes
+_NON_NEGATIVE_FLAG = _flag(_non_negative, _NON_NEGATIVE)  # seeds, --iterations, --epochs
+_POSITIVE_FLAG = _flag(_at_least(1), "a positive integer")  # --batch-size, --checkpoint-every
 
 
 def _parse(text, path, key, convert, what):
@@ -148,7 +156,7 @@ def _parse(text, path, key, convert, what):
 # how its value is read and what it takes; an absent key leaves the default
 _NUMBERS = {
     "trials": ("trials", int, "an integer"),
-    "seed": ("seed", _seed, _SEED),
+    "seed": ("seed", _non_negative, _NON_NEGATIVE),
     "epochs": ("epochs", int, "an integer"),
     "batch_size": ("batch_size", int, "an integer"),
     "lam": ("lam", _lam, _LAM),
@@ -268,7 +276,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("synth", help="generate the planar two-class task")
     p.add_argument("--n", type=int, default=100)
-    p.add_argument("--seed", type=_SEED_FLAG, default=0)
+    p.add_argument("--seed", type=_NON_NEGATIVE_FLAG, default=0)
     p.add_argument("--out", default=".")
     p.add_argument("--outlier-scale", type=float, default=-10.0)
     p.add_argument("--covariance-scale", type=float, default=1.0)
@@ -291,27 +299,27 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lam", type=_flag(_lam, _LAM), default="auto",
                    help="'auto' = log(n)/sqrt(n)")
     p.add_argument("--step-size", type=float, default=0.01)
-    p.add_argument("--iterations", type=int, default=None)
-    p.add_argument("--checkpoint-every", type=int, default=100)
-    p.add_argument("--epochs", type=int, default=30)
-    p.add_argument("--batch-size", type=int, default=32)
-    p.add_argument("--split-seed", type=_SEED_FLAG, default=None)
+    p.add_argument("--iterations", type=_NON_NEGATIVE_FLAG, default=None)
+    p.add_argument("--checkpoint-every", type=_POSITIVE_FLAG, default=100)
+    p.add_argument("--epochs", type=_NON_NEGATIVE_FLAG, default=30)
+    p.add_argument("--batch-size", type=_POSITIVE_FLAG, default=32)
+    p.add_argument("--split-seed", type=_NON_NEGATIVE_FLAG, default=None)
     p.add_argument("--preprocess", action="store_true")
     p.add_argument("--init", type=_flag(_floats, _FLOATS), default=None,
                    help="comma-separated initial weights")
-    p.add_argument("--seed", type=_SEED_FLAG, default=0)
+    p.add_argument("--seed", type=_NON_NEGATIVE_FLAG, default=0)
     p.add_argument("--out", default=".")
     p.set_defaults(func=_cmd_train)
 
     p = sub.add_parser("experiment", help="full sweep from a config file")
     p.add_argument("--config", required=True)
     p.add_argument("--out", default=None)
-    p.add_argument("--seed", type=_SEED_FLAG, default=None)
+    p.add_argument("--seed", type=_NON_NEGATIVE_FLAG, default=None)
     p.set_defaults(func=_cmd_experiment)
 
     p = sub.add_parser("verify", help="run the numerical property suite")
     p.add_argument("--quick", action="store_true")
-    p.add_argument("--seed", type=_SEED_FLAG, default=0)
+    p.add_argument("--seed", type=_NON_NEGATIVE_FLAG, default=0)
     p.add_argument("--out", default=".")
     p.set_defaults(func=_cmd_verify)
 

@@ -241,6 +241,12 @@ def _load_csv(path: Path, label_col: Optional[str]):
                         f"{path}: line {line_nums[i]}: non-numeric value {s!r} "
                         f"in numeric column {name!r}"
                     ) from None
+            bad = np.flatnonzero(~np.isfinite(vals))
+            if bad.size:
+                raise DataError(
+                    f"{path}: line {line_nums[bad[0]]}: non-finite value {col[bad[0]]!r} "
+                    f"in numeric column {name!r}"
+                )
             blocks.append(vals[:, None])
             groups.append(ColumnGroup(name, "numeric", [out_idx]))
             out_idx += 1
@@ -273,6 +279,12 @@ def _load_svmlight(path: Path):
         if not line:
             continue
         tokens = line.split()
+        try:
+            finite = math.isfinite(float(tokens[0]))
+        except ValueError:
+            finite = False
+        if not finite:
+            raise DataError(f"{path}: line {line_num}: label {tokens[0]!r} is not a finite number")
         raw_labels.append(tokens[0])
         fmap = {}
         for tok in tokens[1:]:
@@ -285,6 +297,10 @@ def _load_svmlight(path: Path):
                 ) from None
             if idx < 1:
                 raise DataError(f"{path}: line {line_num}: feature index {idx} < 1")
+            if not math.isfinite(val):
+                raise DataError(
+                    f"{path}: line {line_num}: non-finite value {val_s!r} at feature index {idx}"
+                )
             if idx in fmap:
                 raise DataError(f"{path}: line {line_num}: duplicate feature index {idx}")
             fmap[idx] = val
@@ -314,10 +330,12 @@ def load_tabular(path, fmt: str = "csv", label_col: Optional[str] = None) -> Dat
 
     A CSV column whose first value other than the missing-value marker
     ``?`` is non-numeric is one-hot encoded over the levels seen in the file
-    (``?`` among them); any other column is numeric and rejects a ``?`` or a
-    non-numeric value with the offending line number.  svmlight rows are
-    ``label index:value`` with 1-based indices, densified to the maximum
-    index in the file; a file whose largest index exceeds
+    (``?`` among them); any other column is numeric and rejects a ``?``, a
+    non-numeric or a non-finite value (``nan``, ``inf``, ``1e400``) with the
+    offending line number.  svmlight rows are ``label index:value`` with a
+    finite number as label and 1-based indices, densified to the maximum
+    index in the file; a label or value that is not a finite number is
+    rejected with its line, and a file whose largest index exceeds
     ``SVMLIGHT_MAX_WIDTH``, or whose rows x largest index exceed
     ``SVMLIGHT_MAX_CELLS``, raises DataError before anything is allocated.
     """
@@ -330,17 +348,14 @@ def load_tabular(path, fmt: str = "csv", label_col: Optional[str] = None) -> Dat
         features, labels, class_names, groups = _load_svmlight(path)
     else:
         raise DataError(f"unknown format {fmt!r}")
-    try:
-        return Dataset(
-            features=features,
-            labels=labels,
-            n_classes=len(class_names),
-            split=np.full(features.shape[0], "train"),
-            columns=groups,
-            class_names=class_names,
-        )
-    except DataError as err:  # e.g. a nan or an overflowing value
-        raise DataError(f"{path}: {err}") from None
+    return Dataset(
+        features=features,
+        labels=labels,
+        n_classes=len(class_names),
+        split=np.full(features.shape[0], "train"),
+        columns=groups,
+        class_names=class_names,
+    )
 
 
 def preprocess(dataset: Dataset) -> Dataset:

@@ -14,12 +14,11 @@ on all but the step size: they see the same batches, so their weights are
 stacked as one (R, K, d) array and each step is one array program over all
 of them.  The shared config picks the schedule, full-batch GD when it sets
 ``iterations`` and mini-batch SGD otherwise, which binds each batch for
-scoring once.  ``run_batch_gd`` and ``run_minibatch_sgd`` train one run.
-A lone run (R = 1) keeps (K, d) weights and float a, b and step size,
-which the kernels take as they are: its time is mostly per-step overhead,
-and as (1,) arrays a planar step costs ~90% more (~41 against ~77 us for
-the joint criterion).  Per-run results are bitwise those of training each
-run alone.
+scoring once.  ``run_batch_gd`` trains one GD run.  A lone run (R = 1)
+keeps (K, d) weights and float a, b and step size, which the kernels take
+as they are: its time is mostly per-step overhead, and as (1,) arrays a
+planar step costs ~90% more (~41 against ~77 us for the joint criterion).
+Per-run results are bitwise those of training each run alone.
 """
 
 import math
@@ -50,7 +49,6 @@ __all__ = [
     "StackedRuns",
     "train",
     "run_batch_gd",
-    "run_minibatch_sgd",
 ]
 
 RNG_ALGORITHM = "pcg64"
@@ -422,14 +420,3 @@ def run_batch_gd(
         raise ValueError("run_batch_gd requires a batch-mode OptConfig")
     return train([(criterion, config)], init, dataset).result(0)
 
-
-def run_minibatch_sgd(
-    criterion: CriterionParams, init: JointState, dataset: Dataset, config: OptConfig
-) -> RunResult:
-    """Mini-batch SGD of one run: ``train`` with a single row.
-
-    Raises DivergenceError if the run trips the divergence guard.
-    """
-    if config.iterations is not None:
-        raise ValueError("run_minibatch_sgd requires an sgd-mode OptConfig")
-    return train([(criterion, config)], init, dataset).result(0)

@@ -16,7 +16,6 @@ import numpy as np
 from . import rho as rho_mod
 from .criteria import CriterionParams, hessian_quadform, partial_objective_grads
 from .verify import (
-    THRESHOLD_BLOCK,
     DiscreteDist,
     GaussianLosses,
     GradientDist,
@@ -43,35 +42,20 @@ class PropertyOutcome:
         return "PASS" if self.passed else "FAIL"
 
 
-def _conjugate_grid_blocks():
-    """The points u of the numerical conjugate sup, a block at a time.
+def _conjugate_sup(x: float) -> float:
+    """sup_u x*u - rho(u), by bisection on the sign of its slope x - rho'(u).
 
-    First ``np.linspace(-10, 10, 2_000_001)`` in blocks of
-    ``THRESHOLD_BLOCK`` points, each rebuilt with linspace's own formula
-    (``i * step + start``, the last point set to the stop) so every point
-    has linspace's bits, then the geometric tails out to 1e6 and their
-    negatives.
+    The objective is concave in u, so the slope changes sign once; [-1e6, 1e6]
+    is halved until no float lies between its ends, and the larger of the
+    objective's values at the two ends is returned.
     """
-    count = 2_000_001
-    step = 20.0 / (count - 1)
-    for lo in range(0, count, THRESHOLD_BLOCK):
-        u = np.arange(lo, min(lo + THRESHOLD_BLOCK, count), dtype=float) * step - 10.0
-        if lo + THRESHOLD_BLOCK >= count:
-            u[-1] = 10.0
-        yield u
-    tails = np.geomspace(10.0, 1e6, 20_000)
-    yield tails
-    yield -tails
-
-
-def _conjugate_sups(xs) -> List[float]:
-    """sup_u x*u - rho(u) over the grid for each x in ``xs``; rho(u) is
-    computed once per block and every sup updated from it."""
-    sups = [-math.inf] * len(xs)
-    for u in _conjugate_grid_blocks():
-        rho_u = np.sqrt(u * u + 1.0) - 1.0
-        sups = [max(sup, float(np.max(x * u - rho_u))) for sup, x in zip(sups, xs)]
-    return sups
+    lo, hi = -1e6, 1e6
+    while lo < (mid := 0.5 * (lo + hi)) < hi:
+        if x - rho_mod.rho_prime(mid) > 0.0:
+            lo = mid
+        else:
+            hi = mid
+    return max(x * u - rho_mod.rho(u) for u in (lo, hi))
 
 
 def _closed_forms() -> PropertyOutcome:
@@ -91,7 +75,7 @@ def _closed_forms() -> PropertyOutcome:
         abs(rho_mod.pseudo_huber(2.0, 1e4) - 2.0) < 1e-3,
     ]
     xs = (-0.99, -0.9, -0.5, -0.1, 0.0, 0.1, 0.5, 0.9, 0.99)
-    sup_err = max(abs(rho_mod.rho_conjugate(x) - sup) for x, sup in zip(xs, _conjugate_sups(xs)))
+    sup_err = max(abs(rho_mod.rho_conjugate(x) - _conjugate_sup(x)) for x in xs)
     ok = all(checks) and sup_err < 1e-6
     return PropertyOutcome(
         "rho_closed_forms", ok, f"conjugate sup deviation {sup_err:.2e}"

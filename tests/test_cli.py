@@ -476,14 +476,24 @@ def test_settings_sharing_a_run_file_exit_1_before_writing(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "flag, value, named",
+    "flags, value, named",
     [("--lam", "abc", "auto or a number"), ("--lam", "", "auto or a number"),
-     ("--init", "a,b,c", "comma-separated list"), ("--init", "1,,2", "no empty item")],
+     ("--init", "a,b,c", "comma-separated list"), ("--init", "1,,2", "no empty item"),
+     # a count flag is read in either mode, also where the run would not use it
+     ("--epochs", "-1", "a non-negative integer"),
+     ("--iterations", "-1", "a non-negative integer"),
+     ("--iterations 1 --epochs", "-1", "a non-negative integer"),
+     ("--iterations 1 --batch-size", "0", "a positive integer"),
+     ("--iterations 1 --checkpoint-every", "-3", "a positive integer"),
+     ("--epochs 1 --batch-size 5 --checkpoint-every", "-3", "a positive integer"),
+     ("--epochs", "1.5", "a non-negative integer")],
 )
-def test_train_flag_that_does_not_parse_exits_2_naming_it(tmp_path, capsys, flag, value, named):
+def test_train_flag_that_does_not_parse_exits_2_naming_it(tmp_path, capsys, flags, value, named):
+    # the flag named is the last of ``flags``, which come before ``value``
+    flag = flags.split()[-1]
     with pytest.raises(SystemExit) as exit_:
         main(["train", "--data", "bundled:credit690", "--criterion", "sunhuber",
-              flag, value, "--out", str(tmp_path / "run")])
+              *flags.split(), value, "--out", str(tmp_path / "run")])
     assert exit_.value.code == 2
     err = capsys.readouterr().err
     assert f"argument {flag}: takes" in err and named in err and repr(value) in err, err

@@ -1,5 +1,7 @@
 """Synthetic generation, tabular parsing, preprocessing and splits."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -144,10 +146,16 @@ def test_non_utf8_file_names_file_and_line(tmp_path, fmt, raw, line):
         load_tabular(p, fmt)
 
 
-def test_non_finite_value_names_file(tmp_path):
-    p = write(tmp_path, "nan.csv", "f,label\n1.0,1\nnan,0\n")
-    with pytest.raises(DataError, match=r"nan\.csv: features must be finite"):
-        load_tabular(p, "csv")
+@pytest.mark.parametrize("value", ["nan", "inf", "1e400"])
+@pytest.mark.parametrize("fmt, body, where", [
+    ("csv", "f,g,label\n1.0,2.0,1\n3.0,{},0\n", "line 3: non-finite value '{}' in numeric "
+                                                 "column 'g'"),
+    ("svmlight", "1 1:2\n-1 1:0 3:{}\n", "line 2: non-finite value '{}' at feature index 3"),
+], ids=["csv", "svmlight"])
+def test_non_finite_value_names_file(tmp_path, fmt, body, where, value):
+    p = write(tmp_path, "nan.txt", body.format(value))
+    with pytest.raises(DataError, match=re.escape(f"nan.txt: {where.format(value)}")):
+        load_tabular(p, fmt)
 
 
 # -------------------------------------------------------------- svmlight
@@ -168,6 +176,16 @@ def test_svmlight_malformed_token(tmp_path):
     p2 = write(tmp_path, "bad2.svm", "1 2:1 2:3\n-1 1:0\n")
     with pytest.raises(DataError, match="duplicate"):
         load_tabular(p2, "svmlight")
+    # a label must be a finite number: a CSV header, a word or a nan is not
+    for name, body, line, token in [
+        ("synth.csv", "x1,x2,label\n1.0,2.0,1\n", 1, "x1,x2,label"),
+        ("abc.svm", "1 1:1\nabc 1:1\n", 2, "abc"),
+        ("nan.svm", "1 1:1\nnan 1:1\n", 2, "nan"),
+    ]:
+        p = write(tmp_path, name, body)
+        with pytest.raises(DataError, match=re.escape(
+                f"{name}: line {line}: label {token!r} is not a finite number")):
+            load_tabular(p, "svmlight")
 
 
 @pytest.mark.parametrize(

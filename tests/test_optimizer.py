@@ -21,7 +21,7 @@ from robustmsd.optimizer import (
     OptConfig,
     RunResult,
     run_batch_gd,
-    run_minibatch_sgd,
+    train,
     _LiveRuns,
 )
 from robustmsd.criteria import criterion_value, evaluate_objective, mean_sd
@@ -163,12 +163,8 @@ def test_full_batch_sgd_equals_batch_gd():
     criterion = sunhuber_for(ds)
     init = toy_init(ds)
     epochs = 12
-    res_sgd = run_minibatch_sgd(
-        criterion,
-        init,
-        ds,
-        OptConfig(step_size=0.02, epochs=epochs, batch_size=n_train, seed=3),
-    )
+    sgd = OptConfig(step_size=0.02, epochs=epochs, batch_size=n_train, seed=3)
+    res_sgd = train([(criterion, sgd)], init, ds).result(0)
     res_gd = run_batch_gd(
         criterion,
         init,
@@ -186,8 +182,8 @@ def test_sgd_deterministic_given_seed():
     criterion = sunhuber_for(ds)
     init = toy_init(ds)
     config = OptConfig(step_size=0.05, epochs=5, batch_size=8, seed=42)
-    r1 = run_minibatch_sgd(criterion, init, ds, config)
-    r2 = run_minibatch_sgd(criterion, init, ds, config)
+    r1 = train([(criterion, config)], init, ds).result(0)
+    r2 = train([(criterion, config)], init, ds).result(0)
     np.testing.assert_array_equal(r1.final_state.h, r2.final_state.h)
     assert r1.trajectory == r2.trajectory
 
@@ -196,11 +192,10 @@ def test_sgd_seed_changes_shuffle_order():
     ds = shuffle_split(toy_dataset(n=60, seed=5), 1)
     criterion = sunhuber_for(ds)
     init = toy_init(ds)
-    r1 = run_minibatch_sgd(
-        criterion, init, ds, OptConfig(step_size=0.05, epochs=3, batch_size=8, seed=1)
-    )
-    r2 = run_minibatch_sgd(
-        criterion, init, ds, OptConfig(step_size=0.05, epochs=3, batch_size=8, seed=2)
+    r1, r2 = (
+        train([(criterion, OptConfig(step_size=0.05, epochs=3, batch_size=8, seed=seed))],
+              init, ds).result(0)
+        for seed in (1, 2)
     )
     # different shuffles give different SGD paths
     assert not np.array_equal(r1.final_state.h, r2.final_state.h)
@@ -212,13 +207,9 @@ def test_sgd_seed_changes_shuffle_order():
 
 def test_sgd_batch_size_larger_than_train_rejected():
     ds = shuffle_split(toy_dataset(n=50, seed=4), 0)
+    config = OptConfig(step_size=0.05, epochs=1, batch_size=1000, seed=0)
     with pytest.raises(ValueError):
-        run_minibatch_sgd(
-            sunhuber_for(ds),
-            toy_init(ds),
-            ds,
-            OptConfig(step_size=0.05, epochs=1, batch_size=1000, seed=0),
-        )
+        train([(sunhuber_for(ds), config)], toy_init(ds), ds).result(0)
 
 
 # -------------------------------------------------------------- metrics
@@ -227,12 +218,8 @@ def test_sgd_batch_size_larger_than_train_rejected():
 def test_checkpoint_metrics_recomputable_from_final_state():
     ds = shuffle_split(toy_dataset(n=60, seed=6), 2)
     criterion = sunhuber_for(ds)
-    res = run_minibatch_sgd(
-        criterion,
-        toy_init(ds),
-        ds,
-        OptConfig(step_size=0.05, epochs=4, batch_size=16, seed=7),
-    )
+    config = OptConfig(step_size=0.05, epochs=4, batch_size=16, seed=7)
+    res = train([(criterion, config)], toy_init(ds), ds).result(0)
     state = res.final_state
     model = LinearModel(weights=state.h)
     last_epoch = res.trajectory[-1].checkpoint
@@ -254,12 +241,8 @@ def test_checkpoint_metrics_recomputable_from_final_state():
 
 def test_trajectory_has_one_record_per_split_per_checkpoint():
     ds = shuffle_split(toy_dataset(n=60, seed=6), 2)
-    res = run_minibatch_sgd(
-        sunhuber_for(ds),
-        toy_init(ds),
-        ds,
-        OptConfig(step_size=0.05, epochs=3, batch_size=16, seed=7),
-    )
+    config = OptConfig(step_size=0.05, epochs=3, batch_size=16, seed=7)
+    res = train([(sunhuber_for(ds), config)], toy_init(ds), ds).result(0)
     assert len(res.trajectory) == 3 * 3  # epochs x splits
     for rec in res.trajectory:
         assert rec.mean_sd >= rec.mean_loss
@@ -403,7 +386,7 @@ def test_sgd_binds_labels_once_per_batch(dataset, label_transforms):
     n_train = int(dataset.split_indices("train").size)
     config = OptConfig(step_size=0.01, epochs=3, batch_size=16, seed=1)
     label_transforms.clear()
-    run_minibatch_sgd(CriterionParams("cvar", xi=0.5), init, dataset, config)
+    train([(CriterionParams("cvar", xi=0.5), config)], init, dataset).result(0)
     splits = len(dataset.splits_present())
     batches = 3 * -(-n_train // 16)
     assert len(label_transforms) == batches + splits

@@ -2,8 +2,8 @@
 
 ``train`` trains a grid of (criterion, step size) runs as one array
 program, by mini-batch SGD or full-batch GD.  Every run must carry the
-bits it has when trained alone (``run_minibatch_sgd`` or ``run_batch_gd``,
-the one-run cases), diverged runs must carry the message a lone run
+bits it has when trained alone (``train`` of that one run, or
+``run_batch_gd``), diverged runs must carry the message a lone run
 raises, and each criterion's block kernel must equal its single-run
 objective row by row.
 """
@@ -46,7 +46,6 @@ from robustmsd.optimizer import (
     DivergenceError,
     OptConfig,
     run_batch_gd,
-    run_minibatch_sgd,
     train,
 )
 
@@ -123,7 +122,7 @@ def test_sixty_runs_equal_each_run_alone(credit):
     stacked = train(runs, init, credit)
     assert stacked.errors == [None] * 60
     for i, (params, config) in enumerate(runs):
-        assert_same_run(stacked.result(i), run_minibatch_sgd(params, init, credit, config))
+        assert_same_run(stacked.result(i), train([(params, config)], init, credit).result(0))
 
 
 def test_three_class_stack_equals_each_run_alone(three_class):
@@ -132,7 +131,7 @@ def test_three_class_stack_equals_each_run_alone(three_class):
     stacked = train(runs, init, three_class)
     for i, (params, config) in enumerate(runs):
         assert_same_run(
-            stacked.result(i), run_minibatch_sgd(params, init, three_class, config)
+            stacked.result(i), train([(params, config)], init, three_class).result(0)
         )
 
 
@@ -150,7 +149,7 @@ def test_diverging_step_leaves_the_others_unchanged(credit, tmp_path):
         assert any(e is None for e in stacked.errors)
         for i, (params, config) in enumerate(runs):
             try:
-                alone = run_minibatch_sgd(params, init, credit, config)
+                alone = train([(params, config)], init, credit).result(0)
             except DivergenceError as err:
                 with pytest.raises(DivergenceError) as got:
                     stacked.result(i)

@@ -29,7 +29,7 @@ from robustmsd.data import Dataset, SynthConfig, generate_2d_outlier, load_tabul
 from robustmsd.data import preprocess, shuffle_split
 from robustmsd.harness import build_initial_state, default_lam
 from robustmsd.model import LossBatch
-from robustmsd.optimizer import OptConfig, run_batch_gd, run_minibatch_sgd
+from robustmsd.optimizer import OptConfig, train
 
 BUNDLED = Path(__file__).resolve().parents[1] / "src/robustmsd/datasets/credit690.csv"
 KINDS = ("sunhuber", "erm", "cvar", "chisq_dro")
@@ -194,8 +194,7 @@ def run_both(kind, dataset, config):
     n_train = int(dataset.split_indices("train").size)
     params = criterion_for(kind, n_train)
     init = build_initial_state(dataset)
-    run = run_batch_gd if config.iterations is not None else run_minibatch_sgd
-    result = run(params, init, dataset, config)
+    result = train([(params, config)], init, dataset).result(0)
     got_rows = [
         (r.checkpoint, r.split, r.mean_sd, r.mean_loss, r.error_rate,
          r.model_norm, r.objective, r.a, r.b)

@@ -2,6 +2,7 @@
 
 import importlib.util
 import math
+import re
 import sys
 import threading
 import time
@@ -18,12 +19,8 @@ from hypothesis.extra import numpy as hnp
 
 from robustmsd import verify
 from robustmsd.criteria import CRITERIA, CriterionParams, JointState, criterion_value
-from robustmsd.suite import (
-    _closed_forms,
-    _conjugate_grid_blocks,
-    _conjugate_sups,
-    _partial_convexity,
-)
+from robustmsd.rho import rho_conjugate
+from robustmsd.suite import _closed_forms, _conjugate_sup, _partial_convexity
 from robustmsd.verify import (
     THRESHOLD_BLOCK,
     DiscreteDist,
@@ -480,17 +477,10 @@ def bits(x):
     return np.asarray(x, dtype=float).view(np.uint64)
 
 
-def test_conjugate_grid_blocks_and_sups_equal_the_whole_grids_bitwise():
-    blocks = list(_conjugate_grid_blocks())
-    assert max(len(u) for u in blocks) <= THRESHOLD_BLOCK
-    fine = np.linspace(-10.0, 10.0, 2_000_001)
-    tails = np.geomspace(10.0, 1e6, 20_000)
-    grid = np.concatenate([fine, tails, -tails])
-    np.testing.assert_array_equal(bits(np.concatenate(blocks)), bits(grid))
-    xs = (-0.99, -0.9, -0.5, -0.1, 0.0, 0.1, 0.5, 0.9, 0.99)
-    rho_grid = np.sqrt(grid * grid + 1.0) - 1.0
-    whole = [float(np.max(x * grid - rho_grid)) for x in xs]
-    assert bits(_conjugate_sups(xs)).tolist() == bits(whole).tolist()
+@pytest.mark.parametrize("x", [-0.999, -0.99, -0.9, -0.5, -0.1, 0.0, 0.1, 0.5, 0.9, 0.99, 0.999])
+def test_conjugate_sup_by_bisection_meets_the_closed_form(x):
+    expected = rho_conjugate(x)
+    assert abs(_conjugate_sup(x) - expected) <= 1e-15 * max(1.0, abs(expected))
 
 
 def traced_peak(fn, *args, **kwargs):
@@ -679,7 +669,7 @@ def test_pair_optimality_reports_a_kink_optimum():
     r = check_pair_optimality(d, alpha=0.1, beta=0.5, lam=1.0)
     assert time.perf_counter() - start < 0.05
     assert r.a_star == 0.0 and r.b_star == 0.0
-    assert not r.converged and not r.passed
+    assert not r.passed
     assert r.location_residual == pytest.approx(0.1)  # |E[sign(L)] - alpha/lam|
     assert r.scale_residual == pytest.approx(0.3)  # P(L=0) - (1 - beta/lam)
 
@@ -833,5 +823,7 @@ def test_ab_same_tree_on_both_sides_gives_identical_outputs(monkeypatch, capsys)
     assert tool.main([str(REPO), str(REPO), "step", "--seed", "3"]) == 0
     out = capsys.readouterr().out
     assert "1 alternating rounds of step:" in out
+    assert re.search(r"^per-round B/A median \d\.\d{3}  quartiles \[\d\.\d{3}, \d\.\d{3}\]$",
+                     out, re.MULTILINE), out
     assert "exit codes on both sides: [0, 0]" in out
     assert out.endswith("2 files per run in A, 2 in B, byte-identical: yes\n")

@@ -118,6 +118,11 @@ def run(root: Path, cwd: Path, files, setup, timed):
     return tuple(child["codes"]), times, child["peak_kb"], outputs
 
 
+def quartiles(xs):
+    """(first quartile, median, third quartile) of ``xs``; one value is all three."""
+    return statistics.quantiles(xs, n=4) if len(xs) > 1 else xs * 3
+
+
 def differing_cells(file_a: bytes, file_b: bytes):
     """One line per cell that differs between two CSV files (the row's key,
     the column, the A and B cells) and per row on one side only.  A row's
@@ -201,11 +206,14 @@ def main(argv):
     seconds = {s: [sum(t[name] for name in timed) for t in ts] for s, ts in times.items()}
     wins = {s: sum(x < y for x, y in zip(seconds[s], seconds[o])) for s, o in ("AB", "BA")}
     for s, xs in runs.items():
-        q1, q2, q3 = statistics.quantiles(seconds[s], n=4) if w.rounds > 1 else seconds[s] * 3
+        q1, q2, q3 = quartiles(seconds[s])
         peaks = [x[2] / 1024 for x in xs[1:]]
         print(f"{s}: median {q2:.3f} s  quartiles [{q1:.3f}, {q3:.3f}]  wins {wins[s]}/{w.rounds}"
               f"  peak RSS median {statistics.median(peaks):.1f} MB, max {max(peaks):.1f} MB")
     print(f"B/A median {statistics.median(seconds['B']) / statistics.median(seconds['A']):.3f}")
+    # each round's B over the same round's A: a drift between rounds cancels
+    q1, q2, q3 = quartiles([b / a for a, b in zip(seconds["A"], seconds["B"])])
+    print(f"per-round B/A median {q2:.3f}  quartiles [{q1:.3f}, {q3:.3f}]")
     print(f"{'median seconds':<42}A{'B':>9}{'B/A':>9}", *property_lines(times["A"], times["B"]),
           f"exit codes on both sides: {list(next(iter(codes['A'])))}", sep="\n")
     outputs = {s: [x[3] for x in xs] for s, xs in runs.items()}
