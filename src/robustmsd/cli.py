@@ -8,6 +8,7 @@ files.
 import argparse
 import csv
 import sys
+import time
 from pathlib import Path
 
 from .criteria import KINDS, criterion_record
@@ -240,10 +241,13 @@ def _cmd_experiment(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    start = time.perf_counter()
     outcomes = run_property_suite(quick=args.quick, seed=args.seed)
+    total = time.perf_counter() - start  # the properties' own times overlap
     for o in outcomes:
         print(f"{o.status} {o.name} ({o.detail})")
         print(f"time {o.name} {o.seconds:.3f} s", file=sys.stderr)
+    print(f"time total {total:.3f} s", file=sys.stderr)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     path = out / "verify_report.csv"

@@ -165,16 +165,24 @@ def open_text(path, newline=None) -> io.StringIO:
 
 
 def _parse_label_classes(path: Path, raw_labels: List[str]):
-    """Map raw label strings to class indices, sorting numerically if possible."""
-    uniq = sorted(set(raw_labels))
+    """Map raw label strings to class indices and class names.  When every
+    label parses as a number (callers reject a non-finite one), ``1`` and
+    ``1.0`` are one class, named by its first spelling, and classes sort
+    numerically; otherwise classes are texts, sorted as texts."""
     try:
-        uniq = sorted(uniq, key=float)
+        keys = [float(s) for s in raw_labels]
     except ValueError:
-        pass
+        keys = raw_labels
+    names = {}
+    for key, s in zip(keys, raw_labels):
+        names.setdefault(key, s)
+    uniq = sorted(names)
     if len(uniq) < 2:
-        raise DataError(f"{path}: need at least two distinct label values, got {uniq}")
-    index = {v: i for i, v in enumerate(uniq)}
-    return np.array([index[v] for v in raw_labels], dtype=int), uniq
+        raise DataError(
+            f"{path}: need at least two distinct label values, got {[names[k] for k in uniq]}"
+        )
+    index = {k: i for i, k in enumerate(uniq)}
+    return np.array([index[k] for k in keys], dtype=int), [names[k] for k in uniq]
 
 
 def _load_csv(path: Path, label_col: Optional[str]):
@@ -218,6 +226,13 @@ def _load_csv(path: Path, label_col: Optional[str]):
             return True
         except ValueError:
             return False
+
+    for s, line in zip(raw_labels, line_nums):
+        if is_num(s) and not math.isfinite(float(s)):
+            raise DataError(
+                f"{path}: line {line}: label {s!r} in column {header[label_idx]!r} "
+                "is not a finite number"
+            )
 
     groups: List[ColumnGroup] = []
     blocks = []

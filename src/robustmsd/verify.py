@@ -46,6 +46,14 @@ THRESHOLD_BLOCK = 65536  # losses per drawn and Newton-solved row block (512 KiB
 NEWTON_CAP = 600
 
 
+def _require_finite(dist, *fields: str) -> None:
+    """Raise ValueError naming the first field holding a NaN or an infinity
+    (a NaN prob passes both the positivity and the sum test)."""
+    for name in fields:
+        if not np.all(np.isfinite(getattr(dist, name))):
+            raise ValueError(f"{type(dist).__name__} {name} must be finite")
+
+
 @dataclass(frozen=True)
 class DiscreteDist:
     """Finite distribution of loss values: atoms (value, prob)."""
@@ -60,12 +68,11 @@ class DiscreteDist:
             raise ValueError("values and probs must be matching 1-D arrays")
         if self.values.size == 0:
             raise ValueError("a distribution needs at least one atom")
+        _require_finite(self, "values", "probs")
         if np.any(self.probs <= 0.0):
             raise ValueError("atom probabilities must be positive")
         if abs(float(self.probs.sum()) - 1.0) > PROB_TOL:
             raise ValueError(f"probabilities sum to {self.probs.sum()!r}, not 1")
-        if not np.all(np.isfinite(self.values)):
-            raise ValueError("atom values must be finite")
 
     @classmethod
     def from_atoms(cls, atoms: Sequence[Tuple[float, float]]) -> "DiscreteDist":
@@ -230,10 +237,14 @@ class GaussianLosses:
     def var(self) -> float:
         return self.sd * self.sd
 
-    def draw(self, rng: np.random.Generator, size) -> np.ndarray:
-        """``mean + sd * rng.standard_normal(size)``, bit for bit: numpy
-        applies the location and scale inside its fill."""
-        return rng.normal(self.mean, self.sd, size)
+    def draw(self, rng: np.random.Generator, out: np.ndarray) -> np.ndarray:
+        """Fill ``out`` with ``mean + sd * rng.standard_normal(out.shape)``
+        and return it: the bits and the generator state of
+        ``rng.normal(mean, sd, out.shape)``, with no temporary."""
+        rng.standard_normal(out=out)
+        out *= self.sd
+        out += self.mean
+        return out
 
 
 @dataclass(frozen=True)
@@ -253,11 +264,12 @@ class LognormalLosses:
             2.0 * self.mu + self.sigma**2
         )
 
-    def draw(self, rng: np.random.Generator, size) -> np.ndarray:
-        """``rng.lognormal(mu, sigma, size)`` within 1 ulp: the same normal
-        draws through the vectorized ``np.exp`` instead of scalar libm
-        ``exp``, leaving the generator in the same state."""
-        return np.exp(rng.normal(self.mu, self.sigma, size))
+    def draw(self, rng: np.random.Generator, out: np.ndarray) -> np.ndarray:
+        """Fill ``out`` with ``rng.lognormal(mu, sigma, out.shape)`` within
+        1 ulp and return it: the same normal draws through the vectorized
+        ``np.exp``, in place, instead of scalar libm ``exp``, leaving the
+        generator in the same state."""
+        return np.exp(GaussianLosses(self.mu, self.sigma).draw(rng, out), out=out)
 
 
 def _solve_thresholds(X: np.ndarray, b: float, alpha: float, lam: float) -> np.ndarray:
@@ -367,9 +379,9 @@ def check_location_concentration(
     Passes when empirical coverage >= 1 - delta - 3*sqrt(delta(1-delta)/trials).
     The ``(trials, n)`` sample is drawn from one PCG64 generator and solved
     in blocks of ``THRESHOLD_BLOCK // n`` rows (at least one), each drawn
-    only when it is solved, by safeguarded Newton steps, three per row on
-    verify's samples.  The generator fills values in order and a row's
-    threshold depends on that row alone, so every threshold has the bits of
+    into one buffer only when it is solved, by safeguarded Newton steps,
+    three per row on verify's samples.  The generator fills values in
+    order and a row's threshold depends on that row alone, so every threshold has the bits of
     drawing and solving the whole sample at once, in memory that does not
     grow with ``trials``.
     """
@@ -389,9 +401,10 @@ def check_location_concentration(
         )
     rng = np.random.Generator(np.random.PCG64(seed))
     rows = max(1, THRESHOLD_BLOCK // n)
+    drawn = np.empty((min(rows, trials), n))  # every block is drawn into it
     A = np.empty(trials)
     for start in range(0, trials, rows):
-        block = losses.draw(rng, (min(rows, trials - start), n))
+        block = losses.draw(rng, drawn[: trials - start])
         A[start : start + len(block)] = _solve_thresholds(block, b, alpha, lam)
     center = losses.mean - 2.0 * (alpha / lam) * b
     halfwidth = 2.0 * (var / b + b * math.log(2.0 / delta) / n)
@@ -414,6 +427,7 @@ class GradientDist:
         object.__setattr__(self, "probs", np.asarray(self.probs, dtype=float))
         if self.values.shape[0] != self.grads.shape[0] or self.values.shape != self.probs.shape:
             raise ValueError("values, grads and probs must align")
+        _require_finite(self, "values", "grads", "probs")
         if np.any(self.probs <= 0.0) or abs(float(self.probs.sum()) - 1.0) > PROB_TOL:
             raise ValueError("probs must be positive and sum to 1")
 

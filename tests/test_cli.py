@@ -2,6 +2,7 @@
 
 import csv
 import shutil
+import sys
 import warnings
 
 import numpy as np
@@ -267,17 +268,33 @@ def test_property_suite_outcomes_quick():
 
 
 def test_verify_prints_property_times_on_stderr_only(tmp_path, capsys):
+    # one line per property, in report order, then the suite's wall time
     reports = []
     for run in ("a", "b"):
         assert main(["verify", "--quick", "--out", str(tmp_path / run)]) == 0
         captured = capsys.readouterr()
         times = [line.split() for line in captured.err.splitlines()]
-        assert len(times) == 11
+        assert len(times) == 11 + 1
         assert all(t[0] == "time" and t[3] == "s" and float(t[2]) >= 0.0 for t in times)
         assert "time" not in captured.out
         reports.append((tmp_path / run / "verify_report.csv").read_bytes())
+        rows = list(csv.reader(reports[-1].decode().splitlines()))
+        assert [t[1] for t in times] == [row[0] for row in rows[1:]] + ["total"]
     assert reports[0] == reports[1]
     assert b"time" not in reports[0]
+
+
+def test_verify_output_is_the_same_under_frequent_thread_switches(tmp_path, capsys):
+    runs = []
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(2):
+            assert main(["verify", "--quick", "--out", str(tmp_path)]) == 0
+            runs.append((capsys.readouterr().out, (tmp_path / "verify_report.csv").read_bytes()))
+    finally:
+        sys.setswitchinterval(interval)
+    assert runs[0] == runs[1]
 
 
 @pytest.mark.parametrize(

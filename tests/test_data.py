@@ -158,6 +158,32 @@ def test_non_finite_value_names_file(tmp_path, fmt, body, where, value):
         load_tabular(p, fmt)
 
 
+@pytest.mark.parametrize("fmt, body", [
+    ("csv", "f,label\n1.0,1.0\n2.0,1\n3.0,-1\n4.0,1e0\n"),
+    ("svmlight", "1.0 1:1\n1 1:2\n-1 1:3\n1e0 1:4\n"),
+], ids=["csv", "svmlight"])
+def test_one_number_spelled_several_ways_is_one_class(tmp_path, fmt, body):
+    # numeric labels are classes by value, sorted numerically and named by
+    # their first spelling in the file
+    ds = load_tabular(write(tmp_path, "spelled.txt", body), fmt)
+    assert ds.n_classes == 2 and ds.class_names == ["-1", "1.0"]
+    np.testing.assert_array_equal(ds.labels, [1, 1, 0, 1])
+
+
+def test_csv_text_labels_are_classes_by_text(tmp_path):
+    ds = load_tabular(write(tmp_path, "text.csv", "f,label\n1,yes\n2,no\n3,Yes\n4,yes\n"), "csv")
+    assert ds.class_names == ["Yes", "no", "yes"]
+    np.testing.assert_array_equal(ds.labels, [2, 1, 0, 2])
+
+
+@pytest.mark.parametrize("label", ["nan", "inf", "-inf", "1e400"])
+def test_csv_non_finite_label_names_file_line_and_column(tmp_path, label):
+    p = write(tmp_path, "nan.csv", f"f,y\n1.0,1\n2.0,{label}\n3.0,0\n")
+    with pytest.raises(DataError, match=re.escape(
+            f"nan.csv: line 3: label {label!r} in column 'y' is not a finite number")):
+        load_tabular(p, "csv")
+
+
 # -------------------------------------------------------------- svmlight
 
 

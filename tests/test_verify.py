@@ -17,10 +17,10 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from robustmsd import verify
+from robustmsd import suite, verify
 from robustmsd.criteria import CRITERIA, CriterionParams, JointState, criterion_value
 from robustmsd.rho import rho_conjugate
-from robustmsd.suite import _closed_forms, _conjugate_sup, _partial_convexity
+from robustmsd.suite import _closed_forms, _conjugate_sup, _partial_convexity, run_property_suite
 from robustmsd.verify import (
     THRESHOLD_BLOCK,
     DiscreteDist,
@@ -347,7 +347,9 @@ def test_threshold_coverage_equals_reference_on_verify_samples(seed):
             losses, b=20.0, alpha=0.0, lam=1.0, n=2000, delta=0.05, trials=trials,
             seed=seed + offset,
         )
-        X = losses.draw(np.random.Generator(np.random.PCG64(seed + offset)), (trials, 2000))
+        out = np.empty((trials, 2000))
+        X = losses.draw(np.random.Generator(np.random.PCG64(seed + offset)), out)
+        assert X is out
         ends = np.full(trials, r.center)
         inside = (g_rows(X, ends - r.halfwidth, 20.0, 0.0, 1.0) >= 0.0) & (
             g_rows(X, ends + r.halfwidth, 20.0, 0.0, 1.0) <= 0.0
@@ -521,7 +523,9 @@ def test_streamed_blocks_are_the_rows_of_one_whole_draw(monkeypatch, losses):
     check_location_concentration(losses, b=20.0, alpha=0.0, lam=1.0, n=700, delta=0.05,
                                  trials=100, seed=3)
     assert [len(X) for X in seen] == [THRESHOLD_BLOCK // 700, 100 - THRESHOLD_BLOCK // 700]
-    whole = losses.draw(np.random.Generator(np.random.PCG64(3)), (100, 700))
+    out = np.empty((100, 700))
+    whole = losses.draw(np.random.Generator(np.random.PCG64(3)), out)
+    assert whole is out
     np.testing.assert_array_equal(bits(np.concatenate(seen)), bits(whole))
 
 
@@ -533,8 +537,11 @@ def pcg(seed):
 @pytest.mark.parametrize("mean, sd", [(0.0, 1.0), (-3.25, 0.7), (1e3, 2.5e-3)])
 def test_gaussian_draw_is_bitwise_mean_plus_sd_times_standard_normal(seed, mean, sd):
     rng, ref = pcg(seed), pcg(seed)
-    drawn = GaussianLosses(mean, sd).draw(rng, (32, 2000))
+    out = np.empty((32, 2000))
+    drawn = GaussianLosses(mean, sd).draw(rng, out)
+    assert drawn is out
     np.testing.assert_array_equal(bits(drawn), bits(mean + sd * ref.standard_normal((32, 2000))))
+    np.testing.assert_array_equal(bits(drawn), bits(pcg(seed).normal(mean, sd, (32, 2000))))
     assert rng.random() == ref.random()
 
 
@@ -543,7 +550,9 @@ def test_gaussian_draw_is_bitwise_mean_plus_sd_times_standard_normal(seed, mean,
 def test_lognormal_draw_is_within_an_ulp_of_rng_lognormal(seed, mu, sigma):
     # np.exp against numpy's scalar libm exp of the same normal draws
     rng, ref = pcg(seed), pcg(seed)
-    drawn = LognormalLosses(mu, sigma).draw(rng, (32, 2000))
+    out = np.empty((32, 2000))
+    drawn = LognormalLosses(mu, sigma).draw(rng, out)
+    assert drawn is out
     expected = ref.lognormal(mu, sigma, (32, 2000))
     assert np.all(np.abs(drawn - expected) <= np.spacing(expected))
     assert rng.random() == ref.random()
@@ -553,8 +562,9 @@ def test_lognormal_draw_is_within_an_ulp_of_rng_lognormal(seed, mu, sigma):
 class LibmLognormal(LognormalLosses):
     """The lognormal sampler through numpy's own ``rng.lognormal``."""
 
-    def draw(self, rng, size):
-        return rng.lognormal(self.mu, self.sigma, size)
+    def draw(self, rng, out):
+        out[...] = rng.lognormal(self.mu, self.sigma, out.shape)
+        return out
 
 
 @pytest.mark.parametrize("seed", [50, 51])
@@ -633,6 +643,15 @@ def test_stationarity_random_instances():
         probs = rng.uniform(0.1, 1.0, 5)
         d = GradientDist(values, grads, probs / probs.sum())
         assert check_stationarity_equivalence(d).passed
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("field", ["values", "grads", "probs"])
+def test_gradient_dist_rejects_non_finite_entries(field, bad):
+    atoms = dict(values=np.array([0.0, 2.0]), grads=np.ones((2, 3)), probs=np.array([0.5, 0.5]))
+    atoms[field].flat[-1] = bad
+    with pytest.raises(ValueError, match=f"^GradientDist {field} must be finite$"):
+        GradientDist(**atoms)
 
 
 # ------------------------------------------------------- pair optimality
@@ -733,6 +752,65 @@ def test_pair_optimality_rejects_infeasible_pair():
         check_pair_optimality(symmetric_pair(), alpha=0.99, beta=0.05, lam=1.0)
 
 
+# --------------------------------------------------------- property suite
+
+
+def serial_quick_suite(seed):
+    """``run_property_suite(quick=True, seed=seed)``'s checks, run one after
+    another on the calling thread in their listed order."""
+    return [
+        suite._closed_forms(),
+        suite._catoni_grid(),
+        suite._partial_convexity(200, seed + 10),
+        suite._lipschitz_bound(200, seed + 20),
+        suite._nonsmooth_witness(200, seed + 30),
+        suite._scale_bounds(50, seed + 40),
+        suite._scale_limit(),
+        suite._concentration("gaussian", GaussianLosses(0.0, 1.0), 300, seed + 50),
+        suite._concentration("lognormal", LognormalLosses(0.0, 1.0), 300, seed + 51),
+        suite._stationarity(20, seed + 60),
+        suite._pair_optimality(),
+    ]
+
+
+@pytest.mark.parametrize("seed", [0, 3])
+def test_suite_with_a_side_thread_equals_a_serial_run_in_listed_order(seed):
+    threads = threading.active_count()
+    outcomes = run_property_suite(quick=True, seed=seed)
+    assert threading.active_count() == threads
+    assert [(o.name, o.status, o.detail) for o in outcomes] == [
+        (o.name, o.status, o.detail) for o in serial_quick_suite(seed)
+    ]
+
+
+class Raised(Exception):
+    pass
+
+
+@pytest.mark.parametrize("thread", ["side", "calling"])
+def test_suite_passes_on_an_exception_from_either_thread(monkeypatch, thread):
+    # the lognormal concentration check runs on the side thread, the pair
+    # check last on the calling thread
+    if thread == "side":
+        concentration = suite._concentration
+
+        def failing(name, *args):
+            if name == "lognormal":
+                raise Raised(name)
+            return concentration(name, *args)
+
+        monkeypatch.setattr(suite, "_concentration", failing)
+    else:
+        def failing():
+            raise Raised("pair")
+
+        monkeypatch.setattr(suite, "_pair_optimality", failing)
+    threads = threading.active_count()
+    with pytest.raises(Raised, match="^(lognormal|pair)$"):
+        run_property_suite(quick=True, seed=0)
+    assert threading.active_count() == threads
+
+
 # ------------------------------------------------------------- validation
 
 
@@ -741,6 +819,12 @@ def test_discrete_dist_validation():
         DiscreteDist(np.array([1.0, 2.0]), np.array([0.5, 0.4]))
     with pytest.raises(ValueError):
         DiscreteDist(np.array([1.0, 2.0]), np.array([1.1, -0.1]))
+    # a NaN prob passes both the positivity and the sum test
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="^DiscreteDist probs must be finite$"):
+            DiscreteDist([0.0, 1.0], [bad, 1.0])
+        with pytest.raises(ValueError, match="^DiscreteDist values must be finite$"):
+            DiscreteDist([0.0, bad], [0.5, 0.5])
     d = DiscreteDist.uniform([0.0, 2.0, 4.0])
     assert d.mean() == pytest.approx(2.0)
     assert d.var() == pytest.approx(8.0 / 3.0)
