@@ -7,6 +7,7 @@ files.
 
 import argparse
 import csv
+import math
 import sys
 import time
 from pathlib import Path
@@ -30,13 +31,6 @@ from .harness import (
 )
 from .optimizer import DivergenceError, OptConfig, run_batch_gd, train
 from .suite import run_property_suite
-
-
-def _parse_pair(text):
-    parts = [float(p) for p in text.split(",")]
-    if len(parts) != 2:
-        raise argparse.ArgumentTypeError(f"expected two comma-separated reals: {text!r}")
-    return tuple(parts)
 
 
 def _cmd_synth(args) -> int:
@@ -108,6 +102,22 @@ def _floats(text):
     return tuple(float(item) for item in text.split(","))
 
 
+def _finite(text):
+    """The number, if it is finite."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(text)
+    return value
+
+
+def _pair(text):
+    """The two finite numbers of a comma-separated value."""
+    values = tuple(_finite(item) for item in text.split(","))
+    if len(values) != 2:
+        raise ValueError(text)
+    return values
+
+
 def _lam(text):
     """None for ``auto``, else the number."""
     return None if text == "auto" else float(text)
@@ -143,6 +153,8 @@ def _flag(convert, what):
 # train reads its counts and sizes whichever mode the run takes
 _NON_NEGATIVE_FLAG = _flag(_non_negative, _NON_NEGATIVE)  # seeds, --iterations, --epochs
 _POSITIVE_FLAG = _flag(_at_least(1), "a positive integer")  # --batch-size, --checkpoint-every
+_FINITE_FLAG = _flag(_finite, "a finite number")  # synth's scales
+_PAIR_FLAG = _flag(_pair, "two comma-separated finite numbers")  # synth's class means
 
 
 def _parse(text, path, key, convert, what):
@@ -282,10 +294,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, default=100)
     p.add_argument("--seed", type=_NON_NEGATIVE_FLAG, default=0)
     p.add_argument("--out", default=".")
-    p.add_argument("--outlier-scale", type=float, default=-10.0)
-    p.add_argument("--covariance-scale", type=float, default=1.0)
-    p.add_argument("--mean0", type=_parse_pair, default=(-2.0, -2.0))
-    p.add_argument("--mean1", type=_parse_pair, default=(2.0, 2.0))
+    p.add_argument("--outlier-scale", type=_FINITE_FLAG, default=-10.0)
+    p.add_argument("--covariance-scale", type=_FINITE_FLAG, default=1.0)
+    p.add_argument("--mean0", type=_PAIR_FLAG, default=(-2.0, -2.0))
+    p.add_argument("--mean1", type=_PAIR_FLAG, default=(2.0, 2.0))
     p.set_defaults(func=_cmd_synth)
 
     p = sub.add_parser("train", help="single training run with trajectory CSV")

@@ -3,7 +3,7 @@
 The dispersion function here is rho(x) = sqrt(x^2 + 1) - 1: approximately
 quadratic near zero, asymptotically linear in the tails, with a derivative
 bounded strictly inside (-1, 1).  This module collects the function, its
-first two derivatives, the logarithmic envelope check that justifies its use
+derivative, the logarithmic envelope check that justifies its use
 for heavy-tailed location estimation, its Legendre-Fenchel conjugate, and
 the rescaled (pseudo-Huber) map b^2 * rho(x/b).
 """
@@ -11,20 +11,12 @@ the rescaled (pseudo-Huber) map b^2 * rho(x/b).
 import math
 
 __all__ = [
-    "GAMMA",
     "rho",
     "rho_prime",
-    "rho_second",
     "catoni_envelope_check",
     "rho_conjugate",
     "pseudo_huber",
 ]
-
-# Envelope curvature constant.  The fixed form of rho satisfies the
-# logarithmic envelope with gamma = 1; exposing it as a tunable would let
-# callers drift out of sync with the function itself.
-GAMMA = 1.0
-
 
 def _require_finite(name: str, x: float) -> float:
     x = float(x)
@@ -52,13 +44,6 @@ def rho_prime(x: float) -> float:
     return x / math.hypot(x, 1.0)
 
 
-def rho_second(x: float) -> float:
-    """Second derivative (x^2 + 1)^(-3/2); strictly positive."""
-    x = _require_finite("x", x)
-    t = 1.0 / math.hypot(x, 1.0)
-    return t * t * t
-
-
 def catoni_envelope_check(x: float) -> bool:
     """True iff -log(1 - x + x^2) <= rho'(x) <= log(1 + x + x^2).
 
@@ -67,8 +52,8 @@ def catoni_envelope_check(x: float) -> bool:
     """
     x = _require_finite("x", x)
     d = rho_prime(x)
-    upper = math.log1p(x + GAMMA * x * x)
-    lower = -math.log1p(-x + GAMMA * x * x)
+    upper = math.log1p(x + x * x)
+    lower = -math.log1p(-x + x * x)
     return lower <= d <= upper
 
 

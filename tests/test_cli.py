@@ -34,6 +34,36 @@ def test_synth_writes_csv(tmp_path):
     assert {r[2] for r in rows[1:]} == {"-1", "1"}
 
 
+@pytest.mark.parametrize(
+    "flag, value, named",
+    [("--mean0", "a,b", "two comma-separated finite numbers"),
+     ("--mean0", "nan,0", "two comma-separated finite numbers"),
+     ("--mean1", "1,inf", "two comma-separated finite numbers"),
+     ("--mean1", "1,2,3", "two comma-separated finite numbers"),
+     ("--mean1", "1,", "two comma-separated finite numbers"),
+     ("--mean0", "1", "two comma-separated finite numbers"),
+     ("--covariance-scale", "nan", "a finite number"),
+     ("--covariance-scale", "inf", "a finite number"),
+     ("--outlier-scale", "nan", "a finite number"),
+     ("--outlier-scale", "-inf", "a finite number"),
+     ("--outlier-scale", "x", "a finite number")],
+)
+def test_synth_flag_that_does_not_parse_exits_2_naming_it(tmp_path, capsys, flag, value, named):
+    with pytest.raises(SystemExit) as exit_:
+        main(["synth", f"{flag}={value}", "--out", str(tmp_path / "out")])
+    assert exit_.value.code == 2
+    assert f"argument {flag}: takes {named}, got {value!r}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_synth_flags_spelling_the_defaults_write_the_default_file(tmp_path):
+    assert main(["synth", "--out", str(tmp_path / "default")]) == 0
+    assert main(["synth", "--mean0=-2,-2", "--mean1", "2.0, 2e0", "--covariance-scale", "1",
+                 "--outlier-scale=-1e1", "--out", str(tmp_path / "spelled")]) == 0
+    assert ((tmp_path / "default" / "synth.csv").read_bytes()
+            == (tmp_path / "spelled" / "synth.csv").read_bytes())
+
+
 def diverging_train(tmp_path, args):
     """Exit code, stderr and numpy warnings of a ``train`` run that diverges."""
     main(["synth", "--n", "100", "--seed", "0", "--out", str(tmp_path)])

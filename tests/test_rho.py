@@ -6,13 +6,11 @@ import numpy as np
 import pytest
 
 from robustmsd.rho import (
-    GAMMA,
     catoni_envelope_check,
     pseudo_huber,
     rho,
     rho_conjugate,
     rho_prime,
-    rho_second,
 )
 
 
@@ -71,13 +69,7 @@ def test_rho_prime_matches_finite_difference():
         assert fd == pytest.approx(rho_prime(x), abs=1e-7)
 
 
-def test_rho_second_positive():
-    for x in np.linspace(-50.0, 50.0, 1001):
-        assert rho_second(x) > 0.0
-
-
 def test_catoni_envelope_examples():
-    assert GAMMA == 1.0
     assert catoni_envelope_check(0.0)
     assert catoni_envelope_check(2.5)
     assert catoni_envelope_check(-7.0)
@@ -135,7 +127,7 @@ def test_pseudo_huber_rejects_bad_scale():
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_nonfinite_inputs_rejected(bad):
-    for fn in (rho, rho_prime, rho_second, catoni_envelope_check, rho_conjugate):
+    for fn in (rho, rho_prime, catoni_envelope_check, rho_conjugate):
         with pytest.raises(ValueError):
             fn(bad)
     with pytest.raises(ValueError):

@@ -1,15 +1,12 @@
 """Numerical-oracle checks for the population-level properties."""
 
-import importlib.util
 import math
-import re
 import sys
 import threading
 import time
 import tracemalloc
 import warnings
 from dataclasses import dataclass, replace
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -845,69 +842,3 @@ def test_location_concentration_deterministic_given_seed():
     r1 = check_location_concentration(GaussianLosses(0.0, 1.0), **kw)
     r2 = check_location_concentration(GaussianLosses(0.0, 1.0), **kw)
     assert r1.coverage == r2.coverage
-
-
-REPO = Path(__file__).resolve().parents[1]
-
-
-def ab_tool():
-    spec = importlib.util.spec_from_file_location("ab", REPO / "tools" / "ab.py")
-    tool = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tool)
-    return tool
-
-
-def test_verify_ab_names_each_differing_cell():
-    tool = ab_tool()
-    head = b"property,status,detail\r\nrho,PASS,deviation 1e-12\r\n"
-    a = head + b"pair,PASS,worst residual 9.35e-11\r\nold,PASS,x\r\n"
-    b = head + b"pair,FAIL,worst residual 2.60e-16\r\n"
-    assert tool.differing_cells(a, a) == []
-    assert tool.differing_cells(a, b) == [
-        "  pair status: A 'PASS'  B 'FAIL'",
-        "  pair detail: A 'worst residual 9.35e-11'  B 'worst residual 2.60e-16'",
-        "  old: only in A",
-    ]
-
-
-def test_verify_ab_gives_each_property_its_median_seconds():
-    tool = ab_tool()
-    stderr = "time rho 0.047 s\nnot a time line\ntime pair 0.000 s\n"
-    assert tool.TIME_LINE.findall(stderr) == [("rho", "0.047"), ("pair", "0.000")]
-    a = [{"rho": 0.04, "pair": 0.0}, {"rho": 0.05, "pair": 0.0}, {"rho": 0.09, "pair": 0.0}]
-    b = [{"rho": 0.02, "pair": 0.001}]
-    assert tool.property_lines(a, b) == [
-        f"  {'rho':<32}    0.050    0.020    0.400",
-        f"  {'pair':<32}    0.000    0.001      nan",
-    ]
-
-
-def test_ab_names_each_differing_file_and_a_side_whose_rounds_differ():
-    tool = ab_tool()
-    head = b"checkpoint,split,mean_sd\r\n"
-    a = head + b"1,train,0.5\r\n1,val,0.25\r\n"
-    b = head + b"1,train,0.5\r\n1,val,0.125\r\n"
-    same = {"erm/trajectory.csv": a, "synth.csv": b"x"}
-    outputs = {"A": [{**same, "extra": b""}, {**same, "extra": b""}],
-               "B": [{**same, "erm/trajectory.csv": b}, same]}
-    assert tool.output_lines(outputs) == [
-        "differs: erm/trajectory.csv",
-        "  1 val mean_sd: A '0.25'  B '0.125'",
-        "only in A: extra",
-        "B's own rounds differ",
-    ]
-    assert tool.output_lines({"A": [same], "B": [same, same]}) == []
-
-
-def test_ab_same_tree_on_both_sides_gives_identical_outputs(monkeypatch, capsys):
-    tool = ab_tool()
-    tiny = tool.Workload({}, ("synth --n 20 --seed {seed}",), {
-        "erm": "train --data synth.csv --criterion erm --iterations 5 --out erm"}, 1)
-    monkeypatch.setitem(tool.WORKLOADS, "step", tiny)
-    assert tool.main([str(REPO), str(REPO), "step", "--seed", "3"]) == 0
-    out = capsys.readouterr().out
-    assert "1 alternating rounds of step:" in out
-    assert re.search(r"^per-round B/A median \d\.\d{3}  quartiles \[\d\.\d{3}, \d\.\d{3}\]$",
-                     out, re.MULTILINE), out
-    assert "exit codes on both sides: [0, 0]" in out
-    assert out.endswith("2 files per run in A, 2 in B, byte-identical: yes\n")
