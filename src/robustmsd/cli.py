@@ -119,8 +119,12 @@ def _pair(text):
 
 
 def _lam(text):
-    """None for ``auto``, else the number."""
-    return None if text == "auto" else float(text)
+    """None for ``auto``, else the number, if it is finite and positive."""
+    if text == "auto":
+        return None
+    if not _finite(text) > 0.0:
+        raise ValueError(text)
+    return float(text)
 
 
 def _at_least(low):
@@ -135,7 +139,7 @@ def _at_least(low):
 
 _non_negative = _at_least(0)  # seeds too: numpy's generators take no negative seed
 _FLOATS = "a comma-separated list of numbers with no empty item"
-_LAM = "auto or a number"
+_LAM = "auto or a number that is positive and finite"
 _NON_NEGATIVE = "a non-negative integer"
 
 

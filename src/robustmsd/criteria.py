@@ -448,27 +448,28 @@ def mean_sd(values, lam: float = 1.0, *, mean=None):
     return float(out) if out.ndim == 0 else out
 
 
-def partial_objective_grads(x: float, a: float, b: float, beta: float):
-    """Gradient of (a, b) -> beta*b + b*rho((x - a)/b) at a single point.
+def partial_objective_grads(x, a, b, beta):
+    """Gradient of (a, b) -> beta*b + b*rho((x - a)/b), elementwise.
 
     Component bounds: |d/da| < 1 and d/db in (beta - 1, beta), so the 1-norm
     never exceeds 1 + max(1 - beta, beta).
     """
-    if b <= 0.0:
+    if np.any(b <= 0.0):
         raise ValueError("b must be positive")
     r = x - a
-    s = math.hypot(r, b)
+    s = np.hypot(r, b)
     return (-r / s, beta + b / s - 1.0)
 
 
-def hessian_quadform(x: float, b: float, u1: float, u2: float) -> float:
-    """Quadratic form <H u, u> of the (x, b) Hessian of b*rho(x/b).
+def hessian_quadform(x, b, u1, u2):
+    """Quadratic form <H u, u> of the (x, b) Hessian of b*rho(x/b), elementwise.
 
     Equals (u1*b - u2*x)^2 / (x^2 + b^2)^(3/2): nonnegative everywhere, but
     unbounded along x = b as b -> 0, which is why the gradient of the
     partial objective is not Lipschitz.
     """
-    if b <= 0.0:
+    if np.any(b <= 0.0):
         raise ValueError("b must be positive")
     num = u1 * b - u2 * x
-    return num * num / math.hypot(x, b) ** 3
+    s = np.hypot(x, b)
+    return num * num / (s * s * s)  # not s ** 3, whose bits differ between arrays and floats

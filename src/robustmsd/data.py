@@ -143,7 +143,11 @@ def generate_2d_outlier(config: SynthConfig) -> Dataset:
     )
     labels = np.repeat([0, 1], half)
     outlier_row = int(rng.integers(config.n))
-    X[outlier_row] *= config.outlier_scale
+    with np.errstate(over="ignore", invalid="ignore"):
+        X[outlier_row] *= config.outlier_scale
+    if not np.isfinite(X[outlier_row]).all():
+        raise DataError(f"outlier_scale {config.outlier_scale!r} takes the outlier "
+                        "row past the finite range")
     return Dataset(
         features=X,
         labels=labels,

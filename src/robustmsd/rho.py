@@ -1,4 +1,4 @@
-"""Closed-form scalar math for the smooth Huber dispersion function.
+"""Closed-form math for the smooth Huber dispersion function.
 
 The dispersion function here is rho(x) = sqrt(x^2 + 1) - 1: approximately
 quadratic near zero, asymptotically linear in the tails, with a derivative
@@ -10,6 +10,8 @@ the rescaled (pseudo-Huber) map b^2 * rho(x/b).
 
 import math
 
+import numpy as np
+
 __all__ = [
     "rho",
     "rho_prime",
@@ -18,9 +20,9 @@ __all__ = [
     "pseudo_huber",
 ]
 
-def _require_finite(name: str, x: float) -> float:
-    x = float(x)
-    if not math.isfinite(x):
+def _require_finite(name: str, x):
+    x = float(x) if np.ndim(x) == 0 else np.asarray(x, dtype=float)
+    if not np.isfinite(x).all():
         raise ValueError(f"{name} must be finite, got {x!r}")
     return x
 
@@ -38,23 +40,23 @@ def rho(x: float) -> float:
     return math.hypot(x, 1.0) - 1.0
 
 
-def rho_prime(x: float) -> float:
-    """First derivative x / sqrt(x^2 + 1); odd, strictly inside (-1, 1)."""
+def rho_prime(x):
+    """First derivative x / sqrt(x^2 + 1), elementwise; odd, strictly inside (-1, 1)."""
     x = _require_finite("x", x)
-    return x / math.hypot(x, 1.0)
+    return x / np.hypot(x, 1.0)
 
 
-def catoni_envelope_check(x: float) -> bool:
-    """True iff -log(1 - x + x^2) <= rho'(x) <= log(1 + x + x^2).
+def catoni_envelope_check(x):
+    """True iff -log(1 - x + x^2) <= rho'(x) <= log(1 + x + x^2), elementwise.
 
     Both log arguments are automatically positive (1 +- x + x^2 >= 3/4), so
     the check is well defined for every finite x.
     """
     x = _require_finite("x", x)
     d = rho_prime(x)
-    upper = math.log1p(x + x * x)
-    lower = -math.log1p(-x + x * x)
-    return lower <= d <= upper
+    upper = np.log1p(x + x * x)
+    lower = -np.log1p(-x + x * x)
+    return (lower <= d) & (d <= upper)
 
 
 def rho_conjugate(x: float) -> float:

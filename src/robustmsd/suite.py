@@ -85,11 +85,11 @@ def _closed_forms() -> PropertyOutcome:
 
 def _catoni_grid() -> PropertyOutcome:
     xs = np.linspace(-50.0, 50.0, 10_001)
-    bad = [x for x in xs if not rho_mod.catoni_envelope_check(float(x))]
+    bad = np.count_nonzero(~rho_mod.catoni_envelope_check(xs))
     return PropertyOutcome(
         "catoni_envelope_grid",
-        not bad,
-        f"{len(xs)} points on [-50, 50], {len(bad)} violations",
+        bad == 0,
+        f"{len(xs)} points on [-50, 50], {bad} violations",
     )
 
 
@@ -97,11 +97,10 @@ def _partial_convexity(n_pairs: int, seed: int) -> PropertyOutcome:
     rng = np.random.Generator(np.random.PCG64(seed))
     losses = rng.normal(size=20) * 3.0
     params = CriterionParams("sunhuber", alpha=0.05, beta=0.1, lam=1.0)
-    # rows 1 and 2 hold each pair's ends, drawn a pair at a time, row 0 its midpoint
+    # rows 1 and 2 hold each pair's ends, row 0 its midpoint
     a, b = np.empty((2, 3, n_pairs))
-    for i in range(n_pairs):
-        a[1:, i] = rng.normal(scale=5.0, size=2)
-        b[1:, i] = rng.uniform(1e-3, 10.0, size=2)
+    a[1:] = rng.normal(scale=5.0, size=(2, n_pairs))
+    b[1:] = rng.uniform(1e-3, 10.0, size=(2, n_pairs))
     a[0] = 0.5 * (a[1] + a[2])
     b[0] = 0.5 * (b[1] + b[2])
     # one value-only kernel call over the 3 * n_pairs points, the losses
@@ -120,14 +119,12 @@ def _partial_convexity(n_pairs: int, seed: int) -> PropertyOutcome:
 
 def _lipschitz_bound(n_draws: int, seed: int) -> PropertyOutcome:
     rng = np.random.Generator(np.random.PCG64(seed))
-    worst = -math.inf
-    for _ in range(n_draws):
-        x = float(rng.normal(scale=10.0))
-        a = float(rng.normal(scale=10.0))
-        b = float(rng.uniform(1e-4, 10.0))
-        beta = float(rng.uniform(0.0, 1.0))
-        ga, gb = partial_objective_grads(x, a, b, beta)
-        worst = max(worst, abs(ga) + abs(gb) - (1.0 + max(1.0 - beta, beta)))
+    x, a = rng.normal(scale=10.0, size=(2, n_draws))
+    b = rng.uniform(1e-4, 10.0, n_draws)
+    beta = rng.uniform(0.0, 1.0, n_draws)
+    ga, gb = partial_objective_grads(x, a, b, beta)
+    excess = np.abs(ga) + np.abs(gb) - (1.0 + np.maximum(1.0 - beta, beta))
+    worst = float(np.max(excess, initial=-math.inf))
     return PropertyOutcome(
         "gradient_one_norm_bound",
         worst <= 1e-12,
@@ -137,19 +134,14 @@ def _lipschitz_bound(n_draws: int, seed: int) -> PropertyOutcome:
 
 def _nonsmooth_witness(n_draws: int, seed: int) -> PropertyOutcome:
     rng = np.random.Generator(np.random.PCG64(seed))
-    psd_ok = all(
-        hessian_quadform(
-            float(rng.normal(scale=5.0)),
-            float(rng.uniform(1e-6, 10.0)),
-            *rng.normal(size=2),
-        )
-        >= 0.0
-        for _ in range(n_draws)
-    )
+    x = rng.normal(scale=5.0, size=n_draws)
+    b = rng.uniform(1e-6, 10.0, n_draws)
+    u1, u2 = rng.normal(size=(2, n_draws))
+    psd_ok = np.all(hessian_quadform(x, b, u1, u2) >= 0.0)
     witness = hessian_quadform(1e-6, 1e-6, 1.0, -1.0)
     return PropertyOutcome(
         "hessian_psd_and_blowup",
-        psd_ok and witness > 1e4,
+        bool(psd_ok and witness > 1e4),
         f"quadform at (x,b)=(1e-6,1e-6): {witness:.3e}",
     )
 

@@ -281,19 +281,18 @@ def _solve_thresholds(X: np.ndarray, b: float, alpha: float, lam: float) -> np.n
     (as long as b does not vanish in rounding against the losses).  Other
     alpha raise ValueError, and so does a row holding a NaN or an
     infinity, or one whose max - min exceeds 1e150*b (t^2 could overflow
-    past it), before anything is solved.  Rows are solved in blocks of
-    ``THRESHOLD_BLOCK // n`` (at least one) that share two buffers of that
-    size, by Newton steps from the row's mean with that bracket as a
-    safeguard.  With tol = 1e-14*(b + |a|), a row retires when its step is at
-    most tol (root a + step), or when g(a) == 0 or its bracket is at most
-    tol/10 wide (root a; this stops a row whose g is flat to rounding, such
-    as one far wider than b whose g steps across zero between two floats,
-    within 1e-15*(b + |a|) of the sign change).  The stop is
-    tested first, so a sub-ulp step landing on a bracket end still stops;
-    otherwise the bracket end on the iterate's side moves to it, and a Newton
-    point outside the bracket is replaced by the midpoint.  Running rows are
-    gathered into the first rows of the buffers, so a row's root depends on
-    that row alone and is bitwise the same for any block size.
+    past it), before anything is solved.  The rows are solved together, in
+    two buffers of X's size, by Newton steps from each row's mean with that
+    bracket as a safeguard.  With tol = 1e-14*(b + |a|), a row retires when
+    its step is at most tol (root a + step), or when g(a) == 0 or its
+    bracket is at most tol/10 wide (root a; this stops a row whose g is flat
+    to rounding, such as one far wider than b whose g steps across zero
+    between two floats, within 1e-15*(b + |a|) of the sign change).  The
+    stop is tested first, so a sub-ulp step landing on a bracket end still
+    stops; otherwise the bracket end on the iterate's side moves to it, and
+    a Newton point outside the bracket is replaced by the midpoint.  Running
+    rows are gathered into the first rows of the buffers, so a row's root
+    depends on that row alone: any split of the rows solves to the same bits.
     """
     if not 0.0 <= alpha < lam / math.sqrt(2.0):
         raise ValueError(f"alpha = {alpha:g} must lie in [0, lam/sqrt(2)), lam = {lam:g}")
@@ -304,46 +303,40 @@ def _solve_thresholds(X: np.ndarray, b: float, alpha: float, lam: float) -> np.n
     wide = maxs / 2.0 - mins / 2.0 > 0.5e150 * b  # halved, so the spread cannot overflow
     if wide.any():
         raise ValueError(f"sample row {int(np.argmax(wide))} spreads over more than 1e150*b")
-    trials, n = X.shape
-    rows = max(1, THRESHOLD_BLOCK // n)
-    t, r = np.empty((2, min(rows, trials), n))
+    t, r = np.empty((2,) + X.shape)
     roots = X.mean(axis=1)
-    for start in range(0, trials, rows):
-        block = X[start : start + rows]
-        live = np.arange(start, start + len(block))
-        a, lo, hi = roots[live], mins[live] - b, maxs[live] + b
-        for _ in range(NEWTON_CAP):
-            tl, rl = t[: live.size], r[: live.size]
-            np.subtract(block if live.size == len(block) else X[live], a[:, None], out=tl)
-            np.divide(tl, b, out=tl)
-            np.multiply(tl, tl, out=rl)
-            np.add(rl, 1.0, out=rl)
-            np.sqrt(rl, out=rl)
-            np.divide(1.0, rl, out=rl)  # (1 + t^2)^(-1/2)
-            np.multiply(tl, rl, out=tl)  # rho'(t)
-            g = lam * np.mean(tl, axis=1) - alpha
-            np.multiply(rl, rl, out=tl)
-            np.multiply(tl, rl, out=tl)  # rho''(t) = (1 + t^2)^(-3/2)
-            # rho'' underflows far from the root: an infinite step is outside
-            with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-                step = g / ((lam / b) * np.mean(tl, axis=1))  # -g/g'
-            tol = 1e-14 * (b + np.abs(a))
-            small = np.abs(step) <= tol
-            done = small | (g == 0.0) | (hi - lo <= 0.1 * tol)
-            roots[live[done]] = np.where(small, a + step, a)[done]
-            keep = ~done
-            if not keep.any():
-                break
-            live, a, lo, hi, g, step = live[keep], a[keep], lo[keep], hi[keep], g[keep], step[keep]
-            above = g > 0.0
-            lo = np.where(above, a, lo)
-            hi = np.where(above, hi, a)
-            a = a + step
-            outside = ~((lo < a) & (a < hi))  # also a NaN point
-            a[outside] = 0.5 * (lo[outside] + hi[outside])
-        else:
-            raise RuntimeError(f"threshold Newton did not converge in {NEWTON_CAP} steps")
-    return roots
+    live = np.arange(len(X))
+    a, lo, hi = roots.copy(), mins - b, maxs + b
+    for _ in range(NEWTON_CAP):
+        tl, rl = t[: live.size], r[: live.size]
+        np.subtract(X if live.size == len(X) else X[live], a[:, None], out=tl)
+        np.divide(tl, b, out=tl)
+        np.multiply(tl, tl, out=rl)
+        np.add(rl, 1.0, out=rl)
+        np.sqrt(rl, out=rl)
+        np.divide(1.0, rl, out=rl)  # (1 + t^2)^(-1/2)
+        np.multiply(tl, rl, out=tl)  # rho'(t)
+        g = lam * np.mean(tl, axis=1) - alpha
+        np.multiply(rl, rl, out=tl)
+        np.multiply(tl, rl, out=tl)  # rho''(t) = (1 + t^2)^(-3/2)
+        # rho'' underflows far from the root: an infinite step is outside
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            step = g / ((lam / b) * np.mean(tl, axis=1))  # -g/g'
+        tol = 1e-14 * (b + np.abs(a))
+        small = np.abs(step) <= tol
+        done = small | (g == 0.0) | (hi - lo <= 0.1 * tol)
+        roots[live[done]] = np.where(small, a + step, a)[done]
+        keep = ~done
+        if not keep.any():
+            return roots
+        live, a, lo, hi, g, step = live[keep], a[keep], lo[keep], hi[keep], g[keep], step[keep]
+        above = g > 0.0
+        lo = np.where(above, a, lo)
+        hi = np.where(above, hi, a)
+        a = a + step
+        outside = ~((lo < a) & (a < hi))  # also a NaN point
+        a[outside] = 0.5 * (lo[outside] + hi[outside])
+    raise RuntimeError(f"threshold Newton did not converge in {NEWTON_CAP} steps")
 
 
 @dataclass

@@ -56,6 +56,14 @@ def test_synth_flag_that_does_not_parse_exits_2_naming_it(tmp_path, capsys, flag
     assert not (tmp_path / "out").exists()
 
 
+def test_synth_outlier_scale_past_the_finite_range_exits_1_unwarned(tmp_path, capsys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["synth", "--outlier-scale", "1e308", "--out", str(tmp_path / "out")]) == 1
+    one_error_line(capsys, "outlier_scale 1e+308", "finite range")
+    assert not (tmp_path / "out").exists()
+
+
 def test_synth_flags_spelling_the_defaults_write_the_default_file(tmp_path):
     assert main(["synth", "--out", str(tmp_path / "default")]) == 0
     assert main(["synth", "--mean0=-2,-2", "--mean1", "2.0, 2e0", "--covariance-scale", "1",
@@ -370,6 +378,9 @@ def test_experiment_malformed_config_exits_1(tmp_path, capsys, text):
         ("[experiment]\nepochs = 0\n", ("epochs must be >= 1", "got 0")),
         ("[experiment]\nbatch_size = 0\n", ("batch_size must be >= 1", "got 0")),
         ("[experiment]\nstep_sizes = -0.1\n", ("step size", "got -0.1")),
+        ("[experiment]\nlam = inf\n", ("[experiment] lam", "positive and finite", "'inf'")),
+        ("[experiment]\nlam = nan\n", ("[experiment] lam", "'nan'")),
+        ("[experiment]\nlam = -0.5\n", ("[experiment] lam", "'-0.5'")),
     ],
 )
 def test_config_error_names_the_key_section_or_value(tmp_path, text, named):
@@ -525,6 +536,9 @@ def test_settings_sharing_a_run_file_exit_1_before_writing(tmp_path, capsys):
 @pytest.mark.parametrize(
     "flags, value, named",
     [("--lam", "abc", "auto or a number"), ("--lam", "", "auto or a number"),
+     ("--lam", "inf", "positive and finite"), ("--lam", "nan", "positive and finite"),
+     ("--lam", "0", "positive and finite"), ("--lam", "-1", "positive and finite"),
+     ("--criterion erm --lam", "-1", "positive and finite"),  # read also where unused
      ("--init", "a,b,c", "comma-separated list"), ("--init", "1,,2", "no empty item"),
      # a count flag is read in either mode, also where the run would not use it
      ("--epochs", "-1", "a non-negative integer"),

@@ -1,6 +1,7 @@
 """Synthetic generation, tabular parsing, preprocessing and splits."""
 
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -40,6 +41,14 @@ def test_synth_deterministic():
     np.testing.assert_array_equal(a.labels, b.labels)
     c = generate_2d_outlier(SynthConfig(n=100, seed=8))
     assert not np.array_equal(a.features, c.features)
+
+
+@pytest.mark.parametrize("scale", [1e308, -1e308, np.inf, np.nan])
+def test_synth_refuses_an_outlier_row_past_the_finite_range(scale):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DataError, match="^outlier_scale .* past the finite range$"):
+            generate_2d_outlier(SynthConfig(n=100, seed=0, outlier_scale=scale))
 
 
 def test_synth_identity_outlier_scale():

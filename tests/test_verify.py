@@ -15,8 +15,15 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from robustmsd import suite, verify
-from robustmsd.criteria import CRITERIA, CriterionParams, JointState, criterion_value
-from robustmsd.rho import rho_conjugate
+from robustmsd.criteria import (
+    CRITERIA,
+    CriterionParams,
+    JointState,
+    criterion_value,
+    hessian_quadform,
+    partial_objective_grads,
+)
+from robustmsd.rho import catoni_envelope_check, rho_conjugate, rho_prime
 from robustmsd.suite import _closed_forms, _conjugate_sup, _partial_convexity, run_property_suite
 from robustmsd.verify import (
     THRESHOLD_BLOCK,
@@ -250,8 +257,8 @@ def assert_matches_reference(roots, X, b, alpha, lam):
 @pytest.mark.parametrize(
     "trials, n, b, alpha",
     [
-        (37, 2000, 20.0, 0.0),  # 37 rows: blocks of 32 and 5
-        (3, THRESHOLD_BLOCK + 1, 20.0, 0.0),  # one row per block
+        (37, 2000, 20.0, 0.0),  # 37 rows as wide as verify's
+        (3, THRESHOLD_BLOCK + 1, 20.0, 0.0),  # rows wider than verify's row block
         (50, 1, 0.5, 0.0),
         (41, 3, 0.5, 0.0),
         (37, 2000, 20.0, 0.002),
@@ -265,16 +272,17 @@ def test_blocked_thresholds_equal_whole_array_bisection(trials, n, b, alpha):
     assert_matches_reference(_solve_thresholds(X, b, alpha, 1.0), X, b, alpha, 1.0)
 
 
-@pytest.mark.parametrize("block", [1, 4 * 700, 16 * 700, 64 * 700])
-def test_threshold_block_size_does_not_change_bits(monkeypatch, block):
+@settings(max_examples=25, deadline=None)
+@given(cuts=st.lists(st.integers(1, 36), max_size=6, unique=True))
+@example(cuts=list(range(1, 37)))  # a row at a time
+def test_any_split_of_the_rows_solves_to_the_same_bits(cuts):
     # row 3's 1e12 outlier keeps it bisecting for ~35 steps after the other
-    # rows retire, so blocks gather their running rows differently
+    # rows retire, so each part gathers its running rows differently
     rng = np.random.Generator(np.random.PCG64(5))
     X = rng.standard_normal((37, 700))
     X[3, 0] = 1e12
-    expected = _solve_thresholds(X, 0.5, 0.1, 1.0)
-    monkeypatch.setattr(verify, "THRESHOLD_BLOCK", block)
-    assert np.array_equal(_solve_thresholds(X, 0.5, 0.1, 1.0), expected)
+    parts = [_solve_thresholds(part, 0.5, 0.1, 1.0) for part in np.split(X, sorted(cuts))]
+    assert np.array_equal(np.concatenate(parts), _solve_thresholds(X, 0.5, 0.1, 1.0))
 
 
 def solve_in_threads(samples, b, alpha, lam):
@@ -297,14 +305,12 @@ def solve_in_threads(samples, b, alpha, lam):
 
 @pytest.mark.parametrize("workers", [1, 2, 3])
 @pytest.mark.parametrize("trials", [1, 11, 37])
-def test_threaded_thresholds_equal_whole_array_bisection(monkeypatch, workers, trials):
+def test_threaded_thresholds_equal_whole_array_bisection(workers, trials):
     # callers in several threads at once, each on its own shifted sample:
     # the solve's buffers belong to the call, so each caller gets the bits of
-    # a serial call; blocks of four rows: one row is fewer rows than a block,
-    # 11 rows fill blocks of 4, 4 and 3, 37 rows end in a block of 1
+    # a serial call, on one row as on many
     rng = np.random.Generator(np.random.PCG64(trials))
     X = rng.lognormal(0.0, 1.0, (trials, 700))
-    monkeypatch.setattr(verify, "THRESHOLD_BLOCK", 4 * 700)
     samples = [X + k for k in range(workers)]
     expected = [_solve_thresholds(S, 0.5, 0.1, 1.0) for S in samples]
     for S, roots in zip(samples, expected):
@@ -313,15 +319,13 @@ def test_threaded_thresholds_equal_whole_array_bisection(monkeypatch, workers, t
         assert roots is not None and np.array_equal(roots, serial)
 
 
-def test_thresholds_under_frequent_thread_switches(monkeypatch):
-    # more callers than cores, one row per block, a 1e12 outlier that keeps
-    # one row stepping after the others retire, and a switch every
-    # microsecond: a row written through another call's buffer would change
-    # the bits
+def test_thresholds_under_frequent_thread_switches():
+    # more callers than cores, a 1e12 outlier that keeps one row stepping
+    # after the others retire, and a switch every microsecond: a row written
+    # through another call's buffer would change the bits
     rng = np.random.Generator(np.random.PCG64(9))
     X = rng.lognormal(0.0, 1.0, (64, 50))
     X[3, 0] = 1e12
-    monkeypatch.setattr(verify, "THRESHOLD_BLOCK", 50)
     samples = [X + k for k in range(8)]
     expected = [_solve_thresholds(S, 0.5, 0.1, 1.0) for S in samples]
     interval = sys.getswitchinterval()
@@ -573,18 +577,20 @@ def test_lognormal_coverage_equals_the_rng_lognormal_reference(seed):
 
 def convexity_values(n_pairs, seed):
     """The partial-convexity property's objective values by one
-    ``criterion_value`` call per point, pair by pair, with its detail."""
+    ``criterion_value`` call per point, pair by pair, with its detail; the
+    pairs' first ends, second ends and scales are drawn as the property
+    draws them, each in one generator call."""
     rng = pcg(seed)
     losses = rng.normal(size=20) * 3.0
     params = CriterionParams("sunhuber", alpha=0.05, beta=0.1, lam=1.0)
+    ends_a = rng.normal(scale=5.0, size=(2, n_pairs))
+    ends_b = rng.uniform(1e-3, 10.0, size=(2, n_pairs))
 
     def value(a, b):
         return criterion_value(losses, JointState(h=np.zeros(1), a=a, b=b), params)
 
     values, worst = [], -math.inf
-    for _ in range(n_pairs):
-        a1, a2 = rng.normal(scale=5.0, size=2)
-        b1, b2 = rng.uniform(1e-3, 10.0, size=2)
+    for (a1, a2), (b1, b2) in zip(ends_a.T, ends_b.T):
         mid, one, two = value(0.5 * (a1 + a2), 0.5 * (b1 + b2)), value(a1, b1), value(a2, b2)
         values.append((mid, one, two))
         worst = max(worst, mid - 0.5 * (one + two))
@@ -778,6 +784,30 @@ def test_suite_with_a_side_thread_equals_a_serial_run_in_listed_order(seed):
     assert [(o.name, o.status, o.detail) for o in outcomes] == [
         (o.name, o.status, o.detail) for o in serial_quick_suite(seed)
     ]
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_quick_suite_passes_every_property(seed):
+    assert [o.name for o in run_property_suite(quick=True, seed=seed) if not o.passed] == []
+
+
+finite = st.floats(-1e30, 1e30)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.tuples(finite, finite, st.floats(1e-30, 1e30), st.floats(0.0, 1.0),
+                          finite, finite), min_size=1, max_size=40))
+def test_array_calls_equal_per_element_float_calls_bitwise(points):
+    # the functions the suite's per-draw properties call once on arrays
+    x, a, b, beta, u1, u2 = np.array(points).T
+    for fn, args in [
+        (rho_prime, (x,)),
+        (catoni_envelope_check, (x,)),
+        (partial_objective_grads, (x, a, b, beta)),
+        (hessian_quadform, (x, b, u1, u2)),
+    ]:
+        each = [fn(*(float(v) for v in point)) for point in zip(*args)]
+        np.testing.assert_array_equal(bits(fn(*args)), bits(each).T)
 
 
 class Raised(Exception):
