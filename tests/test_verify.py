@@ -285,6 +285,33 @@ def test_any_split_of_the_rows_solves_to_the_same_bits(cuts):
     assert np.array_equal(np.concatenate(parts), _solve_thresholds(X, 0.5, 0.1, 1.0))
 
 
+@pytest.mark.parametrize("block", [1, 4 * 700, 16 * 700, 64 * 700])
+def test_threshold_block_size_does_not_change_bits(monkeypatch, block):
+    # check_location_concentration solves rows of 700 in blocks of
+    # THRESHOLD_BLOCK // 700 (at least one); the thresholds it solves, joined,
+    # and its report keep their bits whatever the block size
+    def thresholds():
+        solved = []
+
+        def recording(X, b, alpha, lam):
+            solved.append(_solve_thresholds(X, b, alpha, lam))
+            return solved[-1]
+
+        with monkeypatch.context() as patch:
+            patch.setattr(verify, "_solve_thresholds", recording)
+            report = check_location_concentration(
+                LognormalLosses(0.0, 1.0), b=20.0, alpha=0.002, lam=1.0, n=700,
+                delta=0.05, trials=37, seed=5,
+            )
+        return np.concatenate(solved), report
+
+    expected, expected_report = thresholds()
+    monkeypatch.setattr(verify, "THRESHOLD_BLOCK", block)
+    A, report = thresholds()
+    assert np.array_equal(bits(A), bits(expected))
+    assert report == expected_report
+
+
 def solve_in_threads(samples, b, alpha, lam):
     """Solve each sample in a thread of its own, all released together."""
     start = threading.Barrier(len(samples))
