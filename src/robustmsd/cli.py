@@ -65,7 +65,10 @@ def _cmd_train(args) -> int:
     # each setting flag is named after the CriterionParams field it fills
     field = criterion_record(args.criterion).setting
     setting = getattr(args, field) if field else None
-    params = make_criterion(args.criterion, setting, n_train, lam)
+    try:
+        params = make_criterion(args.criterion, setting, n_train, lam)
+    except ValueError as err:  # a finite setting out of its kind's range; erm takes none
+        raise ValueError(f"--{field.replace('_', '-')}: {err}") from None
 
     init = build_initial_state(dataset, args.init)
 
@@ -157,7 +160,7 @@ def _flag(convert, what):
 # train reads its counts and sizes whichever mode the run takes
 _NON_NEGATIVE_FLAG = _flag(_non_negative, _NON_NEGATIVE)  # seeds, --iterations, --epochs
 _POSITIVE_FLAG = _flag(_at_least(1), "a positive integer")  # --batch-size, --checkpoint-every
-_FINITE_FLAG = _flag(_finite, "a finite number")  # synth's scales
+_FINITE_FLAG = _flag(_finite, "a finite number")  # synth's scales, train's settings
 _PAIR_FLAG = _flag(_pair, "two comma-separated finite numbers")  # synth's class means
 
 
@@ -262,7 +265,8 @@ def _cmd_verify(args) -> int:
     total = time.perf_counter() - start  # the properties' own times overlap
     for o in outcomes:
         print(f"{o.status} {o.name} ({o.detail})")
-        print(f"time {o.name} {o.seconds:.3f} s", file=sys.stderr)
+        side = " (on the side thread, beside the others)" if o.side_thread else ""
+        print(f"time {o.name} {o.seconds:.3f} s{side}", file=sys.stderr)
     print(f"time total {total:.3f} s", file=sys.stderr)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -313,9 +317,9 @@ def build_parser() -> argparse.ArgumentParser:
         choices=KINDS,
         required=True,
     )
-    p.add_argument("--beta0", type=float, default=0.9)
-    p.add_argument("--xi", type=float, default=0.5)
-    p.add_argument("--eta-tilde", type=float, default=0.5)
+    p.add_argument("--beta0", type=_FINITE_FLAG, default=0.9)
+    p.add_argument("--xi", type=_FINITE_FLAG, default=0.5)
+    p.add_argument("--eta-tilde", type=_FINITE_FLAG, default=0.5)
     p.add_argument("--lam", type=_flag(_lam, _LAM), default="auto",
                    help="'auto' = log(n)/sqrt(n)")
     p.add_argument("--step-size", type=float, default=0.01)

@@ -21,8 +21,8 @@ __all__ = [
 ]
 
 def _require_finite(name: str, x):
-    x = float(x) if np.ndim(x) == 0 else np.asarray(x, dtype=float)
-    if not np.isfinite(x).all():
+    x = float(x) if isinstance(x, float) or np.ndim(x) == 0 else np.asarray(x, dtype=float)
+    if not (math.isfinite(x) if isinstance(x, float) else np.isfinite(x).all()):
         raise ValueError(f"{name} must be finite, got {x!r}")
     return x
 

@@ -37,6 +37,7 @@ class PropertyOutcome:
     passed: bool
     detail: str
     seconds: float = field(default=0.0, compare=False)  # wall time of the check
+    side_thread: bool = field(default=False, compare=False)  # ran beside the others
 
     @property
     def status(self) -> str:
@@ -146,23 +147,18 @@ def _nonsmooth_witness(n_draws: int, seed: int) -> PropertyOutcome:
     )
 
 
-def _random_dist(rng) -> DiscreteDist:
-    m = int(rng.integers(2, 7))
-    values = rng.uniform(-5.0, 5.0, m)
-    probs = rng.uniform(0.1, 1.0, m)
-    return DiscreteDist(values, probs / probs.sum())
-
-
 def _scale_bounds(n_configs: int, seed: int) -> PropertyOutcome:
     rng = np.random.Generator(np.random.PCG64(seed))
-    fails = 0
-    for _ in range(n_configs):
-        d = _random_dist(rng)
-        a = float(rng.uniform(-6.0, 6.0))
-        lam = float(rng.uniform(0.2, 3.0))
-        beta = float(rng.uniform(0.01, 0.99)) * lam
-        if not check_scale_bounds(d, a, beta, lam).passed:
-            fails += 1
+    values, probs = np.zeros((2, n_configs, 6))  # 2-6 atoms, padded at a with no mass
+    a, beta, lam = np.empty((3, n_configs))
+    for i in range(n_configs):  # drawn one configuration at a time
+        m = int(rng.integers(2, 7))
+        atoms, p = rng.uniform(-5.0, 5.0, m), rng.uniform(0.1, 1.0, m)
+        a[i] = values[i] = rng.uniform(-6.0, 6.0)
+        lam[i] = rng.uniform(0.2, 3.0)
+        beta[i] = rng.uniform(0.01, 0.99) * lam[i]
+        values[i, :m], probs[i, :m] = atoms, p / p.sum()
+    fails = int(np.count_nonzero(~check_scale_bounds((values, probs), a, beta, lam).passed))
     return PropertyOutcome(
         "optimal_scale_bounds",
         fails == 0,
@@ -197,15 +193,16 @@ def _concentration(name: str, losses, trials: int, seed: int) -> PropertyOutcome
 
 
 def _stationarity(n_instances: int, seed: int) -> PropertyOutcome:
-    fails = 0
+    values, probs = np.empty((2, n_instances, 5))
+    grads = np.empty((n_instances, 5, 3))
     for s in range(n_instances):
         rng = np.random.Generator(np.random.PCG64(seed + s))
-        values = rng.uniform(-4.0, 4.0, 5)
-        grads = rng.normal(size=(5, 3))
-        probs = rng.uniform(0.1, 1.0, 5)
-        d = GradientDist(values, grads, probs / probs.sum())
-        if not check_stationarity_equivalence(d).passed:
-            fails += 1
+        values[s] = rng.uniform(-4.0, 4.0, 5)
+        grads[s] = rng.normal(size=(5, 3))
+        probs[s] = rng.uniform(0.1, 1.0, 5)
+    probs /= probs.sum(axis=1, keepdims=True)
+    fails = int(np.count_nonzero(~check_stationarity_equivalence(
+        GradientDist(values, grads, probs)).passed))
     return PropertyOutcome(
         "mean_variance_stationarity",
         fails == 0,
@@ -228,10 +225,11 @@ def _pair_optimality() -> PropertyOutcome:
     )
 
 
-def _timed(check) -> PropertyOutcome:
+def _timed(check, side_thread: bool = False) -> PropertyOutcome:
     start = time.perf_counter()
     outcome = check()
     outcome.seconds = time.perf_counter() - start
+    outcome.side_thread = side_thread
     return outcome
 
 
@@ -242,8 +240,10 @@ def run_property_suite(quick: bool = False, seed: int = 0) -> List[PropertyOutco
     first, while the calling thread runs the others in listed order; numpy
     releases the GIL in its draws and Newton passes.  Outcomes come back in
     listed order, each with its wall time, taken on the thread that ran
-    it, in ``seconds``.  An exception from either thread reaches the
-    caller, and the side thread has ended when this returns or raises.
+    it, in ``seconds``; the side thread's outcome, whose time overlaps the
+    others', has ``side_thread`` set.  An exception from either thread
+    reaches the caller, and the side thread has ended when this returns or
+    raises.
     """
     n_pairs = 200 if quick else 1000
     n_draws = 200 if quick else 1000
@@ -267,6 +267,6 @@ def run_property_suite(quick: bool = False, seed: int = 0) -> List[PropertyOutco
         _pair_optimality,
     ]
     with ThreadPoolExecutor(max_workers=1) as pool:
-        side_outcome = pool.submit(_timed, side)
+        side_outcome = pool.submit(_timed, side, True)
         outcomes = [side_outcome if check is side else _timed(check) for check in checks]
         return [o.result() if o is side_outcome else o for o in outcomes]

@@ -91,53 +91,64 @@ class DiscreteDist:
         m = self.mean()
         return float(self.probs @ (self.values - m) ** 2)
 
-    def second_moment_about(self, a: float) -> float:
-        return float(self.probs @ (self.values - a) ** 2)
+
+def _stack(dist, *per_row):
+    """One row from a DiscreteDist and floats, or N from (N, M) and (N,) arrays."""
+    if isinstance(dist, DiscreteDist):
+        return (dist.values, dist.probs, *map(np.float64, per_row))
+    return tuple(np.asarray(x, dtype=float) for x in (*dist, *per_row))
 
 
-def _deviation_term(dist: DiscreteDist, a: float, b: float) -> float:
-    """E[sqrt((L-a)^2 + b^2) - b], in the cancellation-free form."""
-    r = dist.values - a
-    return float(dist.probs @ (r * r / (np.sqrt(r * r + b * b) + b)))
+def _row_sums(x: np.ndarray):
+    """Left-to-right sums along the last axis, so a zero-mass atom adds +0."""
+    return x.cumsum(-1)[..., -1][()]  # a scalar for one row
 
 
-def optimal_scale(dist: DiscreteDist, a: float, beta: float, lam: float) -> float:
+def optimal_scale(dist, a, beta, lam):
     """Optimal scale: the root b of E[b/sqrt((L-a)^2+b^2)] = 1 - beta/lam.
 
     The left side is continuous, strictly increasing and concave in b > 0
     with range (P(L=a), 1), so a unique root exists iff P(L=a) < 1 - beta/lam.
     Newton's method from below never passes the root: it starts at the
-    Newton point of b = 0+, E[b/s] ~ P(L=a) + b E[1/|L-a|; L != a], and
-    stops when a step is at most 1e-14 b or the left side is already at or
-    above the target.
+    Newton point of b = 0+, E[b/s] ~ P(L=a) + b E[1/|L-a|; L != a], and a
+    row stops when a step is at most 1e-14 b or the left side is already at
+    or above the target.  ``dist`` is a DiscreteDist with floats a, beta,
+    lam, or an N-row stack (``_stack``; zero-mass padding atoms at a row's
+    a), rows retiring one by one.  Each op is elementwise or a ``_row_sums``,
+    so a row has the bits of its own one-distribution call.
     """
-    if not 0.0 < beta < lam:
-        raise ValueError(f"need 0 < beta < lam, got beta={beta!r}, lam={lam!r}")
+    values, probs, a, beta, lam = _stack(dist, a, beta, lam)
+    if np.count_nonzero(~((0.0 < beta) & (beta < lam))):
+        raise ValueError(f"need 0 < beta < lam, got beta={beta}, lam={lam}")
     target = 1.0 - beta / lam
-    r = dist.values - a
+    r = values - a[..., None]
     at_a = r == 0.0
-    p_at_a = float(dist.probs[at_a].sum())
-    if p_at_a >= target:
-        raise ValueError(
-            f"degenerate distribution: P(L=a)={p_at_a:g} >= 1-beta/lam={target:g}; "
-            "the scale condition is unsatisfiable"
-        )
+    p_at_a = _row_sums(probs * at_a)
+    if np.count_nonzero(p_at_a >= target):
+        raise ValueError(f"degenerate distribution: P(L=a)={np.max(p_at_a):g} >= 1-beta/lam; "
+                         "the scale condition is unsatisfiable")
     # every quantity below is a ratio of at most 1, so none overflows for
     # atoms at any scale; hypot does not underflow where r*r + b*b would
-    gaps = np.abs(r[~at_a])
-    m = float(gaps.min())
-    b = (target - p_at_a) * m / float(dist.probs[~at_a] @ (m / gaps))
+    gaps = np.where(at_a, np.inf, np.abs(r))
+    m = gaps.min(-1)
+    b = (target - p_at_a) * m / _row_sums(probs * (m[..., None] / gaps))
+    roots, live = np.empty(np.size(b)), np.arange(np.size(b))
     for _ in range(NEWTON_CAP):
-        s = np.hypot(r, b)
-        v = b / s
-        g = float(dist.probs @ v) - target
-        if g >= 0.0:
-            return b
-        u = r / s
-        step = -g * b / float(dist.probs @ (v * u * u))  # -g / g', g' = E[r^2 / s^3]
-        b += step
-        if step <= 1e-14 * b:
-            return b
+        column = b[:, None] if b.ndim else b
+        s = np.hypot(r, column)
+        pv = probs * (column / s)
+        g = _row_sums(pv) - target
+        pv *= (r / s) ** 2
+        step = g * b / _row_sums(pv)  # g / g', g' = E[r^2 / s^3]
+        new = b - step
+        done = step >= -1e-14 * new  # also where g >= 0: such a row steps down
+        if retired := np.count_nonzero(done):
+            roots[live[done]] = np.where(g >= 0.0, b, new)[done]
+            if retired == live.size:
+                return float(roots[0]) if isinstance(dist, DiscreteDist) else roots
+            keep = ~done
+            live, r, probs, target, new = live[keep], r[keep], probs[keep], target[keep], new[keep]
+        b = new
     raise RuntimeError(f"optimal-scale Newton did not converge in {NEWTON_CAP} steps")
 
 
@@ -150,20 +161,20 @@ class ScaleBoundsReport:
     passed: bool
 
 
-def check_scale_bounds(
-    dist: DiscreteDist, a: float, beta: float, lam: float
-) -> ScaleBoundsReport:
-    """Certify (lam/4beta) E[1{|L-a|<=b*}(L-a)^2] <= b*^2 <= (lam/2beta) E[(L-a)^2]."""
-    b_star = optimal_scale(dist, a, beta, lam)
-    r = dist.values - a
-    inside = np.abs(r) <= b_star
-    lower = lam / (4.0 * beta) * float(dist.probs @ (inside * r * r))
-    upper = lam / (2.0 * beta) * dist.second_moment_about(a)
+def check_scale_bounds(dist, a, beta, lam) -> ScaleBoundsReport:
+    """Certify (lam/4beta) E[1{|L-a|<=b*}(L-a)^2] <= b*^2 <= (lam/2beta) E[(L-a)^2],
+    taking ``optimal_scale``'s arguments; a stack's report fields are arrays."""
+    values, probs, a, beta, lam, b_star = _stack(dist, a, beta, lam,
+                                                 optimal_scale(dist, a, beta, lam))
+    r = values - a[..., None]
+    lower = lam / (4.0 * beta) * _row_sums(probs * ((np.abs(r) <= b_star[..., None]) * r * r))
+    upper = lam / (2.0 * beta) * _row_sums(probs * (r * r))
     b_sq = b_star * b_star
     # tiny slack for the rounding of b_star (Newton stops at a 1e-14 b step)
-    tol = 1e-8 * max(1.0, b_sq)
-    passed = (lower <= b_sq + tol) and (b_sq <= upper + tol)
-    return ScaleBoundsReport(b_star, b_sq, lower, upper, passed)
+    tol = 1e-8 * np.maximum(1.0, b_sq)
+    passed = (lower <= b_sq + tol) & (b_sq <= upper + tol)
+    return ScaleBoundsReport(*(x if np.ndim(x) else x.item()
+                               for x in (b_star, b_sq, lower, upper, passed)))
 
 
 @dataclass
@@ -200,19 +211,17 @@ def check_scale_optimized_limit(
         raise ValueError("lam must be positive")
     if alpha_tilde < 0.0:
         raise ValueError("alpha_tilde must be nonnegative")
-    second = dist.second_moment_about(a)
-    degenerate = second == 0.0
-    scaled = []
-    for beta in betas:
-        alpha = alpha_tilde * math.sqrt(beta)
-        if degenerate:
-            # rho term vanishes identically; the infimum in b sits at the
-            # optimizer's scale floor
-            value = alpha * a + beta * B_FLOOR
-        else:
-            b_star = optimal_scale(dist, a, beta, lam)
-            value = alpha * a + beta * b_star + lam * _deviation_term(dist, a, b_star)
-        scaled.append(value / math.sqrt(beta))
+    second = float(dist.probs @ (dist.values - a) ** 2)
+    betas = np.array(betas, dtype=float)
+    k, r = betas.size, dist.values - a
+    if second == 0.0:  # the rho term vanishes: the infimum in b sits at the scale floor
+        b, deviation = B_FLOOR, 0.0
+    else:  # one optimal-scale row per beta, and E[sqrt((L-a)^2 + b^2) - b] without cancellation
+        b = optimal_scale((np.tile(dist.values, (k, 1)), np.tile(dist.probs, (k, 1))),
+                          np.full(k, a), betas, np.full(k, lam))
+        deviation = _row_sums(dist.probs * (r * r / (np.hypot(r, b[:, None]) + b[:, None])))
+    value = alpha_tilde * np.sqrt(betas) * a + betas * b + lam * deviation
+    scaled = (value / np.sqrt(betas)).tolist()
     lower = alpha_tilde * a + 0.5 * math.sqrt(lam * second)
     upper = alpha_tilde * a + 4.0 * math.sqrt(lam * second)
     rel_change = abs(scaled[-1] - scaled[-2]) / max(abs(scaled[-1]), 1e-12)
@@ -283,7 +292,8 @@ def _solve_thresholds(X: np.ndarray, b: float, alpha: float, lam: float) -> np.n
     infinity, or one whose max - min exceeds 1e150*b (t^2 could overflow
     past it), before anything is solved.  The rows are solved together, in
     two buffers of X's size, by Newton steps from each row's mean with that
-    bracket as a safeguard.  With tol = 1e-14*(b + |a|), a row retires when
+    bracket as a safeguard (t by a 1/b multiply, g and g' as fused row dot
+    products).  With tol = 1e-14*(b + |a|), a row retires when
     its step is at most tol (root a + step), or when g(a) == 0 or its
     bracket is at most tol/10 wide (root a; this stops a row whose g is flat
     to rounding, such as one far wider than b whose g steps across zero
@@ -307,21 +317,20 @@ def _solve_thresholds(X: np.ndarray, b: float, alpha: float, lam: float) -> np.n
     roots = X.mean(axis=1)
     live = np.arange(len(X))
     a, lo, hi = roots.copy(), mins - b, maxs + b
+    inv_b, scale = 1.0 / b, lam / X.shape[1]
     for _ in range(NEWTON_CAP):
         tl, rl = t[: live.size], r[: live.size]
         np.subtract(X if live.size == len(X) else X[live], a[:, None], out=tl)
-        np.divide(tl, b, out=tl)
+        np.multiply(tl, inv_b, out=tl)
         np.multiply(tl, tl, out=rl)
         np.add(rl, 1.0, out=rl)
         np.sqrt(rl, out=rl)
         np.divide(1.0, rl, out=rl)  # (1 + t^2)^(-1/2)
-        np.multiply(tl, rl, out=tl)  # rho'(t)
-        g = lam * np.mean(tl, axis=1) - alpha
-        np.multiply(rl, rl, out=tl)
-        np.multiply(tl, rl, out=tl)  # rho''(t) = (1 + t^2)^(-3/2)
+        # row sums of rho'(t) = t (1 + t^2)^(-1/2) and rho''(t) = (1 + t^2)^(-3/2)
+        g = scale * np.vecdot(tl, rl) - alpha
         # rho'' underflows far from the root: an infinite step is outside
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            step = g / ((lam / b) * np.mean(tl, axis=1))  # -g/g'
+            step = g / ((scale * inv_b) * np.einsum("ij,ij,ij->i", rl, rl, rl))  # -g/g'
         tol = 1e-14 * (b + np.abs(a))
         small = np.abs(step) <= tol
         done = small | (g == 0.0) | (hi - lo <= 0.1 * tol)
@@ -408,20 +417,20 @@ def check_location_concentration(
 
 @dataclass(frozen=True)
 class GradientDist:
-    """Finite distribution over (loss value, loss gradient) pairs."""
+    """Finite distribution over (loss value, loss gradient) pairs, or S of them stacked."""
 
-    values: np.ndarray
-    grads: np.ndarray  # shape (m, d)
-    probs: np.ndarray
+    values: np.ndarray  # shape (m,), or (S, m)
+    grads: np.ndarray  # shape (m, d), or (S, m, d)
+    probs: np.ndarray  # shape (m,), or (S, m)
 
     def __post_init__(self):
         object.__setattr__(self, "values", np.asarray(self.values, dtype=float))
         object.__setattr__(self, "grads", np.atleast_2d(np.asarray(self.grads, dtype=float)))
         object.__setattr__(self, "probs", np.asarray(self.probs, dtype=float))
-        if self.values.shape[0] != self.grads.shape[0] or self.values.shape != self.probs.shape:
+        if self.values.shape != self.grads.shape[:-1] or self.values.shape != self.probs.shape:
             raise ValueError("values, grads and probs must align")
         _require_finite(self, "values", "grads", "probs")
-        if np.any(self.probs <= 0.0) or abs(float(self.probs.sum()) - 1.0) > PROB_TOL:
+        if np.any(self.probs <= 0.0) or np.any(np.abs(self.probs.sum(axis=-1) - 1.0) > PROB_TOL):
             raise ValueError("probs must be positive and sum to 1")
 
 
@@ -438,21 +447,22 @@ def check_stationarity_equivalence(dist: GradientDist) -> StationarityReport:
     With a_mv = E L - 1, the target is mv' = E[(L - a_mv) L'] and the
     surrogate is g(b) = E[(L - a_mv)/sqrt(((L-a_mv)/b)^2 + 1) * L'].  The
     report passes when ||g(b) - mv'|| is nonincreasing across b = 1e1, 1e2,
-    1e3, 1e4 and the final gap is <= 1e-3 * (1 + ||mv'||).
+    1e3, 1e4 and the final gap is <= 1e-3 * (1 + ||mv'||).  A stack's
+    report fields are arrays, each row the bits of its one-instance call.
     """
-    a_mv = float(dist.probs @ dist.values) - 1.0
-    r = dist.values - a_mv
-    mv_grad = (dist.probs * r) @ dist.grads
-    diffs = []
-    for b in (1e1, 1e2, 1e3, 1e4):
-        w = r / np.sqrt((r / b) ** 2 + 1.0)
-        g_b = (dist.probs * w) @ dist.grads
-        diffs.append(float(np.linalg.norm(g_b - mv_grad)))
-    nonincreasing = all(
-        diffs[i + 1] <= diffs[i] + 1e-15 for i in range(len(diffs) - 1)
-    )
-    small = diffs[-1] <= 1e-3 * (1.0 + float(np.linalg.norm(mv_grad)))
-    return StationarityReport(mv_grad, diffs, nonincreasing and small)
+    values, probs = np.atleast_2d(dist.values, dist.probs)
+    grads = dist.grads.reshape(values.shape + dist.grads.shape[-1:])
+    a_mv = np.sum(probs * values, axis=1, keepdims=True) - 1.0
+    r = values - a_mv
+    mv_grad = np.sum((probs * r)[..., None] * grads, axis=-2)
+    w = r / np.sqrt((r / np.array([1e1, 1e2, 1e3, 1e4])[:, None, None]) ** 2 + 1.0)
+    g_b = np.sum((probs * w)[..., None] * grads, axis=-2)  # (b, instance, d)
+    diffs = np.linalg.norm(g_b - mv_grad, axis=-1).T
+    passed = (np.all(diffs[:, 1:] <= diffs[:, :-1] + 1e-15, axis=1)
+              & (diffs[:, -1] <= 1e-3 * (1.0 + np.linalg.norm(mv_grad, axis=1))))
+    if dist.values.ndim == 1:
+        return StationarityReport(mv_grad[0], diffs[0].tolist(), bool(passed[0]))
+    return StationarityReport(mv_grad, diffs, passed)
 
 
 def _unit_split(dist: DiscreteDist, a: float, b: float) -> Tuple[float, float]:

@@ -196,6 +196,29 @@ def test_train_rejects_bad_criterion_setting_with_exit_1(tmp_path, capsys):
     assert "eta_tilde" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "abc"])
+@pytest.mark.parametrize("criterion, flag", [("sunhuber", "--beta0"), ("cvar", "--xi"),
+                                             ("chisq_dro", "--eta-tilde")])
+def test_train_setting_flag_that_is_not_a_finite_number_exits_2_naming_it(
+        tmp_path, capsys, criterion, flag, value):
+    with pytest.raises(SystemExit) as exit_:
+        main(["train", "--data", "bundled:credit690", "--criterion", criterion,
+              flag, value, "--out", str(tmp_path / "run")])
+    assert exit_.value.code == 2
+    assert f"argument {flag}: takes a finite number, got {value!r}" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("criterion, flag, value", [("sunhuber", "--beta0", "-1"),
+                                                    ("cvar", "--xi", "7"),
+                                                    ("chisq_dro", "--eta-tilde", "1.5")])
+def test_train_setting_out_of_range_exits_1_naming_its_flag(tmp_path, capsys, criterion, flag,
+                                                            value):
+    assert main(["train", "--data", "bundled:credit690", "--criterion", criterion, flag, value,
+                 "--iterations", "1", "--out", str(tmp_path / "run")]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {flag}: {criterion} setting ")
+
+
 def test_experiment_and_report_round_trip(tmp_path):
     cfg = tmp_path / "cfg.ini"
     cfg.write_text(
@@ -320,6 +343,13 @@ def test_verify_prints_property_times_on_stderr_only(tmp_path, capsys):
         assert [t[1] for t in times] == [row[0] for row in rows[1:]] + ["total"]
     assert reports[0] == reports[1]
     assert b"time" not in reports[0]
+
+
+def test_verify_marks_the_side_threads_time_line(tmp_path, capsys):
+    assert main(["verify", "--quick", "--out", str(tmp_path)]) == 0
+    marked = [line for line in capsys.readouterr().err.splitlines() if "side thread" in line]
+    assert len(marked) == 1
+    assert marked[0].startswith("time location_concentration_lognormal ")
 
 
 def test_verify_output_is_the_same_under_frequent_thread_switches(tmp_path, capsys):

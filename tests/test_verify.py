@@ -127,6 +127,55 @@ def test_scale_bounds_random_sweep():
         assert check_scale_bounds(d, a, beta, lam).passed
 
 
+@st.composite
+def scale_problems(draw):
+    """One distribution of 2-6 atoms, each 1e-6 to 1e6 in magnitude, with
+    a, beta and lam such that P(L=a) < 1 - beta/lam."""
+    magnitude = st.floats(1e-6, 1e6)
+    m = draw(st.integers(2, 6))
+    values = [draw(magnitude) * draw(st.sampled_from([-1.0, 1.0])) for _ in range(m)]
+    weights = np.array([draw(st.floats(0.1, 1.0)) for _ in range(m)])
+    dist = DiscreteDist(np.array(values), weights / weights.sum())
+    a = draw(st.one_of(st.sampled_from(values), magnitude, st.just(0.0)))
+    lam = draw(st.floats(0.2, 3.0))
+    beta = draw(st.floats(0.01, 0.99)) * lam
+    assume(float(dist.probs[dist.values == a].sum()) < 1.0 - beta / lam)
+    return dist, a, beta, lam
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(scale_problems(), min_size=1, max_size=5), st.integers(0, 5), st.randoms())
+def test_padded_scale_stack_rows_have_the_bits_of_one_distribution_calls(problems, pad, random):
+    # each row padded to the widest plus ``pad`` with zero-mass atoms at its a
+    random.shuffle(problems)
+    width = max(d.values.size for d, *_ in problems) + pad
+    values, probs = np.zeros((2, len(problems), width))
+    for row, (d, a, _, _) in zip(values, problems):
+        row[:] = a
+        row[: d.values.size] = d.values
+    for row, (d, *_) in zip(probs, problems):
+        row[: d.probs.size] = d.probs
+    a, beta, lam = np.array([p[1:] for p in problems], dtype=float).T
+    expected = [optimal_scale(*p) for p in problems]
+    np.testing.assert_array_equal(bits(optimal_scale((values, probs), a, beta, lam)),
+                                  bits(expected))
+    stacked = check_scale_bounds((values, probs), a, beta, lam)
+    for i, p in enumerate(problems):
+        one = check_scale_bounds(*p)
+        assert [bits(getattr(stacked, f)[i]) for f in ("b_star", "b_sq", "lower", "upper")] == [
+            bits(getattr(one, f)) for f in ("b_star", "b_sq", "lower", "upper")]
+        assert stacked.passed[i] == one.passed
+
+
+def test_optimal_scale_stack_rejects_a_degenerate_row():
+    values = np.array([[-1.0, 1.0], [2.0, 2.0]])
+    probs = np.array([[0.5, 0.5], [0.5, 0.5]])
+    with pytest.raises(ValueError, match="degenerate"):
+        optimal_scale((values, probs), np.array([0.0, 2.0]), np.full(2, 0.1), np.ones(2))
+    with pytest.raises(ValueError, match="beta"):
+        optimal_scale((values, probs), np.zeros(2), np.array([0.1, 1.5]), np.ones(2))
+
+
 # ------------------------------------------------------- scale-opt. limit
 
 
@@ -675,6 +724,32 @@ def test_stationarity_random_instances():
         assert check_stationarity_equivalence(d).passed
 
 
+@pytest.mark.parametrize("instances, atoms, dims", [(1, 5, 3), (7, 5, 3), (40, 1, 1),
+                                                    (13, 9, 2), (100, 5, 1)])
+def test_stacked_stationarity_instances_equal_their_one_instance_calls(instances, atoms, dims):
+    rng = np.random.Generator(np.random.PCG64(instances * atoms * dims))
+    values = rng.uniform(-4.0, 4.0, (instances, atoms))
+    grads = rng.normal(size=(instances, atoms, dims)) * rng.choice([1e-3, 1.0, 1e3], instances)[
+        :, None, None]
+    probs = rng.uniform(0.1, 1.0, (instances, atoms))
+    probs /= probs.sum(axis=1, keepdims=True)
+    stacked = check_stationarity_equivalence(GradientDist(values, grads, probs))
+    assert stacked.diffs.shape == (instances, 4) and stacked.passed.shape == (instances,)
+    for i in range(instances):
+        one = check_stationarity_equivalence(GradientDist(values[i], grads[i], probs[i]))
+        assert stacked.diffs[i].tolist() == one.diffs
+        assert stacked.passed[i] == one.passed
+        np.testing.assert_array_equal(bits(stacked.mv_grad[i]), bits(one.mv_grad))
+
+
+def test_gradient_dist_stack_rejects_a_row_that_does_not_sum_to_one():
+    probs = np.array([[0.5, 0.5], [0.5, 0.4]])
+    with pytest.raises(ValueError, match="sum to 1"):
+        GradientDist(np.zeros((2, 2)), np.zeros((2, 2, 3)), probs)
+    with pytest.raises(ValueError, match="align"):
+        GradientDist(np.zeros((2, 2)), np.zeros((2, 3, 3)), np.full((2, 2), 0.5))
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 @pytest.mark.parametrize("field", ["values", "grads", "probs"])
 def test_gradient_dist_rejects_non_finite_entries(field, bad):
@@ -811,6 +886,14 @@ def test_suite_with_a_side_thread_equals_a_serial_run_in_listed_order(seed):
     assert [(o.name, o.status, o.detail) for o in outcomes] == [
         (o.name, o.status, o.detail) for o in serial_quick_suite(seed)
     ]
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_full_size_suite_passes_every_property(seed):
+    outcomes = run_property_suite(quick=False, seed=seed)
+    assert len(outcomes) == 11
+    assert [o.name for o in outcomes if not o.passed] == []
+    assert [o.name for o in outcomes if o.side_thread] == ["location_concentration_lognormal"]
 
 
 @pytest.mark.parametrize("seed", range(5))
