@@ -55,6 +55,12 @@ def _cmd_synth(args) -> int:
 
 
 def _cmd_train(args) -> int:
+    field = criterion_record(args.criterion).setting
+    for other in _SETTING_DEFAULTS:
+        if other != field and getattr(args, other) is not None:
+            takes = "no setting flag" if field is None else _setting_flag(field)
+            args.usage_error(f"argument {_setting_flag(other)}: criterion "
+                             f"{args.criterion} takes {takes}")
     dataset = load_dataset(args.data, args.format, args.label_col)
     if args.split_seed is not None:
         dataset = shuffle_split(dataset, args.split_seed)
@@ -62,13 +68,14 @@ def _cmd_train(args) -> int:
         dataset = preprocess(dataset)
     n_train = int(dataset.split_indices("train").size)
     lam = default_lam(n_train) if args.lam is None else args.lam
-    # each setting flag is named after the CriterionParams field it fills
-    field = criterion_record(args.criterion).setting
-    setting = getattr(args, field) if field else None
+    setting = None
+    if field is not None:
+        setting = getattr(args, field)
+        setting = _SETTING_DEFAULTS[field] if setting is None else setting
     try:
         params = make_criterion(args.criterion, setting, n_train, lam)
     except ValueError as err:  # a finite setting out of its kind's range; erm takes none
-        raise ValueError(f"--{field.replace('_', '-')}: {err}") from None
+        raise ValueError(f"{_setting_flag(field)}: {err}") from None
 
     init = build_initial_state(dataset, args.init)
 
@@ -138,6 +145,16 @@ def _at_least(low):
             raise ValueError(text)
         return value
     return read
+
+
+# train's setting flags, each named after the CriterionParams field it fills,
+# with the value a criterion takes when its own flag is absent; a flag the
+# chosen criterion does not take is a usage error
+_SETTING_DEFAULTS = {"beta0": 0.9, "xi": 0.5, "eta_tilde": 0.5}
+
+
+def _setting_flag(field):
+    return "--" + field.replace("_", "-")
 
 
 _non_negative = _at_least(0)  # seeds too: numpy's generators take no negative seed
@@ -317,9 +334,8 @@ def build_parser() -> argparse.ArgumentParser:
         choices=KINDS,
         required=True,
     )
-    p.add_argument("--beta0", type=_FINITE_FLAG, default=0.9)
-    p.add_argument("--xi", type=_FINITE_FLAG, default=0.5)
-    p.add_argument("--eta-tilde", type=_FINITE_FLAG, default=0.5)
+    for field in _SETTING_DEFAULTS:
+        p.add_argument(_setting_flag(field), type=_FINITE_FLAG, default=None)
     p.add_argument("--lam", type=_flag(_lam, _LAM), default="auto",
                    help="'auto' = log(n)/sqrt(n)")
     p.add_argument("--step-size", type=float, default=0.01)
@@ -333,7 +349,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma-separated initial weights")
     p.add_argument("--seed", type=_NON_NEGATIVE_FLAG, default=0)
     p.add_argument("--out", default=".")
-    p.set_defaults(func=_cmd_train)
+    p.set_defaults(func=_cmd_train, usage_error=p.error)
 
     p = sub.add_parser("experiment", help="full sweep from a config file")
     p.add_argument("--config", required=True)

@@ -13,9 +13,11 @@ import csv
 import json
 import math
 import operator
+import os
+import pickle
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
-from typing import List, Optional, Sequence, Tuple
+from typing import List, NoReturn, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -271,18 +273,127 @@ def _run_files(trial: int, settings, runs) -> List[str]:
     return files
 
 
+def _train_part(runs, files, init: JointState, ds: Dataset, out: Path) -> List[tuple]:
+    """Train ``runs`` together in one ``train`` call and write each finished
+    run's CSV to ``out / files[i]``, straight from its block of the stacked
+    metrics array, with the bytes ``write_trajectory_csv`` would write for
+    its records.  Returns ``(error, final_val_mean_loss, final_test_mean_sd)``
+    per run; a diverged run has its message and no numbers."""
+    trained = train(runs, init, ds)
+    names = trained.split_names
+    for split in ("val", "test"):
+        if split not in names:
+            raise ValueError(f"no final-checkpoint record for split {split!r}")
+    val, test = names.index("val"), names.index("test")
+    finals = []
+    for i, error in enumerate(trained.errors):
+        if error is not None:
+            finals.append((error, None, None))
+            continue
+        block = trained.metrics[:, :, i]
+        _write_lines(out / files[i], _trajectory_lines(trained.checkpoints, names, block))
+        last = block[-1].tolist()
+        finals.append((None, last[val][_MEAN_LOSS], last[test][_MEAN_SD]))
+    return finals
+
+
+def _part_count(n_runs: int) -> int:
+    """One part per CPU the process may run on, at most one per run; one
+    part where the platform cannot fork."""
+    if not hasattr(os, "fork"):
+        return 1
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        cpus = os.cpu_count() or 1
+    return min(cpus, n_runs)
+
+
+def _child(write: int, work) -> NoReturn:
+    """In a forked child: send ``(error, work())`` down the pipe ``write``
+    (error None, or the exception ``work`` raised, and no result), then
+    leave through ``os._exit`` without running the parent's cleanup."""
+    code = 1
+    try:
+        try:
+            message = (None, work())
+        except BaseException as err:  # every exit of the child goes through the pipe
+            message = (err, None)
+        try:
+            payload = pickle.dumps(message)
+        except Exception:  # an exception that does not pickle: keep its type name and text
+            err = message[0]
+            payload = pickle.dumps((RuntimeError(f"{type(err).__name__}: {err}"), None))
+        with open(write, "wb") as f:
+            f.write(payload)
+        code = 0
+    finally:
+        os._exit(code)
+
+
+def _train_in_parts(runs, files, init: JointState, ds: Dataset, out: Path) -> List[tuple]:
+    """``_train_part`` over ``_part_count`` contiguous parts of ``runs``, in order.
+
+    Parts 2..k each run in a forked child, which writes its runs' files and
+    pipes back only their finals; the first part runs here.  A run keeps
+    the bits it has when trained alone, so the files and finals are the
+    same for every split.  The first part's exception, else the first
+    child's (with its type and message), reaches the caller; every child is
+    reaped before this returns or raises.
+
+    A forked child starts with the parent's imports and the trial's data in
+    place; a spawned one would import scipy again, about as long as one
+    part's training.  The caller runs no other Python thread meanwhile, and
+    numpy's OpenBLAS stops its own pool before a fork (a ``pthread_atfork``
+    handler).
+    """
+    k = _part_count(len(runs))
+    cuts = [len(runs) * p // k for p in range(k + 1)]
+    parts = [(runs[lo:hi], files[lo:hi]) for lo, hi in zip(cuts, cuts[1:])]
+    pids, reads = [], []
+    try:
+        for part_runs, part_files in parts[1:]:
+            read, write = os.pipe()
+            reads.append(read)
+            try:
+                pid = os.fork()
+                if pid == 0:  # the child leaves inside _child
+                    _child(write, lambda: _train_part(part_runs, part_files, init, ds, out))
+            finally:
+                os.close(write)
+            pids.append(pid)
+        finals = _train_part(*parts[0], init, ds, out)
+        for p, read in enumerate(reads, start=2):
+            with open(read, "rb", closefd=False) as f:
+                payload = f.read()
+            if not payload:
+                raise RuntimeError(f"training part {p} of {k} ended without a result")
+            error, part_finals = pickle.loads(payload)
+            if error is not None:
+                raise error
+            finals += part_finals
+        return finals
+    finally:
+        for read in reads:  # a child still writing gets a broken pipe and exits
+            os.close(read)
+        for pid in pids:
+            os.waitpid(pid, 0)
+
+
 def run_experiment(spec: ExperimentSpec, dataset: Optional[Dataset] = None) -> dict:
     """Execute the full sweep and return (and write) the manifest.
 
-    Each trial trains all its runs together in one ``train`` call.  Run
-    ``i = k*S + j`` is criterion setting ``k`` under step size ``j`` (S step
-    sizes): criterion-major, as the stack's blocks are stretches of rows of
-    one kind.  Each finished run's CSV is written straight from its block
-    of the stacked metrics array, with the bytes ``write_trajectory_csv``
-    would write for its records.  Diverged runs are flagged and excluded
-    from step-size selection; a setting with no surviving run is recorded
-    with a null selection.  Two runs whose file names would coincide raise
-    SpecError before the trial trains or writes anything.
+    Run ``i = k*S + j`` of a trial is criterion setting ``k`` under step
+    size ``j`` (S step sizes): criterion-major, as the stack's blocks are
+    stretches of rows of one kind.  Each trial's runs are cut into one
+    contiguous part per CPU the process may run on (``_train_in_parts``);
+    each part trains its runs together in one ``train`` call, parts 2..k in
+    forked children, and writes each finished run's CSV itself.  Every
+    output is byte-identical whatever the number of parts.  Diverged runs
+    are flagged and excluded from step-size selection; a setting with no
+    surviving run is recorded with a null selection.  Two runs whose file
+    names would coincide raise SpecError before the trial trains or writes
+    anything.  The manifest is written once every part of every trial is in.
     """
     out = Path(spec.out_dir)
     if dataset is None:
@@ -307,26 +418,18 @@ def run_experiment(spec: ExperimentSpec, dataset: Optional[Dataset] = None) -> d
         runs = [(params, replace(config, step_size=step))
                 for params in criteria for step in spec.step_sizes]
         files = _run_files(trial, settings, runs)
-        trained = train(runs, build_initial_state(ds), ds)
-        names = trained.split_names
-        for split in ("val", "test"):
-            if split not in names:
-                raise ValueError(f"no final-checkpoint record for split {split!r}")
-        val, test = names.index("val"), names.index("test")
         (out / "runs").mkdir(parents=True, exist_ok=True)
+        finals = _train_in_parts(runs, files, build_initial_state(ds), ds, out)
         entries = []
-        for i, (_, opt) in enumerate(runs):
+        for i, ((_, opt), (error, val_loss, test_sd)) in enumerate(zip(runs, finals)):
             method, setting = settings[i // n_steps]
             entry = {"method": method, "setting": setting, "step_size": opt.step_size}
             entries.append(entry)
-            if trained.errors[i] is not None:
-                entry.update(status="diverged", error=trained.errors[i])
+            if error is not None:
+                entry.update(status="diverged", error=error)
                 continue
-            block = trained.metrics[:, :, i]
-            _write_lines(out / files[i], _trajectory_lines(trained.checkpoints, names, block))
-            last = block[-1].tolist()
-            entry.update(status="ok", file=files[i], final_val_mean_loss=last[val][_MEAN_LOSS],
-                         final_test_mean_sd=last[test][_MEAN_SD])
+            entry.update(status="ok", file=files[i], final_val_mean_loss=val_loss,
+                         final_test_mean_sd=test_sd)
         selected = []
         for k, (method, setting) in enumerate(settings):
             finished = [e for e in entries[k * n_steps : (k + 1) * n_steps] if e["status"] == "ok"]

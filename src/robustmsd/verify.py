@@ -249,10 +249,14 @@ class GaussianLosses:
     def draw(self, rng: np.random.Generator, out: np.ndarray) -> np.ndarray:
         """Fill ``out`` with ``mean + sd * rng.standard_normal(out.shape)``
         and return it: the bits and the generator state of
-        ``rng.normal(mean, sd, out.shape)``, with no temporary."""
+        ``rng.normal(mean, sd, out.shape)``, with no temporary.  A pass that
+        leaves the bits as they are (``* 1.0``, ``+ 0.0``) is skipped, so
+        with mean 0 a -0.0 draw stays -0.0 where ``rng.normal`` gives +0.0."""
         rng.standard_normal(out=out)
-        out *= self.sd
-        out += self.mean
+        if self.sd != 1.0:
+            out *= self.sd
+        if self.mean != 0.0:
+            out += self.mean
         return out
 
 

@@ -219,6 +219,38 @@ def test_train_setting_out_of_range_exits_1_naming_its_flag(tmp_path, capsys, cr
     assert capsys.readouterr().err.startswith(f"error: {flag}: {criterion} setting ")
 
 
+# the setting flag of each criterion that takes one; erm takes none
+SETTING_FLAG = {"sunhuber": "--beta0", "cvar": "--xi", "chisq_dro": "--eta-tilde"}
+
+
+@pytest.mark.parametrize("criterion, flag", [
+    (criterion, flag) for criterion in KINDS for flag in SETTING_FLAG.values()
+    if SETTING_FLAG.get(criterion) != flag
+])
+def test_train_setting_flag_the_criterion_does_not_take_exits_2_naming_it(
+        tmp_path, capsys, criterion, flag):
+    with pytest.raises(SystemExit) as exit_:
+        main(["train", "--data", "bundled:credit690", "--criterion", criterion, flag, "0.5",
+              "--iterations", "1", "--out", str(tmp_path / "run")])
+    assert exit_.value.code == 2
+    takes = SETTING_FLAG.get(criterion, "no setting flag")
+    assert f"argument {flag}: criterion {criterion} takes {takes}\n" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("criterion, flag", SETTING_FLAG.items())
+def test_train_takes_the_criterion_own_setting_flag(tmp_path, criterion, flag):
+    runs = {}
+    for value in ([], [flag, "0.5"], [flag, "0.25"]):
+        out = tmp_path / f"run{len(runs)}"
+        assert main(["train", "--data", "bundled:credit690", "--criterion", criterion, *value,
+                     "--iterations", "1", "--out", str(out)]) == 0
+        runs[tuple(value)] = (out / "trajectory.csv").read_bytes()
+    # 0.5 is cvar's and chisq_dro's default; each value is read
+    assert (runs[()] == runs[(flag, "0.5")]) == (criterion != "sunhuber")
+    assert runs[(flag, "0.5")] != runs[(flag, "0.25")]
+
+
 def test_experiment_and_report_round_trip(tmp_path):
     cfg = tmp_path / "cfg.ini"
     cfg.write_text(

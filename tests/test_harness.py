@@ -5,7 +5,9 @@ import dataclasses
 import io
 import json
 import math
+import os
 import re
+import shutil
 import warnings
 
 import numpy as np
@@ -33,6 +35,19 @@ from robustmsd.harness import (
 from robustmsd.optimizer import DivergenceError
 
 BUNDLED = "src/robustmsd/datasets/credit690.csv"
+
+
+@pytest.fixture(autouse=True)
+def no_child_left():
+    """Every process a test forks is reaped by the time it ends."""
+    yield
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def use_cpus(monkeypatch, n):
+    """Make ``run_experiment`` see ``n`` CPUs, so it cuts a trial into at most ``n`` parts."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
 
 
 def rec(cp, split, base=1.0):
@@ -434,6 +449,7 @@ def run_keeping_stacks(monkeypatch, spec, dataset):
         return trained
 
     monkeypatch.setattr(harness, "train", spy)
+    use_cpus(monkeypatch, 1)  # a forked part's stack would not reach this process
     return run_experiment(spec, dataset), stacks
 
 
@@ -487,8 +503,90 @@ def test_run_experiment_names_a_missing_final_split(tmp_path, monkeypatch, split
         )
 
     monkeypatch.setattr(harness, "train", without_split)
+    use_cpus(monkeypatch, 1)  # a forked part would not see the patched train
     with pytest.raises(ValueError, match=f"no final-checkpoint record for split '{split}'"):
         run_experiment(small_spec(tmp_path / "exp", trials=1), load_tabular(BUNDLED))
+
+
+def tree_bytes(root):
+    return {p.relative_to(root): p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()}
+
+
+@pytest.mark.parametrize(
+    "dataset, methods, step_sizes",
+    [
+        # 9 runs, one diverging per setting
+        ("binary", ("sunhuber", "erm", "cvar"), (0.01, 0.1, 1e14)),
+        ("three_class", ("sunhuber", "erm", "cvar"), (0.01, 0.1, 1e14)),
+        # 4 runs: the last part's runs all diverge, whether it has 2 or 3 parts
+        ("binary", ("erm",), (0.01, 0.1, 1e14, 1e15)),
+    ],
+)
+def test_sweep_outputs_are_the_same_bytes_in_any_number_of_parts(
+        tmp_path, monkeypatch, dataset, methods, step_sizes):
+    data = load_tabular(BUNDLED) if dataset == "binary" else three_class_dataset()
+    grids = {"sunhuber": MethodGrid("sunhuber", (0.9,)), "erm": MethodGrid("erm"),
+             "cvar": MethodGrid("cvar", (0.5,))}
+    out, trees = tmp_path / "exp", {}
+    for parts in (1, 2, 3):
+        use_cpus(monkeypatch, parts)
+        manifest = run_experiment(small_spec(out, methods=[grids[m] for m in methods],
+                                             step_sizes=step_sizes), data)
+        trees[parts] = tree_bytes(out), manifest
+        shutil.rmtree(out)
+    assert trees[2] == trees[1] and trees[3] == trees[1]
+    expected = ["diverged" if step > 1 else "ok" for step in step_sizes] * len(methods)
+    for trial in trees[1][1]["trials"]:
+        assert [r["status"] for r in trial["runs"]] == expected
+
+
+def test_part_count_follows_the_cpus_the_process_may_run_on(monkeypatch):
+    use_cpus(monkeypatch, 3)
+    assert [harness._part_count(n) for n in (1, 2, 3, 60)] == [1, 2, 3, 3]
+    monkeypatch.delattr(os, "sched_getaffinity")
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert harness._part_count(60) == 1
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    assert harness._part_count(60) == 4
+    monkeypatch.delattr(os, "fork")
+    assert harness._part_count(60) == 1
+
+
+class PartFailure(Exception):
+    pass
+
+
+class Unpicklable(Exception):
+    def __init__(self, text):
+        super().__init__(text)
+        self.callback = lambda: None  # pickle cannot send a lambda
+
+
+@pytest.mark.parametrize(
+    "where, failure, raised, match",
+    [
+        ("child", PartFailure("a child's part failed"), PartFailure, "^a child's part failed$"),
+        ("parent", PartFailure("the parent's part failed"), PartFailure,
+         "^the parent's part failed$"),
+        ("child", Unpicklable("no pickle"), RuntimeError, "^Unpicklable: no pickle$"),
+        ("child", None, RuntimeError, "^training part 2 of 2 ended without a result$"),
+    ],
+)
+def test_a_failing_part_reaches_the_caller(tmp_path, monkeypatch, where, failure, raised, match):
+    parent, train = os.getpid(), harness.train
+
+    def failing(runs, init, ds):
+        if (os.getpid() == parent) == (where == "parent"):
+            if failure is None:
+                os._exit(3)  # the child dies without a word
+            raise failure
+        return train(runs, init, ds)
+
+    monkeypatch.setattr(harness, "train", failing)
+    use_cpus(monkeypatch, 2)
+    with pytest.raises(raised, match=match):
+        run_experiment(small_spec(tmp_path / "exp", trials=1), load_tabular(BUNDLED))
+    assert not (tmp_path / "exp" / "manifest.json").exists()
 
 
 def test_all_diverged_sweep_selects_nothing_and_report_exits_1(tmp_path, capsys):

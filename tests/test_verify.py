@@ -611,8 +611,10 @@ def pcg(seed):
 
 
 @pytest.mark.parametrize("seed", [0, 50])
-@pytest.mark.parametrize("mean, sd", [(0.0, 1.0), (-3.25, 0.7), (1e3, 2.5e-3)])
+@pytest.mark.parametrize("mean, sd", [(0.0, 1.0), (0.0, 3.0), (2.0, 1.0), (-1.0, 0.5),
+                                      (-3.25, 0.7), (1e3, 2.5e-3)])
 def test_gaussian_draw_is_bitwise_mean_plus_sd_times_standard_normal(seed, mean, sd):
+    # mean 0 skips the add and sd 1 the multiply; both leave every bit as it is
     rng, ref = pcg(seed), pcg(seed)
     out = np.empty((32, 2000))
     drawn = GaussianLosses(mean, sd).draw(rng, out)
