@@ -10,6 +10,7 @@ import csv
 import math
 import sys
 import time
+from concurrent.futures import BrokenExecutor
 from pathlib import Path
 
 from .criteria import KINDS, criterion_record
@@ -128,13 +129,17 @@ def _pair(text):
     return values
 
 
+def _positive(text):
+    """The number, if it is finite and positive."""
+    value = _finite(text)
+    if not value > 0.0:
+        raise ValueError(text)
+    return value
+
+
 def _lam(text):
     """None for ``auto``, else the number, if it is finite and positive."""
-    if text == "auto":
-        return None
-    if not _finite(text) > 0.0:
-        raise ValueError(text)
-    return float(text)
+    return None if text == "auto" else _positive(text)
 
 
 def _at_least(low):
@@ -159,7 +164,8 @@ def _setting_flag(field):
 
 _non_negative = _at_least(0)  # seeds too: numpy's generators take no negative seed
 _FLOATS = "a comma-separated list of numbers with no empty item"
-_LAM = "auto or a number that is positive and finite"
+_POSITIVE = "a number that is positive and finite"
+_LAM = "auto or " + _POSITIVE
 _NON_NEGATIVE = "a non-negative integer"
 
 
@@ -338,7 +344,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument(_setting_flag(field), type=_FINITE_FLAG, default=None)
     p.add_argument("--lam", type=_flag(_lam, _LAM), default="auto",
                    help="'auto' = log(n)/sqrt(n)")
-    p.add_argument("--step-size", type=float, default=0.01)
+    p.add_argument("--step-size", type=_flag(_positive, _POSITIVE), default=0.01)
     p.add_argument("--iterations", type=_NON_NEGATIVE_FLAG, default=None)
     p.add_argument("--checkpoint-every", type=_POSITIVE_FLAG, default=100)
     p.add_argument("--epochs", type=_NON_NEGATIVE_FLAG, default=30)
@@ -376,7 +382,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (DataError, DivergenceError, ValueError, OSError, MemoryError) as err:
+    except (DataError, DivergenceError, ValueError, OSError, MemoryError,
+            BrokenExecutor) as err:  # BrokenExecutor: a training part died without a result
         print(f"error: {err}", file=sys.stderr)
         return 1
 

@@ -14,10 +14,9 @@ import json
 import math
 import operator
 import os
-import pickle
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
-from typing import List, NoReturn, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -309,75 +308,40 @@ def _part_count(n_runs: int) -> int:
     return min(cpus, n_runs)
 
 
-def _child(write: int, work) -> NoReturn:
-    """In a forked child: send ``(error, work())`` down the pipe ``write``
-    (error None, or the exception ``work`` raised, and no result), then
-    leave through ``os._exit`` without running the parent's cleanup."""
-    code = 1
-    try:
-        try:
-            message = (None, work())
-        except BaseException as err:  # every exit of the child goes through the pipe
-            message = (err, None)
-        try:
-            payload = pickle.dumps(message)
-        except Exception:  # an exception that does not pickle: keep its type name and text
-            err = message[0]
-            payload = pickle.dumps((RuntimeError(f"{type(err).__name__}: {err}"), None))
-        with open(write, "wb") as f:
-            f.write(payload)
-        code = 0
-    finally:
-        os._exit(code)
-
-
 def _train_in_parts(runs, files, init: JointState, ds: Dataset, out: Path) -> List[tuple]:
     """``_train_part`` over ``_part_count`` contiguous parts of ``runs``, in order.
 
-    Parts 2..k each run in a forked child, which writes its runs' files and
-    pipes back only their finals; the first part runs here.  A run keeps
-    the bits it has when trained alone, so the files and finals are the
-    same for every split.  The first part's exception, else the first
-    child's (with its type and message), reaches the caller; every child is
-    reaped before this returns or raises.
+    Parts 2..k run in a fork pool that lives for this call, each writing
+    its runs' files and returning only their finals; the first part runs
+    here.  A run keeps the bits it has when trained alone, so the files and
+    finals are the same for every split.  The first part's exception, else
+    the lowest pool part's, reaches the caller, and a worker that dies
+    without a result raises ``BrokenProcessPool``; the pool's workers have
+    exited before this returns or raises.
 
-    A forked child starts with the parent's imports and the trial's data in
-    place; a spawned one would import scipy again, about as long as one
-    part's training.  The caller runs no other Python thread meanwhile, and
+    A forked worker starts with the parent's imports in place; a spawned
+    one would import scipy again, about as long as one part's training.
+    The pool forks its workers at the first ``submit``, before it starts
+    its manager thread, so no other Python thread runs at the fork, and
     numpy's OpenBLAS stops its own pool before a fork (a ``pthread_atfork``
     handler).
     """
     k = _part_count(len(runs))
     cuts = [len(runs) * p // k for p in range(k + 1)]
     parts = [(runs[lo:hi], files[lo:hi]) for lo, hi in zip(cuts, cuts[1:])]
-    pids, reads = [], []
-    try:
-        for part_runs, part_files in parts[1:]:
-            read, write = os.pipe()
-            reads.append(read)
-            try:
-                pid = os.fork()
-                if pid == 0:  # the child leaves inside _child
-                    _child(write, lambda: _train_part(part_runs, part_files, init, ds, out))
-            finally:
-                os.close(write)
-            pids.append(pid)
+    if k == 1:
+        return _train_part(*parts[0], init, ds, out)
+    # imported here: at module level it raised the peak RSS of the commands
+    # that train no parts (train, verify) by ~0.4 MB
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    with ProcessPoolExecutor(k - 1, mp_context=multiprocessing.get_context("fork")) as pool:
+        futures = [pool.submit(_train_part, *part, init, ds, out) for part in parts[1:]]
         finals = _train_part(*parts[0], init, ds, out)
-        for p, read in enumerate(reads, start=2):
-            with open(read, "rb", closefd=False) as f:
-                payload = f.read()
-            if not payload:
-                raise RuntimeError(f"training part {p} of {k} ended without a result")
-            error, part_finals = pickle.loads(payload)
-            if error is not None:
-                raise error
-            finals += part_finals
-        return finals
-    finally:
-        for read in reads:  # a child still writing gets a broken pipe and exits
-            os.close(read)
-        for pid in pids:
-            os.waitpid(pid, 0)
+        for future in futures:
+            finals += future.result()
+    return finals
 
 
 def run_experiment(spec: ExperimentSpec, dataset: Optional[Dataset] = None) -> dict:
@@ -388,12 +352,13 @@ def run_experiment(spec: ExperimentSpec, dataset: Optional[Dataset] = None) -> d
     stretches of rows of one kind.  Each trial's runs are cut into one
     contiguous part per CPU the process may run on (``_train_in_parts``);
     each part trains its runs together in one ``train`` call, parts 2..k in
-    forked children, and writes each finished run's CSV itself.  Every
-    output is byte-identical whatever the number of parts.  Diverged runs
-    are flagged and excluded from step-size selection; a setting with no
-    surviving run is recorded with a null selection.  Two runs whose file
-    names would coincide raise SpecError before the trial trains or writes
-    anything.  The manifest is written once every part of every trial is in.
+    a fork pool that lives for the trial, and writes each finished run's
+    CSV itself.  Every output is byte-identical whatever the number of
+    parts.  Diverged runs are flagged and excluded from step-size
+    selection; a setting with no surviving run is recorded with a null
+    selection.  Two runs whose file names would coincide raise SpecError
+    before the trial trains or writes anything.  The manifest is written
+    once every part of every trial is in.
     """
     out = Path(spec.out_dir)
     if dataset is None:

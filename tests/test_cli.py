@@ -1,6 +1,7 @@
 """CLI contract: subcommands, exit codes, file outputs."""
 
 import csv
+import os
 import shutil
 import sys
 import warnings
@@ -10,6 +11,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from robustmsd import harness
 from robustmsd.cli import _spec_from_config, build_parser, main
 from robustmsd.criteria import KINDS
 from robustmsd.data import DataError
@@ -676,15 +678,35 @@ def test_train_lam_and_init_flags_parse_as_the_config_reads_them():
     assert parse(base + ["--lam", "auto"]).lam is None
 
 
-@pytest.mark.parametrize("step", ["nan", "inf", "-0.1", "0"])
+@pytest.mark.parametrize("step", ["nan", "inf", "-0.1", "0", "-1", "1e400"])
 def test_train_rejects_step_size_before_training(tmp_path, capsys, step):
     main(["synth", "--n", "100", "--seed", "0", "--out", str(tmp_path)])
     capsys.readouterr()
-    code = main(["train", "--data", str(tmp_path / "synth.csv"), "--criterion", "erm",
-                 "--iterations", "5", "--step-size", step, "--out", str(tmp_path / "run")])
-    assert code == 1
-    one_error_line(capsys, f"got {float(step)!r}")
+    with pytest.raises(SystemExit) as exit_:
+        main(["train", "--data", str(tmp_path / "synth.csv"), "--criterion", "erm",
+              "--iterations", "5", "--step-size", step, "--out", str(tmp_path / "run")])
+    assert exit_.value.code == 2
+    err = capsys.readouterr().err
+    assert (f"argument --step-size: takes a number that is positive and finite, got {step!r}"
+            in err), err
     assert not (tmp_path / "run").exists()
+
+
+def test_experiment_part_that_dies_exits_1_with_one_error_line(tmp_path, capsys, monkeypatch):
+    parent, train = os.getpid(), harness.train
+
+    def dying(runs, init, ds):
+        if os.getpid() != parent:
+            os._exit(3)  # a worker ends without a result, as one the OOM killer ends
+        return train(runs, init, ds)
+
+    monkeypatch.setattr(harness, "train", dying)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})  # two parts
+    cfg = sweep_config(tmp_path, "erm = yes")
+    cfg.write_text(cfg.read_text().replace("step_sizes = 0.01", "step_sizes = 0.01, 0.1"))
+    assert main(["experiment", "--config", str(cfg)]) == 1
+    one_error_line(capsys, "terminated abruptly")
+    assert not (tmp_path / "exp" / "manifest.json").exists()
 
 
 @pytest.mark.parametrize(
