@@ -2,8 +2,8 @@
 
 Datasets carry a dense feature matrix, integer class labels (0..K-1, with
 binary classes mapped from their sorted raw label values), per-row split
-tags, and per-column metadata so preprocessing can re-derive train-only
-statistics after one-hot expansion.
+tags, and a one-hot column mask so preprocessing can tell the columns it
+min-max scales with train-split statistics from those it keeps or drops.
 """
 
 import csv
@@ -12,13 +12,12 @@ import math
 import os
 from dataclasses import KW_ONLY, dataclass, replace
 from pathlib import Path
-from typing import List, Optional, Sequence
+from typing import List, Optional
 
 import numpy as np
 
 __all__ = [
     "DataError",
-    "ColumnGroup",
     "Dataset",
     "SynthConfig",
     "generate_2d_outlier",
@@ -31,8 +30,9 @@ __all__ = [
 
 SPLITS = ("train", "val", "test")
 MISSING = "?"  # missing-value marker of the public credit-approval tables
-# an svmlight file densifies to its largest feature index; past these the
-# loader refuses it before allocating (2**24 cells is a 128 MiB matrix)
+# an svmlight file densifies to its largest feature index and a CSV to its
+# one-hot width; past these the loader refuses it before allocating (2**24
+# cells is a 128 MiB matrix)
 SVMLIGHT_MAX_WIDTH = 2**16
 SVMLIGHT_MAX_CELLS = 2**24
 
@@ -47,26 +47,16 @@ def data_dir() -> Path:
 
 
 @dataclass
-class ColumnGroup:
-    """One source column: either a single numeric feature or a one-hot block."""
-
-    name: str
-    kind: str  # "numeric" | "onehot"
-    indices: List[int]
-    categories: Optional[List[str]] = None
-
-
-@dataclass
 class Dataset:
-    """Feature matrix with labels, split tags and column metadata."""
+    """Feature matrix with labels, split tags and a one-hot column mask: ``onehot[j]``
+    marks column j as one level of a one-hot block; None marks no column."""
 
     features: np.ndarray
     labels: np.ndarray
     n_classes: int
     split: np.ndarray
     _: KW_ONLY
-    columns: Optional[List[ColumnGroup]] = None
-    class_names: Optional[List[str]] = None
+    onehot: Optional[np.ndarray] = None
 
     def __post_init__(self):
         self.features = np.asarray(self.features, dtype=float)
@@ -75,6 +65,10 @@ class Dataset:
         n = self.features.shape[0]
         if self.labels.shape[0] != n or self.split.shape[0] != n:
             raise DataError("features, labels and split must have equal length")
+        if self.onehot is not None:
+            self.onehot = np.asarray(self.onehot, dtype=bool)
+            if self.onehot.shape != self.features.shape[1:]:
+                raise DataError("onehot must have one entry per feature column")
         if not np.all(np.isfinite(self.features)):
             raise DataError("features must be finite")
         if self.labels.size and (
@@ -100,10 +94,6 @@ class Dataset:
 
     def splits_present(self):
         return tuple(s for s in SPLITS if np.any(self.split == s))
-
-
-def _numeric_columns(names: Sequence[str]) -> List[ColumnGroup]:
-    return [ColumnGroup(n, "numeric", [i]) for i, n in enumerate(names)]
 
 
 @dataclass
@@ -153,7 +143,6 @@ def generate_2d_outlier(config: SynthConfig) -> Dataset:
         labels=labels,
         n_classes=2,
         split=np.full(config.n, "train"),
-        columns=_numeric_columns(["x1", "x2"]),
     )
 
 
@@ -169,24 +158,19 @@ def open_text(path, newline=None) -> io.StringIO:
 
 
 def _parse_label_classes(path: Path, raw_labels: List[str]):
-    """Map raw label strings to class indices and class names.  When every
-    label parses as a number (callers reject a non-finite one), ``1`` and
-    ``1.0`` are one class, named by its first spelling, and classes sort
-    numerically; otherwise classes are texts, sorted as texts."""
+    """Map raw label strings to class indices and the class count.  When
+    every label parses as a number (callers reject a non-finite one), ``1``
+    and ``1.0`` are one class and classes sort numerically; otherwise
+    classes are texts, sorted as texts."""
     try:
         keys = [float(s) for s in raw_labels]
     except ValueError:
         keys = raw_labels
-    names = {}
-    for key, s in zip(keys, raw_labels):
-        names.setdefault(key, s)
-    uniq = sorted(names)
+    uniq = sorted(set(keys))
     if len(uniq) < 2:
-        raise DataError(
-            f"{path}: need at least two distinct label values, got {[names[k] for k in uniq]}"
-        )
+        raise DataError(f"{path}: need at least two distinct label values, got {raw_labels[:1]}")
     index = {k: i for i, k in enumerate(uniq)}
-    return np.array([index[k] for k in keys], dtype=int), [names[k] for k in uniq]
+    return np.array([index[k] for k in keys], dtype=int), len(uniq)
 
 
 def _load_csv(path: Path, label_col: Optional[str]):
@@ -238,9 +222,7 @@ def _load_csv(path: Path, label_col: Optional[str]):
                 "is not a finite number"
             )
 
-    groups: List[ColumnGroup] = []
-    blocks = []
-    out_idx = 0
+    columns = []  # (values, None) per numeric column, (texts, levels) per one-hot one
     for j in feature_cols:
         name = header[j]
         col = [r[j] for r in rows]
@@ -266,28 +248,29 @@ def _load_csv(path: Path, label_col: Optional[str]):
                     f"{path}: line {line_nums[bad[0]]}: non-finite value {col[bad[0]]!r} "
                     f"in numeric column {name!r}"
                 )
-            blocks.append(vals[:, None])
-            groups.append(ColumnGroup(name, "numeric", [out_idx]))
-            out_idx += 1
+            columns.append((vals, None))
         else:
-            levels = sorted(set(col))
-            onehot = np.zeros((len(col), len(levels)))
-            pos = {v: k for k, v in enumerate(levels)}
-            for i, s in enumerate(col):
-                onehot[i, pos[s]] = 1.0
-            blocks.append(onehot)
-            groups.append(
-                ColumnGroup(
-                    name,
-                    "onehot",
-                    list(range(out_idx, out_idx + len(levels))),
-                    categories=levels,
-                )
-            )
-            out_idx += len(levels)
-    features = np.hstack(blocks) if blocks else np.zeros((len(rows), 0))
-    labels, class_names = _parse_label_classes(path, raw_labels)
-    return features, labels, class_names, groups
+            columns.append((col, sorted(set(col))))
+    widths = [1 if levels is None else len(levels) for _, levels in columns]
+    onehot = np.repeat(np.array([levels is not None for _, levels in columns], bool), widths)
+    if onehot.any() and len(rows) * onehot.size > SVMLIGHT_MAX_CELLS:
+        k = max(range(len(columns)), key=lambda k: len(columns[k][1] or ()))
+        raise DataError(
+            f"{path}: column {header[feature_cols[k]]!r} has {widths[k]} levels; one-hot "
+            f"encoding would densify to a {len(rows)} x {onehot.size} matrix (at most "
+            f"{SVMLIGHT_MAX_CELLS} cells)"
+        )
+    features = np.zeros((len(rows), onehot.size))
+    at = 0
+    for (col, levels), width in zip(columns, widths):
+        if levels is None:
+            features[:, at] = col
+        else:
+            pos = {v: at + k for k, v in enumerate(levels)}
+            features[np.arange(len(col)), [pos[s] for s in col]] = 1.0
+        at += width
+    labels, n_classes = _parse_label_classes(path, raw_labels)
+    return features, labels, n_classes, onehot
 
 
 def _load_svmlight(path: Path):
@@ -339,9 +322,8 @@ def _load_svmlight(path: Path):
     for i, fmap in enumerate(feature_maps):
         for idx, val in fmap.items():
             features[i, idx - 1] = val
-    labels, class_names = _parse_label_classes(path, raw_labels)
-    groups = _numeric_columns([f"f{j+1}" for j in range(max_idx)])
-    return features, labels, class_names, groups
+    labels, n_classes = _parse_label_classes(path, raw_labels)
+    return features, labels, n_classes, None
 
 
 def load_tabular(path, fmt: str = "csv", label_col: Optional[str] = None) -> Dataset:
@@ -356,56 +338,57 @@ def load_tabular(path, fmt: str = "csv", label_col: Optional[str] = None) -> Dat
     index in the file; a label or value that is not a finite number is
     rejected with its line, and a file whose largest index exceeds
     ``SVMLIGHT_MAX_WIDTH``, or whose rows x largest index exceed
-    ``SVMLIGHT_MAX_CELLS``, raises DataError before anything is allocated.
+    ``SVMLIGHT_MAX_CELLS``, raises DataError before anything is allocated;
+    so does a CSV with a one-hot column whose rows x width exceed the latter.
+    ``onehot`` marks a CSV's one-hot levels; an svmlight file has none.
     """
     path = Path(path)
     if fmt == "csv":
-        features, labels, class_names, groups = _load_csv(path, label_col)
+        features, labels, n_classes, onehot = _load_csv(path, label_col)
     elif fmt == "svmlight":
         if label_col is not None:
             raise DataError("label_col applies to csv files only")
-        features, labels, class_names, groups = _load_svmlight(path)
+        features, labels, n_classes, onehot = _load_svmlight(path)
     else:
         raise DataError(f"unknown format {fmt!r}")
     return Dataset(
         features=features,
         labels=labels,
-        n_classes=len(class_names),
+        n_classes=n_classes,
         split=np.full(features.shape[0], "train"),
-        columns=groups,
-        class_names=class_names,
+        onehot=onehot,
     )
 
 
 def preprocess(dataset: Dataset) -> Dataset:
     """Min-max scale numeric features to [0,1] with train-split statistics.
 
-    Constant train columns map to 0; out-of-range val/test values are left
-    unclamped.  One-hot groups keep only categories seen in the train split,
-    so unseen categories become all-zero rows within their group.
+    A numeric column x becomes ``(x - mn) / (mx - mn)`` over its train min
+    (-0.0 counts as 0.0) and max, or 0 where the train column is constant;
+    val/test values are left unclamped.  A one-hot column is kept, unscaled,
+    where a train row has it, so a category unseen in train becomes an
+    all-zero row within its block.  An overflowing scaling raises DataError.
     """
-    train = dataset.split_indices("train")
-    if train.size == 0:
+    rows = (dataset.split == "train")[:, None]
+    if not rows.any():
         raise DataError("preprocess requires a nonempty train split")
-    X, blocks, columns = dataset.features, [], []
-    groups = dataset.columns
-    if groups is None:
-        groups = _numeric_columns([f"f{j}" for j in range(dataset.n_features)])
-    for g in groups:  # each group's train statistics, applied to every row
-        if g.kind == "numeric":
-            col = X[:, g.indices[0]]
-            mn, mx = float(col[train].min()), float(col[train].max())
-            block = ((col - mn) / (mx - mn) if mx > mn else np.zeros(dataset.n))[:, None]
-            cats = None
-        else:
-            keep = X[np.ix_(train, g.indices)].any(axis=0)
-            block = X[:, g.indices][:, keep]
-            cats = [c for c, k in zip(g.categories, keep) if k]
-        at = sum(b.shape[1] for b in blocks)
-        columns.append(ColumnGroup(g.name, g.kind, list(range(at, at + block.shape[1])), cats))
-        blocks.append(block)
-    features = np.hstack(blocks) if blocks else X[:, :0]
-    return replace(dataset, features=features, columns=columns)
+    X = dataset.features
+    onehot = np.zeros(X.shape[1], bool) if dataset.onehot is None else dataset.onehot
+    mn = X.min(axis=0, where=rows, initial=np.inf) + 0.0
+    mx = X.max(axis=0, where=rows, initial=-np.inf)
+    keep = ~onehot | (mx > 0)  # a one-hot column stays where a train row has its 1
+    scaled = ~onehot & (mx > mn)  # the other numeric columns are constant: zeroed
+    with np.errstate(over="ignore", invalid="ignore"):
+        features = X.compress(keep, axis=1)  # C-ordered, as minibatch row gathers want
+        features -= np.where(scaled, mn, 0.0)[keep]
+        features /= np.where(scaled, mx - mn, 1.0)[keep]
+    features[:, (~onehot & ~scaled)[keep]] = 0.0
+    bad = ~np.isfinite(features).all(axis=0)
+    if bad.any():
+        j = np.flatnonzero(keep)[bad.argmax()]
+        raise DataError(f"preprocess: feature column {j}: its train range [{mn[j]:g}, "
+                        f"{mx[j]:g}] does not min-max scale to finite values")
+    return replace(dataset, features=features, onehot=onehot[keep])
 
 
 def shuffle_split(dataset: Dataset, seed: int) -> Dataset:

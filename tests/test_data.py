@@ -8,7 +8,10 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from robustmsd import data
+from robustmsd.cli import main
 from robustmsd.data import (
+    SPLITS,
     SVMLIGHT_MAX_WIDTH,
     DataError,
     Dataset,
@@ -85,7 +88,31 @@ def test_csv_onehot_expansion(tmp_path):
     np.testing.assert_array_equal(ds.features[:, 2], [1.0, 0.0, 1.0])
     # labels sorted numerically: -1 -> 0, 1 -> 1
     np.testing.assert_array_equal(ds.labels, [1, 1, 0])
-    assert ds.class_names == ["-1", "1"]
+    assert ds.n_classes == 2
+
+
+def test_each_loader_gives_its_onehot_mask(tmp_path):
+    # CSV: False per numeric column, True per level of a one-hot column
+    ds = load_tabular(write(tmp_path, "mix.csv", "a,c,b,label\n1,x,2,1\n3,y,4,0\n5,z,6,1\n"))
+    np.testing.assert_array_equal(ds.onehot, [False, True, True, True, False])
+    assert ds.onehot.dtype == bool
+    assert load_tabular(write(tmp_path, "toy.svm", "1 3:0.5\n-1 1:2\n"), "svmlight").onehot is None
+    assert generate_2d_outlier(SynthConfig(n=10)).onehot is None
+
+
+def test_csv_refuses_a_onehot_matrix_too_large_before_allocating(tmp_path, monkeypatch):
+    p = write(tmp_path, "ids.csv", "f,id,label\n" + "".join(
+        f"{i}.5,id{i},{i % 2}\n" for i in range(12)))
+    monkeypatch.setattr(data, "SVMLIGHT_MAX_CELLS", 12 * 13)
+    assert load_tabular(p).features.shape == (12, 13)  # at the cap: f + 12 levels
+    monkeypatch.setattr(data, "SVMLIGHT_MAX_CELLS", 12 * 13 - 1)
+    with pytest.raises(DataError, match=re.escape(
+            "ids.csv: column 'id' has 12 levels; one-hot encoding would densify to a "
+            "12 x 13 matrix (at most 155 cells)")):
+        load_tabular(p)
+    # a CSV without a one-hot column is bounded by its own text, so uncapped
+    monkeypatch.setattr(data, "SVMLIGHT_MAX_CELLS", 1)
+    assert load_tabular(write(tmp_path, "num.csv", "f,label\n1,0\n2,1\n")).n == 2
 
 
 def test_csv_named_label_column(tmp_path):
@@ -134,7 +161,7 @@ def test_csv_single_label_rejected(tmp_path):
 def test_csv_label_column_only_gives_no_features(tmp_path):
     p = write(tmp_path, "labels.csv", "label\n1\n0\n1\n")
     ds = load_tabular(p, "csv")
-    assert ds.features.shape == (3, 0) and ds.columns == []
+    assert ds.features.shape == (3, 0) and ds.onehot.shape == (0,)
     np.testing.assert_array_equal(ds.labels, [1, 0, 1])
 
 
@@ -172,16 +199,15 @@ def test_non_finite_value_names_file(tmp_path, fmt, body, where, value):
     ("svmlight", "1.0 1:1\n1 1:2\n-1 1:3\n1e0 1:4\n"),
 ], ids=["csv", "svmlight"])
 def test_one_number_spelled_several_ways_is_one_class(tmp_path, fmt, body):
-    # numeric labels are classes by value, sorted numerically and named by
-    # their first spelling in the file
+    # numeric labels are classes by value, sorted numerically
     ds = load_tabular(write(tmp_path, "spelled.txt", body), fmt)
-    assert ds.n_classes == 2 and ds.class_names == ["-1", "1.0"]
+    assert ds.n_classes == 2
     np.testing.assert_array_equal(ds.labels, [1, 1, 0, 1])
 
 
 def test_csv_text_labels_are_classes_by_text(tmp_path):
     ds = load_tabular(write(tmp_path, "text.csv", "f,label\n1,yes\n2,no\n3,Yes\n4,yes\n"), "csv")
-    assert ds.class_names == ["Yes", "no", "yes"]
+    assert ds.n_classes == 3  # "Yes" < "no" < "yes"
     np.testing.assert_array_equal(ds.labels, [2, 1, 0, 2])
 
 
@@ -294,19 +320,12 @@ def _tabular_with_splits():
             [10.0, 7.0, 0.0, 0.0, 1.0],  # val row, category unseen in train
         ]
     )
-    from robustmsd.data import ColumnGroup
-
-    columns = [
-        ColumnGroup("num", "numeric", [0]),
-        ColumnGroup("const", "numeric", [1]),
-        ColumnGroup("cat", "onehot", [2, 3, 4], categories=["a", "b", "c"]),
-    ]
     return Dataset(
         features=features,
         labels=np.array([0, 1, 0, 1]),
         n_classes=2,
         split=np.array(["train", "train", "train", "val"]),
-        columns=columns,
+        onehot=[False, False, True, True, True],
     )
 
 
@@ -322,11 +341,89 @@ def test_preprocess_minmax_from_train_only():
 def test_preprocess_onehot_vocabulary_fixed_on_train():
     ds = preprocess(_tabular_with_splits())
     # category "c" never appears in train: its column is dropped and the
-    # val row becomes all-zero within the group
-    group = [g for g in ds.columns if g.name == "cat"][0]
-    assert group.categories == ["a", "b"]
-    onehot = ds.features[:, group.indices]
+    # val row becomes all-zero within the block
+    np.testing.assert_array_equal(ds.onehot, [False, False, True, True])
+    onehot = ds.features[:, ds.onehot]
     np.testing.assert_array_equal(onehot.sum(axis=1), [1.0, 1.0, 1.0, 0.0])
+
+
+def _reference_preprocess(features, split, onehot):
+    """Column by column: numeric columns min-max scaled with their train
+    statistics (constant ones zeroed), one-hot ones kept where a train row
+    has them.  numpy's min may give either zero's sign, so -0.0 counts as 0.0."""
+    train = np.flatnonzero(split == "train")
+    columns, mask = [], []
+    for j, is_onehot in enumerate(onehot):
+        col = features[:, j]
+        if is_onehot:
+            if col[train].any():
+                columns.append(col)
+                mask.append(True)
+            continue
+        mn, mx = float(col[train].min()) + 0.0, float(col[train].max())
+        columns.append((col - mn) / (mx - mn) if mx > mn else np.zeros(col.size))
+        mask.append(False)
+    return np.column_stack(columns) if columns else features[:, :0], mask
+
+
+@st.composite
+def mixed_tables(draw):
+    """Features, split tags (one train row at least) and one-hot mask of a table
+    of numeric, constant and one-hot columns."""
+    n = draw(st.integers(1, 8))
+    split = draw(st.lists(st.sampled_from(SPLITS), min_size=n, max_size=n))
+    split[draw(st.integers(0, n - 1))] = "train"
+    value = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(
+        [0.0, -0.0, 1.0, -2.5])
+    columns, onehot = [], []
+    for kind in draw(st.lists(st.sampled_from(["numeric", "constant", "onehot"]), max_size=4)):
+        if kind == "onehot":  # a level missing from train drops its column
+            width = draw(st.integers(1, 4))
+            picks = draw(st.lists(st.integers(0, width - 1), min_size=n, max_size=n))
+            columns += [[float(p == k) for p in picks] for k in range(width)]
+            onehot += [True] * width
+        else:
+            columns.append([draw(value)] * n if kind == "constant"
+                           else draw(st.lists(value, min_size=n, max_size=n)))
+            onehot.append(False)
+    features = np.array(columns, dtype=float).T.reshape(n, len(columns))
+    return features, np.array(split), onehot
+
+
+@settings(max_examples=300, deadline=None)
+@given(mixed_tables(), st.booleans())
+def test_preprocess_matches_a_per_column_reference_bit_for_bit(table, mask_none):
+    features, split, onehot = table
+    ds = Dataset(features, np.zeros(len(split), dtype=int), 2, split,
+                 onehot=None if mask_none and not any(onehot) else onehot)
+    with np.errstate(over="ignore", invalid="ignore"):
+        expected, mask = _reference_preprocess(features, split, onehot)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        if not np.isfinite(expected).all():
+            with pytest.raises(DataError, match="does not min-max scale to finite values"):
+                preprocess(ds)
+            return
+        out = preprocess(ds)
+    assert out.features.shape == expected.shape
+    assert out.features.tobytes() == expected.tobytes()
+    assert out.features.flags.c_contiguous  # row-major like the loaders' matrices
+    np.testing.assert_array_equal(out.onehot, mask)
+
+
+def test_preprocess_overflowing_train_range_is_one_error_line(tmp_path, capsys):
+    # every split of 12 rows leaves both extremes in its 10 train rows
+    p = write(tmp_path, "huge.csv", "g,f,label\n" + "".join(
+        f"{i},{(-1) ** i}e308,{i % 2}\n" for i in range(12)))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(["train", "--data", str(p), "--split-seed", "1", "--preprocess",
+                     "--criterion", "erm", "--out", str(tmp_path / "run")])
+    assert code == 1 and caught == []
+    assert capsys.readouterr().err == ("error: preprocess: feature column 1: its train range "
+                                       "[-1e+308, 1e+308] does not min-max scale to finite "
+                                       "values\n")
+    assert not (tmp_path / "run").exists()
 
 
 def test_preprocess_requires_train_rows():
@@ -336,7 +433,7 @@ def test_preprocess_requires_train_rows():
         labels=ds.labels,
         n_classes=2,
         split=np.array(["val", "val", "val", "val"]),
-        columns=ds.columns,
+        onehot=ds.onehot,
     )
     with pytest.raises(DataError):
         preprocess(bad)

@@ -40,6 +40,8 @@ WORKLOADS = {
         f"{GD} --criterion sunhuber --beta0 0.9 --out joint",
         f"{GD} --criterion cvar --xi 0.5 --out cvar",
         f"{GD} --criterion chisq_dro --eta-tilde 0.5 --out dro",
+        "train --data bundled:credit690 --split-seed {seed} --preprocess --criterion sunhuber "
+        "--epochs 3 --out sgd",
     )),
     "sweep": Workload(REPO / "configs" / "credit690.ini", (
         "experiment --config sweep.ini --out out --seed {seed}",
