@@ -14,6 +14,7 @@ Library layout:
   80/10/10 splits.
 - ``verify``: numerical oracles for the formal properties of the criterion.
 - ``harness``: experiment orchestration, trajectory CSVs, trial aggregation.
+- ``parallel``: runs calls 2..k in forked children beside call 1.
 - ``cli``: the ``robustmsd`` command.
 """
 

@@ -10,7 +10,6 @@ import csv
 import math
 import sys
 import time
-from concurrent.futures import BrokenExecutor
 from pathlib import Path
 
 from .criteria import KINDS, criterion_record
@@ -31,6 +30,7 @@ from .harness import (
     write_trajectory_csv,
 )
 from .optimizer import DivergenceError, OptConfig, run_batch_gd, train
+from .parallel import ForkError
 from .suite import run_property_suite
 
 
@@ -288,7 +288,7 @@ def _cmd_verify(args) -> int:
     total = time.perf_counter() - start  # the properties' own times overlap
     for o in outcomes:
         print(f"{o.status} {o.name} ({o.detail})")
-        side = " (on the side thread, beside the others)" if o.side_thread else ""
+        side = " (in a forked worker, beside the others)" if o.forked else ""
         print(f"time {o.name} {o.seconds:.3f} s{side}", file=sys.stderr)
     print(f"time total {total:.3f} s", file=sys.stderr)
     out = Path(args.out)
@@ -383,7 +383,7 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except (DataError, DivergenceError, ValueError, OSError, MemoryError,
-            BrokenExecutor) as err:  # BrokenExecutor: a training part died without a result
+            ForkError) as err:  # ForkError: a forked call died without a result
         print(f"error: {err}", file=sys.stderr)
         return 1
 

@@ -13,8 +13,8 @@ import csv
 import json
 import math
 import operator
-import os
 from dataclasses import asdict, dataclass, replace
+from functools import partial
 from pathlib import Path
 from typing import List, Optional, Sequence, Tuple
 
@@ -40,6 +40,7 @@ from .optimizer import (
     check_step_size,
     train,
 )
+from .parallel import run_calls, usable_cpus
 
 __all__ = [
     "TrajectoryRecord",
@@ -297,51 +298,30 @@ def _train_part(runs, files, init: JointState, ds: Dataset, out: Path) -> List[t
 
 
 def _part_count(n_runs: int) -> int:
-    """One part per CPU the process may run on, at most one per run; one
-    part where the platform cannot fork."""
-    if not hasattr(os, "fork"):
-        return 1
-    try:
-        cpus = len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        cpus = os.cpu_count() or 1
-    return min(cpus, n_runs)
+    """One part per CPU ``run_calls`` may use, at most one per run."""
+    return min(usable_cpus(), n_runs)
 
 
 def _train_in_parts(runs, files, init: JointState, ds: Dataset, out: Path) -> List[tuple]:
     """``_train_part`` over ``_part_count`` contiguous parts of ``runs``, in order.
 
-    Parts 2..k run in a fork pool that lives for this call, each writing
-    its runs' files and returning only their finals; the first part runs
-    here.  A run keeps the bits it has when trained alone, so the files and
-    finals are the same for every split.  The first part's exception, else
-    the lowest pool part's, reaches the caller, and a worker that dies
-    without a result raises ``BrokenProcessPool``; the pool's workers have
-    exited before this returns or raises.
+    ``run_calls`` trains the first part here and parts 2..k each in a
+    forked child, which writes its runs' files and sends back only their
+    finals.  A run keeps the bits it has when trained alone, so the files
+    and finals are the same for every split.  The first part's exception,
+    else the lowest child's, reaches the caller, and a child that ends
+    without a result raises ``ForkError`` naming its part.
 
-    A forked worker starts with the parent's imports in place; a spawned
-    one would import scipy again, about as long as one part's training.
-    The pool forks its workers at the first ``submit``, before it starts
-    its manager thread, so no other Python thread runs at the fork, and
-    numpy's OpenBLAS stops its own pool before a fork (a ``pthread_atfork``
-    handler).
+    A forked child starts with the parent's imports and the trial's data
+    in place; a spawned one would import scipy again, about as long as one
+    part's training.
     """
     k = _part_count(len(runs))
     cuts = [len(runs) * p // k for p in range(k + 1)]
-    parts = [(runs[lo:hi], files[lo:hi]) for lo, hi in zip(cuts, cuts[1:])]
-    if k == 1:
-        return _train_part(*parts[0], init, ds, out)
-    # imported here: at module level it raised the peak RSS of the commands
-    # that train no parts (train, verify) by ~0.4 MB
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
-
-    with ProcessPoolExecutor(k - 1, mp_context=multiprocessing.get_context("fork")) as pool:
-        futures = [pool.submit(_train_part, *part, init, ds, out) for part in parts[1:]]
-        finals = _train_part(*parts[0], init, ds, out)
-        for future in futures:
-            finals += future.result()
-    return finals
+    calls = [(f"training part {p} of {k}",
+              partial(_train_part, runs[lo:hi], files[lo:hi], init, ds, out))
+             for p, (lo, hi) in enumerate(zip(cuts, cuts[1:]), start=1)]
+    return [final for finals in run_calls(calls) for final in finals]
 
 
 def run_experiment(spec: ExperimentSpec, dataset: Optional[Dataset] = None) -> dict:
@@ -352,7 +332,7 @@ def run_experiment(spec: ExperimentSpec, dataset: Optional[Dataset] = None) -> d
     stretches of rows of one kind.  Each trial's runs are cut into one
     contiguous part per CPU the process may run on (``_train_in_parts``);
     each part trains its runs together in one ``train`` call, parts 2..k in
-    a fork pool that lives for the trial, and writes each finished run's
+    forked children that live for the trial, and writes each finished run's
     CSV itself.  Every output is byte-identical whatever the number of
     parts.  Diverged runs are flagged and excluded from step-size
     selection; a setting with no surviving run is recorded with a null
@@ -445,8 +425,10 @@ _SELECTION_FIELDS = ("method", "setting", "file", "all_diverged")
 def load_manifest(path) -> dict:
     """Read a manifest, checking every field that ``aggregate_trials`` reads.
 
-    A file that is not JSON, lists no trials, or lacks one of those fields,
-    raises ``DataError`` naming the file and the field.
+    A file that is not JSON, lists no trials, lacks one of those fields,
+    has a non-boolean ``all_diverged``, or pairs a selection with another
+    (method, setting) than trial 0's selection at that index, raises
+    ``DataError`` naming the file and the field or the selection.
     """
     try:
         with open(path, encoding="utf-8") as f:
@@ -470,8 +452,16 @@ def load_manifest(path) -> dict:
             for key in _SELECTION_FIELDS:
                 if not isinstance(pick, dict) or key not in pick:
                     fail(f"selection {j} of trial {i} has no field {key!r}")
+            if not isinstance(pick["all_diverged"], bool):
+                fail(f"selection {j} of trial {i} has no boolean in field 'all_diverged'")
             if not pick["all_diverged"] and not isinstance(pick["file"], str):
                 fail(f"selection {j} of trial {i} has no file name in field 'file'")
+            # aggregate_trials pools the selections at one index across trials
+            first = manifest["trials"][0]["selected"][j]
+            ours, theirs = (pick["method"], pick["setting"]), (first["method"], first["setting"])
+            if ours != theirs:
+                fail(f"selection {j} of trial {i} is (method, setting) {ours!r}, "
+                     f"but selection {j} of trial 0 is {theirs!r}")
     return manifest
 
 

@@ -2,12 +2,14 @@
 
 Each property evaluates one closed-form identity, structural bound or
 population-level oracle and reports PASS/FAIL with a one-line detail.
-``quick`` shrinks the randomized sample counts, not the tolerances.
+``quick`` shrinks the randomized sample counts, not the tolerances.  The
+lognormal concentration property runs in a forked worker beside the
+others (``parallel.run_calls``).
 """
 
 import math
+import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import partial
 from typing import List
@@ -16,6 +18,7 @@ import numpy as np
 
 from . import rho as rho_mod
 from .criteria import CriterionParams, hessian_quadform, partial_objective_grads
+from .parallel import run_calls
 from .verify import (
     DiscreteDist,
     GaussianLosses,
@@ -37,7 +40,7 @@ class PropertyOutcome:
     passed: bool
     detail: str
     seconds: float = field(default=0.0, compare=False)  # wall time of the check
-    side_thread: bool = field(default=False, compare=False)  # ran beside the others
+    forked: bool = field(default=False, compare=False)  # ran in a forked worker, beside the others
 
     @property
     def status(self) -> str:
@@ -225,25 +228,24 @@ def _pair_optimality() -> PropertyOutcome:
     )
 
 
-def _timed(check, side_thread: bool = False) -> PropertyOutcome:
+def _timed(check) -> PropertyOutcome:
     start = time.perf_counter()
     outcome = check()
     outcome.seconds = time.perf_counter() - start
-    outcome.side_thread = side_thread
     return outcome
 
 
 def run_property_suite(quick: bool = False, seed: int = 0) -> List[PropertyOutcome]:
     """Run every property check; ``quick`` shrinks randomized sample counts.
 
-    The lognormal concentration check runs on a side thread, started
-    first, while the calling thread runs the others in listed order; numpy
-    releases the GIL in its draws and Newton passes.  Outcomes come back in
-    listed order, each with its wall time, taken on the thread that ran
-    it, in ``seconds``; the side thread's outcome, whose time overlaps the
-    others', has ``side_thread`` set.  An exception from either thread
-    reaches the caller, and the side thread has ended when this returns or
-    raises.
+    ``run_calls`` runs the lognormal concentration check in a forked
+    worker, started first, while this process runs the others in listed
+    order; where it runs every call here, the lognormal check runs last.
+    Outcomes come back in listed order, each with its wall time, taken in
+    the process that ran it, in ``seconds``; the forked worker's outcome,
+    whose time overlaps the others', has ``forked`` set.  An exception
+    from either side reaches the caller, and the worker has been reaped
+    when this returns or raises.
     """
     n_pairs = 200 if quick else 1000
     n_draws = 200 if quick else 1000
@@ -266,7 +268,16 @@ def run_property_suite(quick: bool = False, seed: int = 0) -> List[PropertyOutco
         partial(_stationarity, n_stat, seed + 60),
         _pair_optimality,
     ]
-    with ThreadPoolExecutor(max_workers=1) as pool:
-        side_outcome = pool.submit(_timed, side, True)
-        outcomes = [side_outcome if check is side else _timed(check) for check in checks]
-        return [o.result() if o is side_outcome else o for o in outcomes]
+    caller = os.getpid()
+
+    def side_timed() -> PropertyOutcome:
+        outcome = _timed(side)
+        outcome.forked = os.getpid() != caller  # False where run_calls ran it here
+        return outcome
+
+    others, lognormal = run_calls([
+        ("the other properties", lambda: [_timed(c) for c in checks if c is not side]),
+        ("location_concentration_lognormal", side_timed),
+    ])
+    others = iter(others)
+    return [lognormal if check is side else next(others) for check in checks]

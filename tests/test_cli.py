@@ -1,6 +1,7 @@
 """CLI contract: subcommands, exit codes, file outputs."""
 
 import csv
+import json
 import os
 import shutil
 import sys
@@ -8,6 +9,7 @@ import warnings
 
 import numpy as np
 import pytest
+from conftest import use_cpus
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -379,11 +381,26 @@ def test_verify_prints_property_times_on_stderr_only(tmp_path, capsys):
     assert b"time" not in reports[0]
 
 
-def test_verify_marks_the_side_threads_time_line(tmp_path, capsys):
+def test_verify_marks_the_side_threads_time_line(tmp_path, capsys, monkeypatch):
+    use_cpus(monkeypatch, 2)
     assert main(["verify", "--quick", "--out", str(tmp_path)]) == 0
-    marked = [line for line in capsys.readouterr().err.splitlines() if "side thread" in line]
+    marked = [line for line in capsys.readouterr().err.splitlines() if "forked worker" in line]
     assert len(marked) == 1
     assert marked[0].startswith("time location_concentration_lognormal ")
+    assert marked[0].endswith(" s (in a forked worker, beside the others)")
+
+
+def test_one_cpu_verify_writes_the_same_report(tmp_path, capsys, monkeypatch):
+    runs = []
+    for cpus in (2, 1):
+        use_cpus(monkeypatch, cpus)
+        assert main(["verify", "--quick", "--out", str(tmp_path / str(cpus))]) == 0
+        captured = capsys.readouterr()
+        runs.append((captured.out.replace(str(tmp_path / str(cpus)), "OUT"),
+                     (tmp_path / str(cpus) / "verify_report.csv").read_bytes()))
+        # on one CPU no property runs in a forked worker
+        assert ("forked worker" in captured.err) == (cpus > 1)
+    assert runs[0] == runs[1]
 
 
 def test_verify_output_is_the_same_under_frequent_thread_switches(tmp_path, capsys):
@@ -499,6 +516,11 @@ def test_methods_flag_accepts_yes_and_no(tmp_path, flag, kept):
             ' "file": 5, "all_diverged": false}]}]}',
             "'file'",
         ),
+        (
+            '{"trials": [{"selected": [{"method": "erm", "setting": null,'
+            ' "file": "runs/a.csv", "all_diverged": "false"}]}]}',
+            "selection 0 of trial 0 has no boolean in field 'all_diverged'",
+        ),
         ("not json", "not JSON"),
         ('{"trials": []}', "no trials"),
     ],
@@ -509,6 +531,22 @@ def test_report_malformed_manifest_exits_1(tmp_path, capsys, text, field):
     assert main(["report", "--manifest", str(manifest)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: manifest ") and "manifest.json" in err and field in err
+
+
+def test_report_refuses_selections_that_differ_across_trials(tmp_path, capsys):
+    cfg = sweep_config(tmp_path, "sunhuber = 0.9\nerm = yes")
+    cfg.write_text(cfg.read_text().replace("trials = 1", "trials = 2"))
+    assert main(["experiment", "--config", str(cfg)]) == 0
+    path = tmp_path / "exp" / "manifest.json"
+    manifest = json.loads(path.read_text(encoding="utf-8"))
+    picks = manifest["trials"][1]["selected"]
+    picks[0], picks[1] = picks[1], picks[0]
+    path.write_text(json.dumps(manifest), encoding="utf-8")
+    capsys.readouterr()
+    assert main(["report", "--manifest", str(path)]) == 1
+    one_error_line(capsys, "selection 0 of trial 1 is (method, setting) ('erm', None), "
+                           "but selection 0 of trial 0 is ('sunhuber', 0.9)")
+    assert not (tmp_path / "exp" / "aggregate.csv").exists()
 
 
 CONFIG_LINES = st.one_of(
@@ -697,15 +735,15 @@ def test_experiment_part_that_dies_exits_1_with_one_error_line(tmp_path, capsys,
 
     def dying(runs, init, ds):
         if os.getpid() != parent:
-            os._exit(3)  # a worker ends without a result, as one the OOM killer ends
+            os._exit(3)  # a child ends without a result, as one the OOM killer ends
         return train(runs, init, ds)
 
     monkeypatch.setattr(harness, "train", dying)
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})  # two parts
+    use_cpus(monkeypatch, 2)  # two parts
     cfg = sweep_config(tmp_path, "erm = yes")
     cfg.write_text(cfg.read_text().replace("step_sizes = 0.01", "step_sizes = 0.01, 0.1"))
     assert main(["experiment", "--config", str(cfg)]) == 1
-    one_error_line(capsys, "terminated abruptly")
+    one_error_line(capsys, "training part 2 of 2 ended without a result")
     assert not (tmp_path / "exp" / "manifest.json").exists()
 
 

@@ -12,6 +12,7 @@ import warnings
 
 import numpy as np
 import pytest
+from conftest import use_cpus
 
 from robustmsd import harness
 from robustmsd.cli import main
@@ -33,13 +34,9 @@ from robustmsd.harness import (
     write_trajectory_csv,
 )
 from robustmsd.optimizer import DivergenceError
+from robustmsd.parallel import ForkError
 
 BUNDLED = "src/robustmsd/datasets/credit690.csv"
-
-
-def use_cpus(monkeypatch, n):
-    """Make ``run_experiment`` see ``n`` CPUs, so it cuts a trial into at most ``n`` parts."""
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
 
 
 def rec(cp, split, base=1.0):
@@ -560,9 +557,9 @@ class Unpicklable(Exception):
         ("child", PartFailure("a child's part failed"), PartFailure, "^a child's part failed$"),
         ("parent", PartFailure("the parent's part failed"), PartFailure,
          "^the parent's part failed$"),
-        # the pool's own errors: a result it cannot send, a worker that dies
-        ("child", Unpicklable("no pickle"), Exception, "(?i)pickle"),
-        ("child", None, RuntimeError, "^A process in the process pool was terminated abruptly"),
+        # an exception the child cannot send, a child that dies
+        ("child", Unpicklable("no pickle"), RuntimeError, "^Unpicklable: no pickle$"),
+        ("child", None, ForkError, "^training part 2 of 2 ended without a result$"),
     ],
 )
 def test_a_failing_part_reaches_the_caller(tmp_path, monkeypatch, where, failure, raised, match):

@@ -1,6 +1,7 @@
 """Numerical-oracle checks for the population-level properties."""
 
 import math
+import os
 import sys
 import threading
 import time
@@ -10,6 +11,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 import pytest
+from conftest import use_cpus
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
@@ -881,21 +883,22 @@ def serial_quick_suite(seed):
 
 
 @pytest.mark.parametrize("seed", [0, 3])
-def test_suite_with_a_side_thread_equals_a_serial_run_in_listed_order(seed):
-    threads = threading.active_count()
+def test_suite_with_a_side_thread_equals_a_serial_run_in_listed_order(monkeypatch, seed):
+    use_cpus(monkeypatch, 2)  # the lognormal check runs in a forked worker
     outcomes = run_property_suite(quick=True, seed=seed)
-    assert threading.active_count() == threads
     assert [(o.name, o.status, o.detail) for o in outcomes] == [
         (o.name, o.status, o.detail) for o in serial_quick_suite(seed)
     ]
+    assert [o.name for o in outcomes if o.forked] == ["location_concentration_lognormal"]
 
 
 @pytest.mark.parametrize("seed", [0, 1])
-def test_full_size_suite_passes_every_property(seed):
+def test_full_size_suite_passes_every_property(monkeypatch, seed):
+    use_cpus(monkeypatch, 2)
     outcomes = run_property_suite(quick=False, seed=seed)
     assert len(outcomes) == 11
     assert [o.name for o in outcomes if not o.passed] == []
-    assert [o.name for o in outcomes if o.side_thread] == ["location_concentration_lognormal"]
+    assert [o.name for o in outcomes if o.forked] == ["location_concentration_lognormal"]
 
 
 @pytest.mark.parametrize("seed", range(5))
@@ -928,8 +931,10 @@ class Raised(Exception):
 
 @pytest.mark.parametrize("thread", ["side", "calling"])
 def test_suite_passes_on_an_exception_from_either_thread(monkeypatch, thread):
-    # the lognormal concentration check runs on the side thread, the pair
-    # check last on the calling thread
+    # the lognormal concentration check runs in the forked worker, which
+    # sends back its exception pickled (Raised pickles by reference), the
+    # pair check last in this process
+    use_cpus(monkeypatch, 2)
     if thread == "side":
         concentration = suite._concentration
 
@@ -944,10 +949,10 @@ def test_suite_passes_on_an_exception_from_either_thread(monkeypatch, thread):
             raise Raised("pair")
 
         monkeypatch.setattr(suite, "_pair_optimality", failing)
-    threads = threading.active_count()
     with pytest.raises(Raised, match="^(lognormal|pair)$"):
         run_property_suite(quick=True, seed=0)
-    assert threading.active_count() == threads
+    with pytest.raises(ChildProcessError):  # the worker has been reaped
+        os.waitpid(-1, os.WNOHANG)
 
 
 # ------------------------------------------------------------- validation
