@@ -18,7 +18,6 @@ from .harness import (
     DEFAULT_LEVELS,
     ExperimentSpec,
     MethodGrid,
-    SpecError,
     aggregate_trials,
     build_initial_state,
     default_lam,
@@ -57,11 +56,12 @@ def _cmd_synth(args) -> int:
 
 def _cmd_train(args) -> int:
     field = criterion_record(args.criterion).setting
-    for other in _SETTING_DEFAULTS:
-        if other != field and getattr(args, other) is not None:
-            takes = "no setting flag" if field is None else _setting_flag(field)
-            args.usage_error(f"argument {_setting_flag(other)}: criterion "
-                             f"{args.criterion} takes {takes}")
+    _fill_flags(args, _SETTING_DEFAULTS, () if field is None else (field,),
+                f"criterion {args.criterion}")
+    gd = args.iterations is not None
+    schedule = _GD_FLAGS if gd else _SGD_FLAGS
+    _fill_flags(args, _SCHEDULE_DEFAULTS, schedule,
+                "full-batch GD (--iterations)" if gd else "SGD (no --iterations)")
     dataset = load_dataset(args.data, args.format, args.label_col)
     if args.split_seed is not None:
         dataset = shuffle_split(dataset, args.split_seed)
@@ -69,22 +69,16 @@ def _cmd_train(args) -> int:
         dataset = preprocess(dataset)
     n_train = int(dataset.split_indices("train").size)
     lam = default_lam(n_train) if args.lam is None else args.lam
-    setting = None
-    if field is not None:
-        setting = getattr(args, field)
-        setting = _SETTING_DEFAULTS[field] if setting is None else setting
+    setting = None if field is None else getattr(args, field)
     try:
         params = make_criterion(args.criterion, setting, n_train, lam)
     except ValueError as err:  # a finite setting out of its kind's range; erm takes none
-        raise ValueError(f"{_setting_flag(field)}: {err}") from None
+        raise ValueError(f"{_flag_name(field)}: {err}") from None
 
     init = build_initial_state(dataset, args.init)
 
-    gd = args.iterations is not None
-    # SGD checkpoints at each epoch's end, so --checkpoint-every is GD's alone
-    schedule = (dict(iterations=args.iterations, checkpoint_every=args.checkpoint_every) if gd
-                else dict(epochs=args.epochs, batch_size=args.batch_size))
-    config = OptConfig(step_size=args.step_size, seed=args.seed, **schedule)
+    config = OptConfig(step_size=args.step_size, iterations=args.iterations,
+                       **{name: getattr(args, name) for name in schedule})
     if gd:  # tests/test_acceptance.py imports run_batch_gd; perfbench counts its spans
         result = run_batch_gd(params, init, dataset, config)
     else:
@@ -153,13 +147,30 @@ def _at_least(low):
 
 
 # train's setting flags, each named after the CriterionParams field it fills,
-# with the value a criterion takes when its own flag is absent; a flag the
-# chosen criterion does not take is a usage error
+# with the value a criterion takes when its own flag is absent
 _SETTING_DEFAULTS = {"beta0": 0.9, "xi": 0.5, "eta_tilde": 0.5}
+# train's schedule flags, each named after the OptConfig field it fills, with
+# its value when absent; --iterations picks full-batch GD, which reads the
+# first, and SGD, which checkpoints at each epoch's end, reads the others
+_SCHEDULE_DEFAULTS = {"checkpoint_every": 100, "epochs": 30, "batch_size": 32, "seed": 0}
+_GD_FLAGS, _SGD_FLAGS = ("checkpoint_every",), ("epochs", "batch_size", "seed")
 
 
-def _setting_flag(field):
+def _flag_name(field):
     return "--" + field.replace("_", "-")
+
+
+def _fill_flags(args, defaults, read, who):
+    """Fill each flag of ``read`` that the command line leaves out with its value
+    in ``defaults``.  Another flag of ``defaults`` that it gives would go unread,
+    so it is a usage error naming the flag and the ones ``who`` takes."""
+    for field, default in defaults.items():
+        if field in read:
+            if getattr(args, field) is None:
+                setattr(args, field, default)
+        elif getattr(args, field) is not None:
+            takes = ", ".join(map(_flag_name, read)) or "no setting flag"
+            args.usage_error(f"argument {_flag_name(field)}: {who} takes {takes}")
 
 
 _non_negative = _at_least(0)  # seeds too: numpy's generators take no negative seed
@@ -180,19 +191,18 @@ def _flag(convert, what):
     return parse
 
 
-# train reads its counts and sizes whichever mode the run takes
 _NON_NEGATIVE_FLAG = _flag(_non_negative, _NON_NEGATIVE)  # seeds, --iterations, --epochs
 _POSITIVE_FLAG = _flag(_at_least(1), "a positive integer")  # --batch-size, --checkpoint-every
 _FINITE_FLAG = _flag(_finite, "a finite number")  # synth's scales, train's settings
 _PAIR_FLAG = _flag(_pair, "two comma-separated finite numbers")  # synth's class means
 
 
-def _parse(text, path, key, convert, what):
-    """``convert(text)``; a value it refuses is a DataError naming the file and key."""
+def _parse(text, key, convert, what):
+    """``convert(text)``; a value it refuses is a ValueError naming the key."""
     try:
         return convert(text)
     except (KeyError, ValueError):
-        raise DataError(f"config file {path!r}: {key} takes {what}, got {text!r}") from None
+        raise ValueError(f"{key} takes {what}, got {text!r}") from None
 
 
 # each [experiment] key that is not text: the ExperimentSpec field it fills,
@@ -216,52 +226,48 @@ def _spec_from_config(path, out_override, seed_override) -> ExperimentSpec:
 
     parser = configparser.ConfigParser()
     try:
-        read = parser.read(path, encoding="utf-8")
+        if not parser.read(path, encoding="utf-8"):
+            raise ValueError("cannot be read")
         # reading every value here also runs its interpolation, which can fail
         sections = {name: dict(parser[name]) for name in parser.sections()}
-    except configparser.Error as err:
-        raise DataError(f"malformed config file {path!r}: {err}") from None
-    if not read:
-        raise DataError(f"cannot read config file {path!r}")
-    for name, entries in sections.items():
-        if name not in _CONFIG_KEYS:
-            raise DataError(f"config file {path!r} has an unknown section [{name}] "
-                            f"(known: {', '.join(_CONFIG_KEYS)})")
-        for key in entries:
-            if key not in _CONFIG_KEYS[name]:
-                raise DataError(f"config file {path!r} has an unknown key {key!r} in "
-                                f"[{name}] (known: {', '.join(_CONFIG_KEYS[name])})")
-    values = {_DATA[key]: raw for key, raw in sections.get("data", {}).items()}
-    experiment = dict(sections.get("experiment", {}))
-    values["out_dir"] = experiment.pop("out", "results")
-    for key, raw in experiment.items():
-        field, convert, what = _NUMBERS[key]
-        values[field] = _parse(raw, path, f"[experiment] {key}", convert, what)
-    if "data" not in values:
-        raise DataError(f"config file {path!r} has no [data] section with a path")
-    methods = []
-    if "methods" in sections:
-        for method, raw in sections["methods"].items():
-            key = f"[methods] {method}"
-            if criterion_record(method).setting is not None:
-                methods.append(MethodGrid(method, _parse(raw, path, key, _floats, _FLOATS)))
-            elif _parse(raw, path, key, lambda text: parser.BOOLEAN_STATES[text.lower()],
-                        "yes/no (true/false, on/off, 1/0)"):
-                methods.append(MethodGrid(method))
-    else:
-        methods = [
-            MethodGrid("sunhuber", (0.9,)),
-            MethodGrid("erm"),
-            MethodGrid("cvar", DEFAULT_LEVELS),
-            MethodGrid("chisq_dro", DEFAULT_LEVELS),
-        ]
-    if out_override:
-        values["out_dir"] = out_override
-    if seed_override is not None:
-        values["seed"] = seed_override
-    try:
+        for name, entries in sections.items():
+            if name not in _CONFIG_KEYS:
+                raise ValueError(f"unknown section [{name}] (known: {', '.join(_CONFIG_KEYS)})")
+            for key in entries:
+                if key not in _CONFIG_KEYS[name]:
+                    raise ValueError(f"unknown key {key!r} in [{name}] "
+                                     f"(known: {', '.join(_CONFIG_KEYS[name])})")
+        values = {_DATA[key]: raw for key, raw in sections.get("data", {}).items()}
+        experiment = dict(sections.get("experiment", {}))
+        values["out_dir"] = experiment.pop("out", "results")
+        for key, raw in experiment.items():
+            field, convert, what = _NUMBERS[key]
+            values[field] = _parse(raw, f"[experiment] {key}", convert, what)
+        if "data" not in values:
+            raise ValueError("no [data] section with a path")
+        methods = []
+        if "methods" in sections:
+            for method, raw in sections["methods"].items():
+                key = f"[methods] {method}"
+                if criterion_record(method).setting is not None:
+                    methods.append(MethodGrid(method, _parse(raw, key, _floats, _FLOATS)))
+                elif _parse(raw, key, lambda text: parser.BOOLEAN_STATES[text.lower()],
+                            "yes/no (true/false, on/off, 1/0)"):
+                    methods.append(MethodGrid(method))
+        else:
+            methods = [
+                MethodGrid("sunhuber", (0.9,)),
+                MethodGrid("erm"),
+                MethodGrid("cvar", DEFAULT_LEVELS),
+                MethodGrid("chisq_dro", DEFAULT_LEVELS),
+            ]
+        if out_override:
+            values["out_dir"] = out_override
+        if seed_override is not None:
+            values["seed"] = seed_override
+        # ExperimentSpec refuses an out-of-range value; the text names its field
         return ExperimentSpec(methods=methods, **values)
-    except ValueError as err:  # an out-of-range value; the text names its field
+    except (configparser.Error, ValueError) as err:
         raise DataError(f"config file {path!r}: {err}") from None
 
 
@@ -269,7 +275,9 @@ def _cmd_experiment(args) -> int:
     spec = _spec_from_config(args.config, args.out, args.seed)
     try:
         manifest = run_experiment(spec)
-    except SpecError as err:  # the text names the config values at fault
+    except DataError:  # a data file's fault; the text names that file
+        raise
+    except ValueError as err:  # what the data or the run-file names rule out in the spec
         raise DataError(f"config file {args.config!r}: {err}") from None
     n_runs = sum(len(t["runs"]) for t in manifest["trials"])
     n_div = sum(
@@ -341,19 +349,19 @@ def build_parser() -> argparse.ArgumentParser:
         required=True,
     )
     for field in _SETTING_DEFAULTS:
-        p.add_argument(_setting_flag(field), type=_FINITE_FLAG, default=None)
+        p.add_argument(_flag_name(field), type=_FINITE_FLAG, default=None)
     p.add_argument("--lam", type=_flag(_lam, _LAM), default="auto",
                    help="'auto' = log(n)/sqrt(n)")
     p.add_argument("--step-size", type=_flag(_positive, _POSITIVE), default=0.01)
     p.add_argument("--iterations", type=_NON_NEGATIVE_FLAG, default=None)
-    p.add_argument("--checkpoint-every", type=_POSITIVE_FLAG, default=100)
-    p.add_argument("--epochs", type=_NON_NEGATIVE_FLAG, default=30)
-    p.add_argument("--batch-size", type=_POSITIVE_FLAG, default=32)
+    p.add_argument("--checkpoint-every", type=_POSITIVE_FLAG, default=None)
+    p.add_argument("--epochs", type=_NON_NEGATIVE_FLAG, default=None)
+    p.add_argument("--batch-size", type=_POSITIVE_FLAG, default=None)
     p.add_argument("--split-seed", type=_NON_NEGATIVE_FLAG, default=None)
     p.add_argument("--preprocess", action="store_true")
     p.add_argument("--init", type=_flag(_floats, _FLOATS), default=None,
                    help="comma-separated initial weights")
-    p.add_argument("--seed", type=_NON_NEGATIVE_FLAG, default=0)
+    p.add_argument("--seed", type=_NON_NEGATIVE_FLAG, default=None)
     p.add_argument("--out", default=".")
     p.set_defaults(func=_cmd_train, usage_error=p.error)
 
@@ -382,7 +390,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (DataError, DivergenceError, ValueError, OSError, MemoryError,
+    except (DivergenceError, ValueError, OSError, MemoryError,
             ForkError) as err:  # ForkError: a forked call died without a result
         print(f"error: {err}", file=sys.stderr)
         return 1

@@ -46,7 +46,6 @@ __all__ = [
     "TrajectoryRecord",
     "MethodGrid",
     "ExperimentSpec",
-    "SpecError",
     "write_trajectory_csv",
     "read_trajectory_csv",
     "make_criterion",
@@ -201,11 +200,6 @@ class ExperimentSpec:
             check_step_size(step)
 
 
-class SpecError(ValueError):
-    """An ``ExperimentSpec`` the loaded data or its run-file names rule out;
-    the text names the config values at fault."""
-
-
 def default_lam(n_train: int) -> float:
     return math.log(n_train) / math.sqrt(n_train)
 
@@ -254,7 +248,7 @@ def load_dataset(ref: str, fmt: str = "csv", label_col: Optional[str] = None) ->
 
 
 def _run_files(trial: int, settings, runs) -> List[str]:
-    """Each run's CSV name; SpecError names two runs whose names coincide,
+    """Each run's CSV name; a ValueError names two runs whose names coincide,
     as settings or step sizes that print alike under ``%g`` make."""
     files, first = [], {}
     n_steps = len(runs) // len(settings)
@@ -267,7 +261,7 @@ def _run_files(trial: int, settings, runs) -> List[str]:
     for i, (params, opt) in enumerate(runs):
         fname = f"runs/trial{trial}_{params.label()}_step={opt.step_size:g}.csv"
         if fname in first:
-            raise SpecError(f"runs {run(first[fname])} and {run(i)} would both write {fname}")
+            raise ValueError(f"runs {run(first[fname])} and {run(i)} would both write {fname}")
         first[fname] = i
         files.append(fname)
     return files
@@ -336,9 +330,9 @@ def run_experiment(spec: ExperimentSpec, dataset: Optional[Dataset] = None) -> d
     CSV itself.  Every output is byte-identical whatever the number of
     parts.  Diverged runs are flagged and excluded from step-size
     selection; a setting with no surviving run is recorded with a null
-    selection.  Two runs whose file names would coincide raise SpecError
-    before the trial trains or writes anything.  The manifest is written
-    once every part of every trial is in.
+    selection.  A setting or batch size the data rule out, or two runs whose
+    file names would coincide, raise ValueError before anything is written.
+    The manifest is written once every part of every trial is in.
     """
     out = Path(spec.out_dir)
     if dataset is None:
@@ -352,9 +346,8 @@ def run_experiment(spec: ExperimentSpec, dataset: Optional[Dataset] = None) -> d
         ds = preprocess(shuffle_split(dataset, split_seed))
         n_train = int(ds.split_indices("train").size)
         if spec.batch_size > n_train:
-            raise SpecError(
-                f"[experiment] batch_size {spec.batch_size} exceeds train size {n_train}"
-            )
+            raise ValueError(f"[experiment] batch_size {spec.batch_size} exceeds "
+                             f"train size {n_train}")
         lam = spec.lam if spec.lam is not None else default_lam(n_train)
         # every method and setting is checked before anything is written
         criteria = [make_criterion(method, setting, n_train, lam) for method, setting in settings]

@@ -55,6 +55,13 @@ def test_config_validation():
         OptConfig(step_size=0.1, epochs=3)  # missing batch_size
 
 
+def test_batch_gd_refuses_an_sgd_config():
+    dataset = toy_dataset()
+    config = OptConfig(step_size=0.01, epochs=1, batch_size=8)
+    with pytest.raises(ValueError, match="^run_batch_gd requires a batch-mode OptConfig$"):
+        run_batch_gd(CriterionParams("erm"), toy_init(dataset), dataset, config)
+
+
 @pytest.mark.parametrize("step", [-0.1, float("nan"), float("inf"), -float("inf")])
 def test_config_rejects_a_step_size_that_is_not_finite_and_positive(step):
     with pytest.raises(ValueError, match=f"step size must be finite and positive, got {step!r}"):

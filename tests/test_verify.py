@@ -866,7 +866,7 @@ def test_pair_optimality_rejects_infeasible_pair():
 
 def serial_quick_suite(seed):
     """``run_property_suite(quick=True, seed=seed)``'s checks, run one after
-    another on the calling thread in their listed order."""
+    another in this process in their listed order."""
     return [
         suite._closed_forms(),
         suite._catoni_grid(),
@@ -883,7 +883,7 @@ def serial_quick_suite(seed):
 
 
 @pytest.mark.parametrize("seed", [0, 3])
-def test_suite_with_a_side_thread_equals_a_serial_run_in_listed_order(monkeypatch, seed):
+def test_suite_with_a_forked_worker_equals_a_serial_run_in_listed_order(monkeypatch, seed):
     use_cpus(monkeypatch, 2)  # the lognormal check runs in a forked worker
     outcomes = run_property_suite(quick=True, seed=seed)
     assert [(o.name, o.status, o.detail) for o in outcomes] == [
@@ -929,13 +929,13 @@ class Raised(Exception):
     pass
 
 
-@pytest.mark.parametrize("thread", ["side", "calling"])
-def test_suite_passes_on_an_exception_from_either_thread(monkeypatch, thread):
+@pytest.mark.parametrize("raiser", ["worker", "caller"])
+def test_suite_passes_on_an_exception_from_the_worker_or_the_caller(monkeypatch, raiser):
     # the lognormal concentration check runs in the forked worker, which
     # sends back its exception pickled (Raised pickles by reference), the
     # pair check last in this process
     use_cpus(monkeypatch, 2)
-    if thread == "side":
+    if raiser == "worker":
         concentration = suite._concentration
 
         def failing(name, *args):
