@@ -268,17 +268,28 @@ def _spec_from_config(path, out_override, seed_override) -> ExperimentSpec:
         # ExperimentSpec refuses an out-of-range value; the text names its field
         return ExperimentSpec(methods=methods, **values)
     except (configparser.Error, ValueError) as err:
-        raise DataError(f"config file {path!r}: {err}") from None
+        raise _config_error(path, err) from None
+
+
+def _config_error(path, err) -> DataError:
+    """``err`` as a fault of the config file ``path``, on one line (some of
+    configparser's texts span several)."""
+    text = " ".join(line.strip() for line in str(err).splitlines())
+    return DataError(f"config file {path!r}: {text}")
 
 
 def _cmd_experiment(args) -> int:
     spec = _spec_from_config(args.config, args.out, args.seed)
     try:
-        manifest = run_experiment(spec)
+        dataset = load_dataset(spec.data, spec.data_format, spec.label_col)
+    except FileNotFoundError as err:  # [data] path names no dataset
+        raise _config_error(args.config, err) from None
+    try:
+        manifest = run_experiment(spec, dataset)
     except DataError:  # a data file's fault; the text names that file
         raise
     except ValueError as err:  # what the data or the run-file names rule out in the spec
-        raise DataError(f"config file {args.config!r}: {err}") from None
+        raise _config_error(args.config, err) from None
     n_runs = sum(len(t["runs"]) for t in manifest["trials"])
     n_div = sum(
         1 for t in manifest["trials"] for r in t["runs"] if r["status"] == "diverged"
@@ -298,6 +309,10 @@ def _cmd_verify(args) -> int:
         print(f"{o.status} {o.name} ({o.detail})")
         side = " (in a forked worker, beside the others)" if o.forked else ""
         print(f"time {o.name} {o.seconds:.3f} s{side}", file=sys.stderr)
+    for side, forked in (("caller", False), ("worker", True)):
+        times = [o.seconds for o in outcomes if o.forked == forked]
+        if times:  # on one CPU no property runs in a forked worker
+            print(f"time {side} {sum(times):.3f} s", file=sys.stderr)
     print(f"time total {total:.3f} s", file=sys.stderr)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)

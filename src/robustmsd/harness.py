@@ -318,8 +318,9 @@ def _train_in_parts(runs, files, init: JointState, ds: Dataset, out: Path) -> Li
     return [final for finals in run_calls(calls) for final in finals]
 
 
-def run_experiment(spec: ExperimentSpec, dataset: Optional[Dataset] = None) -> dict:
-    """Execute the full sweep and return (and write) the manifest.
+def run_experiment(spec: ExperimentSpec, dataset: Dataset) -> dict:
+    """Execute the full sweep on ``dataset`` (``spec.data`` as
+    ``load_dataset`` reads it) and return (and write) the manifest.
 
     Run ``i = k*S + j`` of a trial is criterion setting ``k`` under step
     size ``j`` (S step sizes): criterion-major, as the stack's blocks are
@@ -335,8 +336,6 @@ def run_experiment(spec: ExperimentSpec, dataset: Optional[Dataset] = None) -> d
     The manifest is written once every part of every trial is in.
     """
     out = Path(spec.out_dir)
-    if dataset is None:
-        dataset = load_dataset(spec.data, spec.data_format, spec.label_col)
     manifest = {"rng_algorithm": RNG_ALGORITHM, "spec": asdict(spec), "trials": []}
     n_steps = len(spec.step_sizes)
     settings = [(grid.method, setting) for grid in spec.methods for setting in grid.expanded()]

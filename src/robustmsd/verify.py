@@ -42,8 +42,12 @@ PROB_TOL = 1e-12
 THRESHOLD_BLOCK = 65536  # losses per drawn and Newton-solved row block (512 KiB per buffer)
 # A Newton point outside the bracket is replaced by its midpoint, and 549
 # halvings take the widest admitted bracket, (1e150 + 2) b, below the 1e-15 b
-# stop; the widest rows tested take ~500 steps, verify's rows three
+# stop; the widest rows tested take ~500 steps, verify's Gaussian rows
+# 1.0015-1.004 on average and its lognormal rows two (seeds 0-5)
 NEWTON_CAP = 600
+PAIR_POINTS = 31  # trial points per round of check_pair_optimality's k-section
+RHO3_MAX = 0.8587  # max |rho'''(t)| = 1.5 * 1.25**-2.5 = 0.858650..., at |t| = 1/2, rounded up
+RHO4_MAX = 3.0  # max |rho''''(t)| = |(12 t^2 - 3) (1 + t^2)^(-7/2)|, at t = 0
 
 
 def _require_finite(dist, *fields: str) -> None:
@@ -295,13 +299,33 @@ def _solve_thresholds(X: np.ndarray, b: float, alpha: float, lam: float) -> np.n
     alpha raise ValueError, and so does a row holding a NaN or an
     infinity, or one whose max - min exceeds 1e150*b (t^2 could overflow
     past it), before anything is solved.  The rows are solved together, in
-    two buffers of X's size, by Newton steps from each row's mean with that
+    three buffers of X's size, by Newton steps from each row's mean with that
     bracket as a safeguard (t by a 1/b multiply, g and g' as fused row dot
-    products).  With tol = 1e-14*(b + |a|), a row retires when
-    its step is at most tol (root a + step), or when g(a) == 0 or its
-    bracket is at most tol/10 wide (root a; this stops a row whose g is flat
-    to rounding, such as one far wider than b whose g steps across zero
-    between two floats, within 1e-15*(b + |a|) of the sign change).  The
+    products).  With tol = 1e-14*(b + |a|), a row retires with root a + s
+    when its step s is at most tol or is certified.  Taylor's theorem
+    certifies it: g'' = (lam/(n b^2)) sum rho'''(t) is at most
+    curv = RHO3_MAX*lam/b^2 in size and g''' at most jolt = RHO4_MAX*lam/b^3,
+    so where 2*curv*(|s| + tol/10) <= |g'(a)|, |g'| stays above |g'(a)|/2
+    within |s| + tol/10 of a, and a bound r >= |g(a + s)| with
+    20*r <= tol*|g'(a)| puts the root within 2r/|g'(a)| <= tol/10 of a + s,
+    the bracket stop's precision.  For the Newton step s = -g/g',
+    r = G*s^2/2 with G = min(curv, c + jolt*|s|), where c bounds |g''(a)|:
+    the secant of g' from the previous iterate a_p is within
+    jolt*|a - a_p|/2 of g''(a).  On a row's first pass G = curv (the stop
+    10*curv*s^2 <= tol*|g'(a)| then implies the first condition when
+    |s| > tol).  A row that is not certified but whose step is small enough
+    for jolt's term, 10*jolt*|s|^3 <= 3*tol*|g'(a)|, could be certified
+    one order higher: when some row is, g''(a) is summed for the pass
+    (three more array passes), and those rows take the Halley step
+    s = s_N/(1 + s_N g''/(2 g')) from the Newton step s_N, which zeroes
+    g's quadratic Taylor model up to g''^2 s^2 s_N/(4 g'), so
+    r = g''^2 s^2 |s_N|/(4|g'|) + jolt*|s|^3/6.  A Gaussian row of
+    verify's, whose g'' at the mean is near 0, is certified on its first
+    pass by the Halley bound; a lognormal row on its second, mostly by the
+    secant.  A row also retires when g(a) == 0 or its bracket is at
+    most tol/10 wide (root a; this stops a row whose g is flat to rounding,
+    such as one far wider than b whose g steps across zero between two
+    floats, within 1e-15*(b + |a|) of the sign change).  The
     stop is tested first, so a sub-ulp step landing on a bracket end still
     stops; otherwise the bracket end on the iterate's side moves to it, and
     a Newton point outside the bracket is replaced by the midpoint.  Running
@@ -317,32 +341,53 @@ def _solve_thresholds(X: np.ndarray, b: float, alpha: float, lam: float) -> np.n
     wide = maxs / 2.0 - mins / 2.0 > 0.5e150 * b  # halved, so the spread cannot overflow
     if wide.any():
         raise ValueError(f"sample row {int(np.argmax(wide))} spreads over more than 1e150*b")
-    t, r = np.empty((2,) + X.shape)
+    t, r, w = np.empty((3,) + X.shape)
     roots = X.mean(axis=1)
     live = np.arange(len(X))
     a, lo, hi = roots.copy(), mins - b, maxs + b
+    a_prev = slope_prev = np.full(len(X), np.nan)  # each row's last iterate and |g'| there: none yet
     inv_b, scale = 1.0 / b, lam / X.shape[1]
+    curv, jolt = RHO3_MAX * lam / (b * b), RHO4_MAX * lam / (b * b * b)  # bound |g''|, |g'''|
     for _ in range(NEWTON_CAP):
-        tl, rl = t[: live.size], r[: live.size]
+        tl, rl, wl = t[: live.size], r[: live.size], w[: live.size]
         np.subtract(X if live.size == len(X) else X[live], a[:, None], out=tl)
         np.multiply(tl, inv_b, out=tl)
-        np.multiply(tl, tl, out=rl)
+        np.square(tl, out=rl)
         np.add(rl, 1.0, out=rl)
         np.sqrt(rl, out=rl)
         np.divide(1.0, rl, out=rl)  # (1 + t^2)^(-1/2)
         # row sums of rho'(t) = t (1 + t^2)^(-1/2) and rho''(t) = (1 + t^2)^(-3/2)
         g = scale * np.vecdot(tl, rl) - alpha
+        np.square(rl, out=wl)
+        slope = (scale * inv_b) * np.vecdot(wl, rl)  # |g'|
+        tol = 1e-14 * (b + np.abs(a))
         # rho'' underflows far from the root: an infinite step is outside
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            step = g / ((scale * inv_b) * np.einsum("ij,ij,ij->i", rl, rl, rl))  # -g/g'
-        tol = 1e-14 * (b + np.abs(a))
-        small = np.abs(step) <= tol
-        done = small | (g == 0.0) | (hi - lo <= 0.1 * tol)
-        roots[live[done]] = np.where(small, a + step, a)[done]
+            step = g / slope  # -g/g'
+            # |g''(a)| is at most the secant of g' from the previous iterate, plus jolt's share
+            moved = np.abs(a - a_prev)
+            g2 = np.abs(slope - slope_prev) / moved + 0.5 * jolt * moved
+            bound = 0.5 * step * step * np.fmin(curv, g2 + jolt * np.abs(step))  # >= |g(a + step)|
+            halley = (10.0 * jolt * np.abs(step) ** 3 <= 3.0 * tol * slope) & (
+                20.0 * bound > tol * slope)
+            if halley.any():  # row sums of rho'''(t) = -3 t (1 + t^2)^(-5/2)
+                np.multiply(tl, wl, out=tl)
+                np.multiply(wl, rl, out=wl)
+                g2 = (-3.0 * scale * inv_b * inv_b) * np.vecdot(tl, wl)  # g''
+                newton = step
+                step = np.where(halley, newton / (1.0 - newton * g2 / (2.0 * slope)), newton)
+                third = (g2 * step) ** 2 * np.abs(newton) / (4.0 * slope)
+                bound = np.where(halley, third + jolt * np.abs(step) ** 3 / 6.0, bound)
+            size = np.abs(step)
+            converged = (size <= tol) | (
+                (20.0 * bound <= tol * slope) & (2.0 * curv * (size + 0.1 * tol) <= slope))
+        done = converged | (g == 0.0) | (hi - lo <= 0.1 * tol)
+        roots[live[done]] = np.where(converged, a + step, a)[done]
         keep = ~done
         if not keep.any():
             return roots
         live, a, lo, hi, g, step = live[keep], a[keep], lo[keep], hi[keep], g[keep], step[keep]
+        a_prev, slope_prev = a, slope[keep]
         above = g > 0.0
         lo = np.where(above, a, lo)
         hi = np.where(above, hi, a)
@@ -385,11 +430,12 @@ def check_location_concentration(
     Passes when empirical coverage >= 1 - delta - 3*sqrt(delta(1-delta)/trials).
     The ``(trials, n)`` sample is drawn from one PCG64 generator and solved
     in blocks of ``THRESHOLD_BLOCK // n`` rows (at least one), each drawn
-    into one buffer only when it is solved, by safeguarded Newton steps,
-    three per row on verify's samples.  The generator fills values in
-    order and a row's threshold depends on that row alone, so every threshold has the bits of
-    drawing and solving the whole sample at once, in memory that does not
-    grow with ``trials``.
+    into one buffer only when it is solved, by safeguarded Newton steps:
+    on verify's samples one per Gaussian row (1.0015-1.004 on average) and
+    two per lognormal row.  The generator fills values in order and a row's threshold
+    depends on that row alone, so every threshold has the bits of drawing
+    and solving the whole sample at once, in memory that does not grow
+    with ``trials``.
     """
     if not 0.0 < delta < 1.0:
         raise ValueError("delta must lie in (0, 1)")
@@ -469,15 +515,16 @@ def check_stationarity_equivalence(dist: GradientDist) -> StationarityReport:
     return StationarityReport(mv_grad, diffs, passed)
 
 
-def _unit_split(dist: DiscreteDist, a: float, b: float) -> Tuple[float, float]:
-    """(E[(L-a)/s], E[b/s]) with s = sqrt((L-a)^2 + b^2); at b = 0 their
-    limits as b -> 0+, E[sign(L-a)] and P(L=a)."""
-    r = dist.values - a
-    if b == 0.0:
-        u = dist.probs[r > 0.0].sum() - dist.probs[r < 0.0].sum()
-        return float(u), float(dist.probs[r == 0.0].sum())
-    s = np.hypot(r, b)
-    return float(dist.probs @ (r / s)), float(dist.probs @ (b / s))
+def _unit_split(dist: DiscreteDist, a: np.ndarray, b: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """(E[(L-a)/s], E[b/s]) at each point of the arrays a and b, with
+    s = sqrt((L-a)^2 + b^2); at b = 0 their limits as b -> 0+, E[sign(L-a)]
+    and P(L=a)."""
+    r = dist.values - a[:, None]
+    s = np.hypot(r, b[:, None])
+    off = s != 0.0  # s = 0 only at b = 0 and L = a, where the limits are 0 and 1
+    u = np.divide(r, s, out=np.zeros_like(r), where=off)
+    v = np.divide(b[:, None], s, out=np.ones_like(r), where=off)
+    return _row_sums(dist.probs * u), _row_sums(dist.probs * v)
 
 
 @dataclass
@@ -503,14 +550,21 @@ def check_pair_optimality(
     P(L=a) >= 1 - beta/lam, b*(a) = 0 and phi has a kink whose
     subdifferential is alpha - lam E[sign(L-a)] +- lam
     sqrt(P(L=a)^2 - (1-beta/lam)^2).  The minimizer is bracketed by widening
-    [min - 1, max + 1] and bisected on the sign of phi' until the bracket is
-    at most 1e-15 (|a| + b*(a)) wide or holds no float between its ends, so
-    the stop scales with the atoms even when they are close together.  A
-    kink atom inside the bracket is tried before the midpoint, and one whose
-    subdifferential holds 0 is the minimizer, with b = 0.  Both residuals
-    are then taken at the minimizer (at b = 0, their limits as b -> 0+);
-    the report passes when both are at most 1e-10, which only an interior
-    optimum can meet.
+    [min - 1, max + 1] and narrowed by a k-section on the sign of phi'.
+    Each round tries the ``PAIR_POINTS`` points that cut the bracket into
+    equal parts and every kink atom inside it, with one stacked
+    ``optimal_scale`` call and one array ``_unit_split``, and keeps the two
+    adjacent points between which phi' turns nonnegative, so it shrinks the
+    bracket by at least PAIR_POINTS + 1.  Of the bracket's two ends, the one
+    whose phi' is nearer 0 is the estimate a.  The k-section stops when
+    phi'(a) = 0, after a round that started from a bracket at most
+    1e-15 (|a| + b*(a)) wide, or when the bracket holds no float between
+    its ends, so the stop scales with the atoms even when they are close
+    together, and a bracket narrower than PAIR_POINTS + 1 floats ends on
+    two adjacent floats.  A kink atom whose subdifferential holds 0 is the
+    minimizer, with b = 0.  Both residuals are then taken at the minimizer
+    (at b = 0, their limits as b -> 0+); the report passes when both are at
+    most 1e-10, which only an interior optimum can meet.
     Existence of one requires (alpha/lam)^2 + (1-beta/lam)^2 < 1
     (Cauchy-Schwarz on the two unit-split terms); configurations violating
     it are rejected.
@@ -526,36 +580,52 @@ def check_pair_optimality(
             "the two first-order equalities cannot hold simultaneously"
         )
     target = 1.0 - beta / lam
-    values = dist.values
-    kinks = values[(values[:, None] == values) @ dist.probs >= target]
+    values, probs = dist.values, dist.probs
+    kinks = values[(values[:, None] == values) @ probs >= target]
 
-    def slope(a):
-        """(b*(a), phi'(a)); at a kink the end of the subdifferential nearest
-        0, which is 0 when the subdifferential holds it."""
-        p_at_a = float(dist.probs[values == a].sum())
-        if p_at_a < target:
-            b = optimal_scale(dist, a, beta, lam)
-            return b, alpha - lam * _unit_split(dist, a, b)[0]
-        g = alpha - lam * _unit_split(dist, a, 0.0)[0]
-        return 0.0, math.copysign(max(abs(g) - lam * math.sqrt(p_at_a**2 - target**2), 0.0), g)
+    def slopes(a):
+        """(b*(a), phi'(a)) at each point of the array a, by one stacked
+        ``optimal_scale`` call; at a kink b*(a) = 0 and phi'(a) is the end of
+        the subdifferential nearest 0, which is 0 when the subdifferential
+        holds it."""
+        p_at_a = _row_sums(probs * (values == a[:, None]))
+        smooth = p_at_a < target
+        b = np.zeros(a.size)
+        if n := np.count_nonzero(smooth):  # n rows of the atoms and their probabilities
+            rows = np.broadcast_to(np.stack([values, probs])[:, None], (2, n, values.size))
+            b[smooth] = optimal_scale(rows, a[smooth], np.full(n, beta), np.full(n, lam))
+        g = alpha - lam * _unit_split(dist, a, b)[0]
+        kink = lam * np.sqrt(np.maximum(p_at_a * p_at_a - target * target, 0.0))
+        return b, np.copysign(np.maximum(np.abs(g) - kink, 0.0), g)
 
-    lo, hi = float(values.min()) - 1.0, float(values.max()) + 1.0
-    widen = 1.0
-    while slope(lo)[1] > 0.0:
-        lo, widen = lo - widen, 2.0 * widen
-    widen = 1.0
-    while slope(hi)[1] < 0.0:
-        hi, widen = hi + widen, 2.0 * widen
+    ends, widen = np.array([values.min() - 1.0, values.max() + 1.0]), np.array([-1.0, 1.0])
     while True:
-        inside = kinks[(lo < kinks) & (kinks < hi)]
-        a = float(inside[0]) if inside.size else 0.5 * (lo + hi)
-        b, g = slope(a)
-        if g == 0.0 or hi - lo <= 1e-15 * (abs(a) + b) or not lo < a < hi:
+        (b_lo, b_hi), (g_lo, g_hi) = slopes(ends)
+        short = np.array([g_lo > 0.0, g_hi < 0.0])  # the minimizer lies beyond that end
+        if not short.any():
             break
-        if g < 0.0:
-            lo = a
-        else:
-            hi = a
-    u, v = _unit_split(dist, a, b)
+        ends[short] += widen[short]
+        widen[short] *= 2.0
+    lo, hi = ends
+    fractions = np.arange(1.0, PAIR_POINTS + 1.0) / (PAIR_POINTS + 1.0)
+    width = math.inf  # of the bracket the last round started from
+    while True:
+        a, b, g = (lo, b_lo, g_lo) if abs(g_lo) <= abs(g_hi) else (hi, b_hi, g_hi)
+        if g == 0.0 or width <= 1e-15 * (abs(a) + b):
+            break
+        width = hi - lo
+        points = np.unique(np.concatenate([kinks, lo + width * fractions]))
+        points = points[(lo < points) & (points < hi)]
+        if not points.size:  # no float between the ends
+            break
+        bs, gs = slopes(points)
+        above = gs >= 0.0
+        j = int(np.argmax(above)) if above.any() else points.size  # points[:j] have phi' < 0
+        if j:
+            lo, b_lo, g_lo = points[j - 1], bs[j - 1], gs[j - 1]
+        if j < points.size:
+            hi, b_hi, g_hi = points[j], bs[j], gs[j]
+    (u,), (v,) = _unit_split(dist, np.array([a]), np.array([b]))
     res_loc, res_scale = abs(u - alpha / lam), abs(v - target)
-    return PairOptimalityReport(a, b, res_loc, res_scale, max(res_loc, res_scale) <= 1e-10)
+    return PairOptimalityReport(float(a), float(b), float(res_loc), float(res_scale),
+                                bool(max(res_loc, res_scale) <= 1e-10))

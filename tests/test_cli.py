@@ -404,20 +404,28 @@ def test_property_suite_outcomes_quick():
     assert "location_concentration_lognormal" in names
 
 
-def test_verify_prints_property_times_on_stderr_only(tmp_path, capsys):
-    # one line per property, in report order, then the suite's wall time
+def test_verify_prints_property_times_on_stderr_only(tmp_path, capsys, monkeypatch):
+    # one line per property, in report order, then the summed time of each
+    # side that ran properties (no worker on one CPU), then the suite's wall time
     reports = []
-    for run in ("a", "b"):
+    for cpus, run in ((2, "a"), (2, "b"), (1, "c")):
+        use_cpus(monkeypatch, cpus)
+        sides = ["caller", "worker"][:cpus]
         assert main(["verify", "--quick", "--out", str(tmp_path / run)]) == 0
         captured = capsys.readouterr()
         times = [line.split() for line in captured.err.splitlines()]
-        assert len(times) == 11 + 1
+        assert len(times) == 11 + len(sides) + 1
         assert all(t[0] == "time" and t[3] == "s" and float(t[2]) >= 0.0 for t in times)
         assert "time" not in captured.out
         reports.append((tmp_path / run / "verify_report.csv").read_bytes())
         rows = list(csv.reader(reports[-1].decode().splitlines()))
-        assert [t[1] for t in times] == [row[0] for row in rows[1:]] + ["total"]
-    assert reports[0] == reports[1]
+        assert [t[1] for t in times] == [row[0] for row in rows[1:]] + sides + ["total"]
+        forked = ["(in a forked worker" in line for line in captured.err.splitlines()[:11]]
+        seconds = [float(t[2]) for t in times[:11]]
+        for side, total in zip(sides, times[11:]):
+            on_side = [s for s, f in zip(seconds, forked) if f == (side == "worker")]
+            assert float(total[2]) == pytest.approx(sum(on_side), abs=6e-3)  # each rounded to ms
+    assert reports[0] == reports[1] == reports[2]
     assert b"time" not in reports[0]
 
 
@@ -462,6 +470,41 @@ def test_experiment_malformed_config_exits_1(tmp_path, capsys, text):
     cfg.write_text(text, encoding="latin-1")
     assert main(["experiment", "--config", str(cfg)]) == 1
     assert capsys.readouterr().err.startswith(f"error: config file {str(cfg)!r}: ")
+
+
+@pytest.mark.parametrize(
+    "text, error",
+    [
+        ("garbage\n", "File contains no section headers. file: "),  # MissingSectionHeaderError
+        ("[data]\npath = bundled:credit690\nx\n", "Source contains parsing errors: "),  # ParsingError
+    ],
+)
+def test_config_that_does_not_parse_exits_1_with_one_error_line(tmp_path, capsys, text, error):
+    # configparser's text for these spans several lines; it is joined into one
+    cfg = tmp_path / "bad.ini"
+    cfg.write_text(text, encoding="utf-8")
+    assert main(["experiment", "--config", str(cfg)]) == 1
+    one_error_line(capsys, f"error: config file {str(cfg)!r}: {error}")
+
+
+@pytest.mark.parametrize("path, named", [
+    ("nope.csv", "dataset 'nope.csv' not found (also tried "),
+    ("bundled:nope", "no bundled dataset 'nope'"),
+])
+def test_config_naming_no_dataset_exits_1_naming_the_config_file(tmp_path, capsys, path, named):
+    cfg = sweep_config(tmp_path, "erm = yes")
+    cfg.write_text(cfg.read_text().replace("bundled:credit690", path))
+    assert main(["experiment", "--config", str(cfg)]) == 1
+    one_error_line(capsys, f"error: config file {str(cfg)!r}: {named}")
+    assert not (tmp_path / "exp").exists()
+
+
+def test_output_fault_of_an_experiment_names_no_config_file(tmp_path, capsys):
+    # an OSError while writing outputs is not the config file's fault
+    cfg = sweep_config(tmp_path, "erm = yes")
+    (tmp_path / "exp").write_text("a file where the output directory goes")
+    assert main(["experiment", "--config", str(cfg)]) == 1
+    assert "config file" not in one_error_line(capsys, str(tmp_path / "exp"))
 
 
 @pytest.mark.parametrize(
@@ -647,10 +690,11 @@ def test_multiclass_sweep_report_and_train_rerun_byte_identical(tmp_path):
 
 
 def one_error_line(capsys, *named):
-    """The run's stderr is exactly one ``error:`` line naming each of ``named``."""
+    """The run's stderr, which is exactly one ``error:`` line naming each of ``named``."""
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1, err
     assert all(part in err for part in named), err
+    return err
 
 
 def test_settings_sharing_a_run_file_exit_1_before_writing(tmp_path, capsys):

@@ -28,6 +28,8 @@ from robustmsd.criteria import (
 from robustmsd.rho import catoni_envelope_check, rho_conjugate, rho_prime
 from robustmsd.suite import _closed_forms, _conjugate_sup, _partial_convexity, run_property_suite
 from robustmsd.verify import (
+    RHO3_MAX,
+    RHO4_MAX,
     THRESHOLD_BLOCK,
     DiscreteDist,
     GaussianLosses,
@@ -530,6 +532,101 @@ def test_thresholds_reject_rows_too_wide_for_the_scale():
             _solve_thresholds(X[4:], 1.0, 0.0, 1.0)
 
 
+@st.composite
+def skewed_rows(draw):
+    """A few rows of lognormal or of skewed (exponential, gamma or two-cluster)
+    losses, each shifted to start at 0 and scaled to spread over 1, and the
+    spread in units of b to scale them to."""
+    rng = np.random.Generator(np.random.PCG64(draw(st.integers(0, 2**32))))
+    shape = (draw(st.integers(1, 6)), draw(st.integers(1, 400)))
+    kind = draw(st.sampled_from(["lognormal", "exponential", "gamma", "clusters"]))
+    if kind == "lognormal":
+        X = rng.lognormal(0.0, draw(st.floats(0.1, 2.5)), shape)
+    elif kind == "exponential":
+        X = rng.exponential(1.0, shape)
+    elif kind == "gamma":
+        X = rng.gamma(draw(st.floats(0.1, 3.0)), 1.0, shape)
+    else:  # most losses near 0, a tenth far out
+        X = rng.standard_normal(shape) + 50.0 * (rng.uniform(size=shape) < 0.1)
+    X -= X.min(axis=1, keepdims=True)
+    return X / np.maximum(X.max(axis=1, keepdims=True), 1e-300), draw(st.floats(1e-3, 10.0))
+
+
+@settings(max_examples=150, deadline=None)
+@given(skewed_rows(), st.floats(1e-3, 1e3), st.floats(0.0, 0.999), st.floats(0.1, 10.0))
+@example(rows=(np.array([[1.0, 0.0]]), 9.0), b=1.0, frac=0.015625, lam=1.0)
+# rows spread over 1e-3 b to 10 b; verify's spread over about 1.5 b (lognormal)
+# and 0.35 b (Gaussian).  Far wider sparse rows, such as two losses 100 b
+# apart at alpha = 0, hold a stretch where g rounds to 0, every point of which
+# is a root to rounding (test_threshold_g_changes_sign_across_the_root)
+def test_thresholds_of_skewed_rows_match_the_reference_bisection(rows, b, frac, lam):
+    unit, spread = rows
+    X = unit * (spread * b)
+    alpha = frac * lam / math.sqrt(2.0)
+    roots = _solve_thresholds(X, b, alpha, lam)
+    lo, hi = reference_bracket(X, b, alpha, lam)
+    t = (X - roots[:, None]) / b
+    slope = (lam / b) * np.mean((1.0 + t * t) ** -1.5, axis=1)  # -g'(root)
+    # g is evaluated to about an ulp of lam, so the computed g's sign change
+    # lies up to about that over the slope from the root, as in
+    # test_threshold_g_changes_sign_across_the_root; on a sparse row a few b
+    # wide, such as two losses 9 b apart, that is more than ROOT_TOL
+    tol = ROOT_TOL * (b + np.abs(roots)) + 1e-15 * lam / slope
+    assert np.all((lo - tol <= roots) & (roots <= hi + tol))
+
+
+@pytest.mark.parametrize("losses, seed, passes, sums", [
+    (GaussianLosses(0.0, 1.0), 50, 1, 3),
+    (LognormalLosses(0.0, 1.0), 51, 2, 4),
+])
+def test_certified_stop_on_verify_rows(monkeypatch, losses, seed, passes, sums):
+    # 64 rows of a sample `verify --seed 0` draws, which the step stop alone
+    # (|s| <= tol) retires after two passes per Gaussian row and three per
+    # lognormal row.  The Halley bound certifies the Gaussian rows on their first pass, which
+    # sums g'' as a third row dot product; the secant bound on g'' certifies
+    # the lognormal rows on their second, with no third sum
+    X = losses.draw(np.random.Generator(np.random.PCG64(seed)), np.empty((64, 2000)))
+    rows, dots, sqrt, vecdot = [], [], np.sqrt, np.vecdot
+
+    def counting_sqrt(x, *args, **kwargs):  # one square root over the running rows per pass
+        rows.append(len(x))
+        return sqrt(x, *args, **kwargs)
+
+    def counting_vecdot(x, y):
+        dots.append(len(x))
+        return vecdot(x, y)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(verify.np, "sqrt", counting_sqrt)
+        patch.setattr(verify.np, "vecdot", counting_vecdot)
+        roots = _solve_thresholds(X, 20.0, 0.0, 1.0)
+    assert rows == [len(X)] * passes and dots == [len(X)] * sums
+    assert_matches_reference(roots, X, 20.0, 0.0, 1.0)
+
+
+def test_rho3_and_rho4_max_bound_the_derivatives_of_rho():
+    # rho''' = -3 t (1 + t^2)^(-5/2), the derivative of rho'' = (1 + t^2)^(-3/2),
+    # is largest in size at |t| = 1/2; rho'''' = (12 t^2 - 3) (1 + t^2)^(-7/2) at t = 0
+    t = np.concatenate([np.linspace(-20.0, 20.0, 400_001), [-0.5, 0.5]])
+    third = -3.0 * t * (1.0 + t * t) ** -2.5
+    fourth = (12.0 * t * t - 3.0) * (1.0 + t * t) ** -3.5
+    h = 1e-5
+
+    def second(u):
+        return (1.0 + u * u) ** -1.5
+
+    def third_of(u):
+        return -3.0 * u * (1.0 + u * u) ** -2.5
+
+    for derivative, of in ((third, second), (fourth, third_of)):
+        np.testing.assert_allclose(derivative, (of(t + h) - of(t - h)) / (2.0 * h),
+                                   rtol=0.0, atol=1e-9)
+    peak = np.abs(third).max()
+    assert peak == pytest.approx(1.5 * 1.25**-2.5, rel=1e-15)
+    assert peak <= RHO3_MAX <= peak * (1.0 + 1e-4)
+    assert np.abs(fourth).max() == RHO4_MAX == 3.0
+
+
 @settings(max_examples=200, deadline=None)
 @given(
     hnp.arrays(float, st.tuples(st.integers(1, 4), st.integers(1, 30)),
@@ -854,6 +951,25 @@ def test_pair_optimality_between_adjacent_floats():
     r = check_pair_optimality(d, alpha=0.0, beta=0.25, lam=1.0)
     assert r.a_star in d.values and 0.0 < r.b_star < 1e-16
     assert not r.passed and r.location_residual > 0.4
+
+
+def test_pair_optimality_stacks_its_scale_solves(monkeypatch):
+    # the suite's three oracles: one stacked optimal_scale call for the
+    # bracket's ends, then one for each round of the k-section
+    calls, solve = [], optimal_scale
+
+    def counting(*args):
+        calls.append(np.size(args[1]))  # the trial points solved
+        return solve(*args)
+
+    monkeypatch.setattr(verify, "optimal_scale", counting)
+    sym = DiscreteDist.from_atoms([(-1.0, 0.5), (1.0, 0.5)])
+    asym = DiscreteDist.uniform([0.0, 0.0, 10.0])
+    for args in ((sym, 0.0, 0.1, 1.0), (asym, 0.01, 0.05, 1.0), (asym, 0.99, 0.87, 1.0)):
+        calls.clear()
+        assert check_pair_optimality(*args).passed
+        assert 1 <= len(calls) <= 15
+        assert max(calls) <= verify.PAIR_POINTS  # a round's grid points off the kinks
 
 
 def test_pair_optimality_rejects_infeasible_pair():
