@@ -13,7 +13,7 @@ import time
 from pathlib import Path
 
 from .criteria import KINDS, criterion_record
-from .data import DataError, SynthConfig, generate_2d_outlier, preprocess, shuffle_split
+from .data import FORMATS, DataError, SynthConfig, generate_2d_outlier, preprocess, shuffle_split
 from .harness import (
     DEFAULT_LEVELS,
     ExperimentSpec,
@@ -62,6 +62,8 @@ def _cmd_train(args) -> int:
     schedule = _GD_FLAGS if gd else _SGD_FLAGS
     _fill_flags(args, _SCHEDULE_DEFAULTS, schedule,
                 "full-batch GD (--iterations)" if gd else "SGD (no --iterations)")
+    if args.label_col is not None and args.format != "csv":
+        args.usage_error(f"argument --label-col: --format {args.format} names no columns")
     dataset = load_dataset(args.data, args.format, args.label_col)
     if args.split_seed is not None:
         dataset = shuffle_split(dataset, args.split_seed)
@@ -302,6 +304,8 @@ def _cmd_experiment(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)  # an --out that cannot be made stops it first
     start = time.perf_counter()
     outcomes = run_property_suite(quick=args.quick, seed=args.seed)
     total = time.perf_counter() - start  # the properties' own times overlap
@@ -314,8 +318,6 @@ def _cmd_verify(args) -> int:
         if times:  # on one CPU no property runs in a forked worker
             print(f"time {side} {sum(times):.3f} s", file=sys.stderr)
     print(f"time total {total:.3f} s", file=sys.stderr)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     path = out / "verify_report.csv"
     with open(path, "w", newline="", encoding="utf-8") as f:
         writer = csv.writer(f)
@@ -356,7 +358,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("train", help="single training run with trajectory CSV")
     p.add_argument("--data", required=True, help="path or bundled:<name>")
-    p.add_argument("--format", choices=("csv", "svmlight"), default="csv")
+    p.add_argument("--format", choices=FORMATS, default="csv")
     p.add_argument("--label-col", default=None)
     p.add_argument(
         "--criterion",

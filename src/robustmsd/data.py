@@ -19,6 +19,8 @@ import numpy as np
 __all__ = [
     "DataError",
     "Dataset",
+    "FORMATS",
+    "check_format",
     "SynthConfig",
     "generate_2d_outlier",
     "load_tabular",
@@ -29,6 +31,7 @@ __all__ = [
 ]
 
 SPLITS = ("train", "val", "test")
+FORMATS = ("csv", "svmlight")  # the file formats load_tabular reads
 MISSING = "?"  # missing-value marker of the public credit-approval tables
 # an svmlight file densifies to its largest feature index and a CSV to its
 # one-hot width; past these the loader refuses it before allocating (2**24
@@ -157,6 +160,14 @@ def open_text(path, newline=None) -> io.StringIO:
         raise DataError(f"{path}: line {line}: not UTF-8 text ({err.reason})") from None
 
 
+def _number(text: str) -> Optional[float]:
+    """The float ``text`` spells, or None where it spells none."""
+    try:
+        return float(text)
+    except ValueError:
+        return None
+
+
 def _parse_label_classes(path: Path, raw_labels: List[str]):
     """Map raw label strings to class indices and the class count.  When
     every label parses as a number (callers reject a non-finite one), ``1``
@@ -205,52 +216,35 @@ def _load_csv(path: Path, label_col: Optional[str]):
     raw_labels = [r[label_idx] for r in rows]
     feature_cols = [j for j in range(len(header)) if j != label_idx]
 
-    # A column is numeric when its values other than the missing-value marker
-    # parse as floats.  The first such value decides: a later value that does
-    # not parse, or the marker itself, is rejected with its line number.
-    def is_num(s):
-        try:
-            float(s)
-            return True
-        except ValueError:
-            return False
-
     for s, line in zip(raw_labels, line_nums):
-        if is_num(s) and not math.isfinite(float(s)):
+        if (value := _number(s)) is not None and not math.isfinite(value):
             raise DataError(
                 f"{path}: line {line}: label {s!r} in column {header[label_idx]!r} "
                 "is not a finite number"
             )
 
+    # A column is numeric when its first value other than the missing-value
+    # marker is a number.  Its first cell that is not a finite number, the
+    # marker included, is rejected with its line number.
     columns = []  # (values, None) per numeric column, (texts, levels) per one-hot one
     for j in feature_cols:
-        name = header[j]
         col = [r[j] for r in rows]
         first = next((s for s in col if s != MISSING), None)
-        if first is None or is_num(first):
-            vals = np.empty(len(col))
-            for i, s in enumerate(col):
-                if s == MISSING:
-                    raise DataError(
-                        f"{path}: line {line_nums[i]}: missing value {s!r} "
-                        f"in numeric column {name!r}"
-                    )
-                try:
-                    vals[i] = float(s)
-                except ValueError:
-                    raise DataError(
-                        f"{path}: line {line_nums[i]}: non-numeric value {s!r} "
-                        f"in numeric column {name!r}"
-                    ) from None
-            bad = np.flatnonzero(~np.isfinite(vals))
-            if bad.size:
-                raise DataError(
-                    f"{path}: line {line_nums[bad[0]]}: non-finite value {col[bad[0]]!r} "
-                    f"in numeric column {name!r}"
-                )
-            columns.append((vals, None))
-        else:
+        if first is not None and _number(first) is None:
             columns.append((col, sorted(set(col))))
+            continue
+        try:
+            vals = np.array(col, dtype=float)  # a str cell parses by float()'s rules
+        except ValueError:
+            vals = np.array([_number(s) for s in col], dtype=float)  # None reads as nan
+        bad = np.flatnonzero(~np.isfinite(vals))
+        if bad.size:
+            s = col[bad[0]]
+            what = ("missing" if s == MISSING else
+                    "non-numeric" if _number(s) is None else "non-finite")
+            raise DataError(f"{path}: line {line_nums[bad[0]]}: {what} value {s!r} "
+                            f"in numeric column {header[j]!r}")
+        columns.append((vals, None))
     widths = [1 if levels is None else len(levels) for _, levels in columns]
     onehot = np.repeat(np.array([levels is not None for _, levels in columns], bool), widths)
     if onehot.any() and len(rows) * onehot.size > SVMLIGHT_MAX_CELLS:
@@ -281,11 +275,8 @@ def _load_svmlight(path: Path):
         if not line:
             continue
         tokens = line.split()
-        try:
-            finite = math.isfinite(float(tokens[0]))
-        except ValueError:
-            finite = False
-        if not finite:
+        label = _number(tokens[0])
+        if label is None or not math.isfinite(label):
             raise DataError(f"{path}: line {line_num}: label {tokens[0]!r} is not a finite number")
         raw_labels.append(tokens[0])
         fmap = {}
@@ -326,31 +317,36 @@ def _load_svmlight(path: Path):
     return features, labels, n_classes, None
 
 
+def check_format(fmt: str, label_col: Optional[str] = None) -> None:
+    """Raise DataError unless ``fmt`` is one of FORMATS, and for a ``label_col``
+    given with a format other than csv: only a CSV has named columns."""
+    if fmt not in FORMATS:
+        raise DataError(f"unknown format {fmt!r} (known: {', '.join(FORMATS)})")
+    if label_col is not None and fmt != "csv":
+        raise DataError("label_col applies to csv files only")
+
+
 def load_tabular(path, fmt: str = "csv", label_col: Optional[str] = None) -> Dataset:
     """Load a CSV (header required, label column named or last) or svmlight file.
 
     A CSV column whose first value other than the missing-value marker
     ``?`` is non-numeric is one-hot encoded over the levels seen in the file
-    (``?`` among them); any other column is numeric and rejects a ``?``, a
-    non-numeric or a non-finite value (``nan``, ``inf``, ``1e400``) with the
-    offending line number.  svmlight rows are ``label index:value`` with a
-    finite number as label and 1-based indices, densified to the maximum
-    index in the file; a label or value that is not a finite number is
-    rejected with its line, and a file whose largest index exceeds
-    ``SVMLIGHT_MAX_WIDTH``, or whose rows x largest index exceed
-    ``SVMLIGHT_MAX_CELLS``, raises DataError before anything is allocated;
-    so does a CSV with a one-hot column whose rows x width exceed the latter.
+    (``?`` among them); any other column is numeric, and its first cell in
+    line order that is a ``?``, a non-numeric or a non-finite value (``nan``,
+    ``inf``, ``1e400``) is rejected with its line number.  svmlight rows are
+    ``label index:value`` with a finite number as label and 1-based indices,
+    densified to the maximum index in the file; a label or value that is
+    not a finite number is rejected with its line, and a file whose largest
+    index exceeds ``SVMLIGHT_MAX_WIDTH``, or whose rows x largest index
+    exceed ``SVMLIGHT_MAX_CELLS``, raises DataError before anything is
+    allocated; so does a CSV with a one-hot column whose rows x width exceed
+    the latter.
     ``onehot`` marks a CSV's one-hot levels; an svmlight file has none.
     """
+    check_format(fmt, label_col)
     path = Path(path)
-    if fmt == "csv":
-        features, labels, n_classes, onehot = _load_csv(path, label_col)
-    elif fmt == "svmlight":
-        if label_col is not None:
-            raise DataError("label_col applies to csv files only")
-        features, labels, n_classes, onehot = _load_svmlight(path)
-    else:
-        raise DataError(f"unknown format {fmt!r}")
+    features, labels, n_classes, onehot = (
+        _load_csv(path, label_col) if fmt == "csv" else _load_svmlight(path))
     return Dataset(
         features=features,
         labels=labels,

@@ -25,6 +25,7 @@ from .data import (
     SPLITS,
     DataError,
     Dataset,
+    check_format,
     data_dir,
     load_tabular,
     open_text,
@@ -198,6 +199,7 @@ class ExperimentSpec:
             raise ValueError("step_sizes must list at least one step size")
         for step in self.step_sizes:
             check_step_size(step)
+        check_format(self.data_format, self.label_col)
 
 
 def default_lam(n_train: int) -> float:

@@ -152,15 +152,15 @@ def _nonsmooth_witness(n_draws: int, seed: int) -> PropertyOutcome:
 
 def _scale_bounds(n_configs: int, seed: int) -> PropertyOutcome:
     rng = np.random.Generator(np.random.PCG64(seed))
-    values, probs = np.zeros((2, n_configs, 6))  # 2-6 atoms, padded at a with no mass
-    a, beta, lam = np.empty((3, n_configs))
-    for i in range(n_configs):  # drawn one configuration at a time
-        m = int(rng.integers(2, 7))
-        atoms, p = rng.uniform(-5.0, 5.0, m), rng.uniform(0.1, 1.0, m)
-        a[i] = values[i] = rng.uniform(-6.0, 6.0)
-        lam[i] = rng.uniform(0.2, 3.0)
-        beta[i] = rng.uniform(0.01, 0.99) * lam[i]
-        values[i, :m], probs[i, :m] = atoms, p / p.sum()
+    atoms = rng.uniform(-5.0, 5.0, (n_configs, 6))
+    weights = rng.uniform(0.1, 1.0, (n_configs, 6))
+    live = np.arange(6) < rng.integers(2, 7, (n_configs, 1))  # 2-6 atoms, padded at a
+    a = rng.uniform(-6.0, 6.0, n_configs)
+    lam = rng.uniform(0.2, 3.0, n_configs)
+    beta = rng.uniform(0.01, 0.99, n_configs) * lam
+    values = np.where(live, atoms, a[:, None])
+    probs = np.where(live, weights, 0.0)  # a padding atom has no mass
+    probs /= probs.sum(axis=1, keepdims=True)
     fails = int(np.count_nonzero(~check_scale_bounds((values, probs), a, beta, lam).passed))
     return PropertyOutcome(
         "optimal_scale_bounds",
@@ -196,13 +196,10 @@ def _concentration(name: str, losses, trials: int, seed: int) -> PropertyOutcome
 
 
 def _stationarity(n_instances: int, seed: int) -> PropertyOutcome:
-    values, probs = np.empty((2, n_instances, 5))
-    grads = np.empty((n_instances, 5, 3))
-    for s in range(n_instances):
-        rng = np.random.Generator(np.random.PCG64(seed + s))
-        values[s] = rng.uniform(-4.0, 4.0, 5)
-        grads[s] = rng.normal(size=(5, 3))
-        probs[s] = rng.uniform(0.1, 1.0, 5)
+    rng = np.random.Generator(np.random.PCG64(seed))
+    values = rng.uniform(-4.0, 4.0, (n_instances, 5))
+    grads = rng.normal(size=(n_instances, 5, 3))
+    probs = rng.uniform(0.1, 1.0, (n_instances, 5))
     probs /= probs.sum(axis=1, keepdims=True)
     fails = int(np.count_nonzero(~check_stationarity_equivalence(
         GradientDist(values, grads, probs)).passed))

@@ -247,6 +247,15 @@ SCHEDULE = {"gd": ("full-batch GD (--iterations)", ("--checkpoint-every",)),
             "sgd": ("SGD (no --iterations)", ("--epochs", "--batch-size", "--seed"))}
 
 
+def test_train_label_col_of_an_svmlight_file_exits_2_naming_it(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exit_:
+        main(["train", "--data", "bundled:credit690", "--format", "svmlight", "--label-col",
+              "y", "--criterion", "erm", "--out", str(tmp_path / "run")])
+    assert exit_.value.code == 2
+    assert "argument --label-col: --format svmlight names no columns\n" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
 @pytest.mark.parametrize("mode, flag", [("gd", flag) for flag in SCHEDULE["sgd"][1]]
                          + [("sgd", flag) for flag in SCHEDULE["gd"][1]])
 def test_train_schedule_flag_the_run_does_not_read_exits_2_naming_it(
@@ -396,6 +405,15 @@ def test_verify_quick_passes(tmp_path):
     assert len(rows) == 1 + 11
 
 
+def test_verify_that_cannot_make_its_out_dir_exits_1_before_any_property(tmp_path, capsys):
+    blocker = tmp_path / "file"
+    blocker.write_text("a file where a directory goes", encoding="utf-8")
+    assert main(["verify", "--quick", "--out", str(blocker / "x")]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1, captured.err
+
+
 def test_property_suite_outcomes_quick():
     outcomes = run_property_suite(quick=True, seed=0)
     assert all(o.passed for o in outcomes)
@@ -463,6 +481,9 @@ def test_one_cpu_verify_writes_the_same_report(tmp_path, capsys, monkeypatch):
         "[data]\npath = bundled:credit690\ncolumn = label\n",  # unknown key in [data]
         "[data]\npath = bundled:credit690\n[method]\nerm = yes\n",  # unknown section
         "[data]\npath = caf\xe9.csv\n",  # not UTF-8 once written as Latin-1
+        "[data]\npath = bundled:credit690\nformat = json\n",  # unknown format
+        # only a CSV has named columns
+        "[data]\npath = bundled:credit690\nformat = svmlight\nlabel_col = label\n",
     ],
 )
 def test_experiment_malformed_config_exits_1(tmp_path, capsys, text):
@@ -497,6 +518,20 @@ def test_config_naming_no_dataset_exits_1_naming_the_config_file(tmp_path, capsy
     assert main(["experiment", "--config", str(cfg)]) == 1
     one_error_line(capsys, f"error: config file {str(cfg)!r}: {named}")
     assert not (tmp_path / "exp").exists()
+
+
+def test_data_fault_found_by_the_sweep_names_no_config_file(tmp_path, capsys):
+    # every split of 12 rows leaves both extremes in its 10 train rows, which
+    # preprocess cannot min-max scale
+    data = tmp_path / "huge.csv"
+    data.write_text("g,f,label\n" + "".join(
+        f"{i},{(-1) ** i}e308,{i % 2}\n" for i in range(12)), encoding="utf-8")
+    cfg = sweep_config(tmp_path, "erm = yes")
+    cfg.write_text(cfg.read_text().replace("bundled:credit690", str(data)))
+    assert main(["experiment", "--config", str(cfg)]) == 1
+    err = one_error_line(capsys, "error: preprocess: feature column 1: its train range")
+    assert "config file" not in err
+    assert not (tmp_path / "exp" / "manifest.json").exists()
 
 
 def test_output_fault_of_an_experiment_names_no_config_file(tmp_path, capsys):
@@ -593,6 +628,8 @@ def test_methods_flag_accepts_yes_and_no(tmp_path, flag, kept):
         ),
         ("not json", "not JSON"),
         ('{"trials": []}', "no trials"),
+        ('{"trials": [{"selected": []}, {"selected": [{}]}]}',
+         "trial 1 has a different number of selections than trial 0"),
     ],
 )
 def test_report_malformed_manifest_exits_1(tmp_path, capsys, text, field):

@@ -1,5 +1,6 @@
 """Synthetic generation, tabular parsing, preprocessing and splits."""
 
+import math
 import re
 import warnings
 
@@ -187,11 +188,24 @@ def test_non_utf8_file_names_file_and_line(tmp_path, fmt, raw, line):
     ("csv", "f,g,label\n1.0,2.0,1\n3.0,{},0\n", "line 3: non-finite value '{}' in numeric "
                                                  "column 'g'"),
     ("svmlight", "1 1:2\n-1 1:0 3:{}\n", "line 2: non-finite value '{}' at feature index 3"),
-], ids=["csv", "svmlight"])
+    # a column's first bad cell is reported, whatever is wrong with a later one
+    ("csv", "f,label\n1.0,1\n{},0\noops,1\n", "line 3: non-finite value '{}' in numeric "
+                                                "column 'f'"),
+], ids=["csv", "svmlight", "csv-before-a-word"])
 def test_non_finite_value_names_file(tmp_path, fmt, body, where, value):
     p = write(tmp_path, "nan.txt", body.format(value))
     with pytest.raises(DataError, match=re.escape(f"nan.txt: {where.format(value)}")):
         load_tabular(p, fmt)
+
+
+@pytest.mark.parametrize("fmt, body, label_col, where", [
+    ("csv", "f,label\n1.0,1\n2.0,0\n", "y", "no column named 'y'"),
+    ("svmlight", "1 1:2\n-1 0:1\n", None, "line 2: feature index 0 < 1"),
+], ids=["csv-label-col", "svmlight-index"])
+def test_loader_refusal_names_file_and_fault(tmp_path, fmt, body, label_col, where):
+    p = write(tmp_path, "bad.txt", body)
+    with pytest.raises(DataError, match=re.escape(f"bad.txt: {where}")):
+        load_tabular(p, fmt, label_col)
 
 
 @pytest.mark.parametrize("fmt, body", [
@@ -305,6 +319,34 @@ def test_loader_returns_dataset_or_raises_data_error(tmp_path_factory, fmt, raw)
     except DataError:
         return
     assert isinstance(ds, Dataset) and ds.n == ds.labels.size and ds.n_classes >= 2
+
+
+NUMBER_CELL = st.one_of(
+    st.floats().map(repr),  # nan and inf among them
+    st.sampled_from(["1_000", " 1 ", "\u0661\u0662", "1e400", "-1e-400", "infinity", "-0",
+                     ".5", "1.", "?", "x", "1__0", "0x10"]),
+)
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(st.lists(NUMBER_CELL, min_size=2, max_size=8))
+def test_csv_numeric_column_reads_each_cell_as_float_does(tmp_path_factory, cells):
+    # the reference: float() per cell, the first that is not a finite number reported
+    path = tmp_path_factory.getbasetemp() / "cells.csv"
+    path.write_text("f,label\n1,0\n" + "".join(f"{c},1\n" for c in cells), encoding="utf-8")
+    reference = []
+    for line, cell in enumerate(cells, start=3):
+        try:
+            value = float(cell)
+        except ValueError:
+            value = None
+        if value is None or not math.isfinite(value):
+            with pytest.raises(DataError, match=re.escape(f"line {line}: ")):
+                load_tabular(path, "csv")
+            return
+        reference.append(value)
+    column = load_tabular(path, "csv").features[1:, 0]
+    np.testing.assert_array_equal(column.view(np.uint64), np.array(reference).view(np.uint64))
 
 
 # ------------------------------------------------------------ preprocess
