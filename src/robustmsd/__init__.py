@@ -10,8 +10,8 @@ Library layout:
 - ``optimizer``: one seeded training loop over (h, a, b) with a full-batch
   (GD) and a mini-batch (SGD) schedule; it trains many runs together as one
   stacked array program and a lone run on plain floats.
-- ``data``: synthetic planar task, CSV/svmlight ingestion, preprocessing,
-  80/10/10 splits.
+- ``data``: synthetic planar task, dataset references, CSV/svmlight
+  ingestion, preprocessing, 80/10/10 splits.
 - ``verify``: numerical oracles for the formal properties of the criterion.
 - ``harness``: experiment orchestration, trajectory CSVs, trial aggregation.
 - ``parallel``: runs calls 2..k in forked children beside call 1.

@@ -12,8 +12,9 @@ import sys
 import time
 from pathlib import Path
 
-from .criteria import KINDS, criterion_record
-from .data import FORMATS, DataError, SynthConfig, generate_2d_outlier, preprocess, shuffle_split
+from .criteria import KINDS, BoundError, criterion_record
+from .data import (FORMATS, DataError, SynthConfig, generate_2d_outlier, load_dataset,
+                   preprocess, shuffle_split)
 from .harness import (
     DEFAULT_LEVELS,
     ExperimentSpec,
@@ -21,14 +22,13 @@ from .harness import (
     aggregate_trials,
     build_initial_state,
     default_lam,
-    load_dataset,
     load_manifest,
     make_criterion,
     run_experiment,
     write_aggregate_csv,
     write_trajectory_csv,
 )
-from .optimizer import DivergenceError, OptConfig, run_batch_gd, train
+from .optimizer import DivergenceError, OptConfig, check_batch_size, run_batch_gd, train
 from .parallel import ForkError
 from .suite import run_property_suite
 
@@ -55,9 +55,9 @@ def _cmd_synth(args) -> int:
 
 
 def _cmd_train(args) -> int:
-    field = criterion_record(args.criterion).setting
-    _fill_flags(args, _SETTING_DEFAULTS, () if field is None else (field,),
-                f"criterion {args.criterion}")
+    record = criterion_record(args.criterion)
+    reads = tuple(f for f in _CRITERION_DEFAULTS if f in (record.setting, *record.coefficients))
+    _fill_flags(args, _CRITERION_DEFAULTS, reads, f"criterion {args.criterion}")
     gd = args.iterations is not None
     schedule = _GD_FLAGS if gd else _SGD_FLAGS
     _fill_flags(args, _SCHEDULE_DEFAULTS, schedule,
@@ -70,12 +70,15 @@ def _cmd_train(args) -> int:
     if args.preprocess:
         dataset = preprocess(dataset)
     n_train = int(dataset.split_indices("train").size)
+    if not gd:
+        check_batch_size(args.batch_size, n_train, "--batch-size: ")
     lam = default_lam(n_train) if args.lam is None else args.lam
-    setting = None if field is None else getattr(args, field)
+    setting = None if record.setting is None else getattr(args, record.setting)
     try:
         params = make_criterion(args.criterion, setting, n_train, lam)
-    except ValueError as err:  # a finite setting out of its kind's range; erm takes none
-        raise ValueError(f"{_flag_name(field)}: {err}") from None
+    except ValueError as err:  # a setting out of its kind's range, or sunhuber's past lam
+        named = reads if isinstance(err, BoundError) else (record.setting,)
+        raise ValueError(f"{', '.join(map(_flag_name, named))}: {err}") from None
 
     init = build_initial_state(dataset, args.init)
 
@@ -151,6 +154,9 @@ def _at_least(low):
 # train's setting flags, each named after the CriterionParams field it fills,
 # with the value a criterion takes when its own flag is absent
 _SETTING_DEFAULTS = {"beta0": 0.9, "xi": 0.5, "eta_tilde": 0.5}
+# the flags a criterion may read: its setting's, and --lam where lam is one of
+# its coefficients (None, as "auto" reads, is log(n)/sqrt(n))
+_CRITERION_DEFAULTS = {**_SETTING_DEFAULTS, "lam": None}
 # train's schedule flags, each named after the OptConfig field it fills, with
 # its value when absent; --iterations picks full-batch GD, which reads the
 # first, and SGD, which checkpoints at each epoch's end, reads the others

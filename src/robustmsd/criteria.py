@@ -46,6 +46,7 @@ __all__ = [
     "CriterionParams",
     "JointState",
     "ObjectiveEval",
+    "BoundError",
     "schedule_params",
     "make_criterion",
     "evaluate_objective",
@@ -262,16 +263,6 @@ class CriterionParams:
         """Short human-readable tag used in run file names."""
         return self.record.label.format(self)
 
-    @property
-    def updates_a(self) -> bool:
-        """Whether the threshold a is an optimization variable."""
-        return self.record.updates_a
-
-    @property
-    def updates_b(self) -> bool:
-        """Whether the scale b is an optimization variable."""
-        return self.record.updates_b
-
 
 @dataclass
 class JointState:
@@ -301,10 +292,14 @@ class ObjectiveEval:
     grad_b: Optional[float] = None
 
 
+class BoundError(ValueError):
+    """A beta0 and a lam, each in its own range, that give beta = beta0/sqrt(n) >= lam."""
+
+
 def schedule_params(n: int, beta0: float, lam: float) -> CriterionParams:
     """Fix (alpha, beta) from the sample size alone: beta = beta0/sqrt(n), alpha = beta.
 
-    Rejects configurations violating 0 < beta < lam.
+    Rejects configurations violating 0 < beta < lam; beta >= lam raises BoundError.
     """
     if n < 1:
         raise ValueError(f"n must be a positive integer, got {n!r}")
@@ -312,7 +307,7 @@ def schedule_params(n: int, beta0: float, lam: float) -> CriterionParams:
         raise ValueError("beta0 and lam must be positive")
     beta = beta0 / math.sqrt(n)
     if not beta < lam:
-        raise ValueError(
+        raise BoundError(
             f"beta = beta0/sqrt(n) = {beta:g} must stay below lam = {lam:g}"
         )
     return CriterionParams("sunhuber", alpha=beta, beta=beta, lam=lam, beta0=beta0)
@@ -322,7 +317,7 @@ def make_criterion(kind: str, setting, n_train: int, lam: float) -> CriterionPar
     """The criterion of one sweep setting (None for a kind that takes none).
 
     A beta0 goes through the sqrt(n) schedule.  An unknown kind or a setting
-    the kind rejects raises ValueError naming the kind.
+    the kind rejects raises ValueError naming the kind (BoundError where beta >= lam).
     """
     field = criterion_record(kind).setting
     try:
@@ -330,7 +325,7 @@ def make_criterion(kind: str, setting, n_train: int, lam: float) -> CriterionPar
             return schedule_params(n_train, setting, lam)
         return CriterionParams(kind, **({field: setting} if field else {}))
     except ValueError as err:
-        raise ValueError(f"{kind} setting {setting!r}: {err}") from None
+        raise type(err)(f"{kind} setting {setting!r}: {err}") from None
 
 
 def evaluate_objective(
@@ -367,8 +362,8 @@ class CriterionStack:
 
     def __init__(self, params):
         self.params = tuple(params)
-        self.updates_a = np.array([p.updates_a for p in self.params], dtype=bool)
-        self.updates_b = np.array([p.updates_b for p in self.params], dtype=bool)
+        self.updates_a = np.array([p.record.updates_a for p in self.params], dtype=bool)
+        self.updates_b = np.array([p.record.updates_b for p in self.params], dtype=bool)
         self.blocks = []
         start = 0
         for kind, group in itertools.groupby(self.params, key=lambda p: p.kind):

@@ -1,4 +1,5 @@
-"""Dataset generation, tabular ingestion, preprocessing and split handling.
+"""Dataset generation, dataset references (``load_dataset``), tabular
+ingestion, preprocessing and split handling.
 
 Datasets carry a dense feature matrix, integer class labels (0..K-1, with
 binary classes mapped from their sorted raw label values), per-row split
@@ -21,6 +22,7 @@ __all__ = [
     "Dataset",
     "FORMATS",
     "check_format",
+    "load_dataset",
     "SynthConfig",
     "generate_2d_outlier",
     "load_tabular",
@@ -32,6 +34,7 @@ __all__ = [
 
 SPLITS = ("train", "val", "test")
 FORMATS = ("csv", "svmlight")  # the file formats load_tabular reads
+BUNDLED = "bundled:"  # the prefix of a reference to a dataset packaged with robustmsd
 MISSING = "?"  # missing-value marker of the public credit-approval tables
 # an svmlight file densifies to its largest feature index and a CSV to its
 # one-hot width; past these the loader refuses it before allocating (2**24
@@ -317,13 +320,16 @@ def _load_svmlight(path: Path):
     return features, labels, n_classes, None
 
 
-def check_format(fmt: str, label_col: Optional[str] = None) -> None:
-    """Raise DataError unless ``fmt`` is one of FORMATS, and for a ``label_col``
-    given with a format other than csv: only a CSV has named columns."""
+def check_format(fmt: str, label_col: Optional[str] = None, ref: Optional[str] = None) -> None:
+    """Raise DataError unless ``fmt`` is one of FORMATS, for a ``label_col``
+    given with a format other than csv (only a CSV has named columns), and
+    for a bundled reference ``ref`` read as other than csv: it is a CSV."""
     if fmt not in FORMATS:
         raise DataError(f"unknown format {fmt!r} (known: {', '.join(FORMATS)})")
     if label_col is not None and fmt != "csv":
         raise DataError("label_col applies to csv files only")
+    if ref is not None and ref.startswith(BUNDLED) and fmt != "csv":
+        raise DataError(f"format {fmt!r}: bundled dataset {ref!r} is a csv file")
 
 
 def load_tabular(path, fmt: str = "csv", label_col: Optional[str] = None) -> Dataset:
@@ -354,6 +360,23 @@ def load_tabular(path, fmt: str = "csv", label_col: Optional[str] = None) -> Dat
         split=np.full(features.shape[0], "train"),
         onehot=onehot,
     )
+
+
+def load_dataset(ref: str, fmt: str = "csv", label_col: Optional[str] = None) -> Dataset:
+    """``load_tabular`` of the file a reference names: ``bundled:<name>``, a
+    path, or a path under ``data_dir()``.  A reference that names no file
+    raises FileNotFoundError, and a format ``check_format`` refuses DataError."""
+    check_format(fmt, label_col, ref)
+    if ref.startswith(BUNDLED):
+        name = ref[len(BUNDLED):]
+        path = Path(__file__).parent / "datasets" / f"{name}.csv"
+        if not path.exists():
+            raise FileNotFoundError(f"no bundled dataset {name!r}")
+    elif not (path := Path(ref)).exists():
+        path = data_dir() / ref
+        if not path.exists():
+            raise FileNotFoundError(f"dataset {ref!r} not found (also tried {path})")
+    return load_tabular(path, fmt, label_col)
 
 
 def preprocess(dataset: Dataset) -> Dataset:

@@ -1,12 +1,12 @@
 """Experiment orchestration: trials, step-size selection, CSV emission.
 
 The experiment protocol mirrors the real-data benchmark: for each trial the
-dataset is reshuffled into 80/10/10 splits with a trial-derived seed, every
-criterion setting is trained under every candidate step size, and the step
-size minimizing the final-checkpoint validation mean loss is selected.  One
-CSV is written per run plus a JSON manifest listing files, seeds and
-selections; manifests carry no timing information so re-runs are
-byte-identical.
+dataset (as ``data.load_dataset`` reads its reference) is reshuffled into
+80/10/10 splits with a trial-derived seed, every criterion setting is
+trained under every candidate step size, and the step size minimizing the
+final-checkpoint validation mean loss is selected.  One CSV is written per
+run plus a JSON manifest listing files, seeds and selections; manifests
+carry no timing information so re-runs are byte-identical.
 """
 
 import csv
@@ -21,23 +21,14 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from .criteria import JointState, criterion_record, make_criterion
-from .data import (
-    SPLITS,
-    DataError,
-    Dataset,
-    check_format,
-    data_dir,
-    load_tabular,
-    open_text,
-    preprocess,
-    shuffle_split,
-)
+from .data import SPLITS, DataError, Dataset, check_format, open_text, preprocess, shuffle_split
 from .model import LinearModel, loss_values
 from .optimizer import (
     METRIC_FIELDS,
     RNG_ALGORITHM,
     OptConfig,
     TrajectoryRecord,
+    check_batch_size,
     check_step_size,
     train,
 )
@@ -50,7 +41,6 @@ __all__ = [
     "write_trajectory_csv",
     "read_trajectory_csv",
     "make_criterion",
-    "load_dataset",
     "build_initial_state",
     "default_lam",
     "run_experiment",
@@ -199,7 +189,7 @@ class ExperimentSpec:
             raise ValueError("step_sizes must list at least one step size")
         for step in self.step_sizes:
             check_step_size(step)
-        check_format(self.data_format, self.label_col)
+        check_format(self.data_format, self.label_col, self.data)
 
 
 def default_lam(n_train: int) -> float:
@@ -229,24 +219,6 @@ def build_initial_state(dataset: Dataset, h0: Optional[np.ndarray] = None) -> Jo
 _MEAN_SD, _MEAN_LOSS = METRIC_FIELDS.index("mean_sd"), METRIC_FIELDS.index("mean_loss")
 # the fields a setting's selection copies from its chosen run
 _PICKED = ("step_size", "file", "final_test_mean_sd")
-
-
-def load_dataset(ref: str, fmt: str = "csv", label_col: Optional[str] = None) -> Dataset:
-    """Resolve a data reference: bundled:<name>, a path, or a data_dir()-relative path."""
-    if ref.startswith("bundled:"):
-        name = ref.split(":", 1)[1]
-        path = Path(__file__).parent / "datasets" / f"{name}.csv"
-        if not path.exists():
-            raise FileNotFoundError(f"no bundled dataset {name!r}")
-        return load_tabular(path, "csv", label_col)
-    path = Path(ref)
-    if not path.exists():
-        candidate = data_dir() / ref
-        if candidate.exists():
-            path = candidate
-        else:
-            raise FileNotFoundError(f"dataset {ref!r} not found (also tried {candidate})")
-    return load_tabular(path, fmt, label_col)
 
 
 def _run_files(trial: int, settings, runs) -> List[str]:
@@ -322,7 +294,7 @@ def _train_in_parts(runs, files, init: JointState, ds: Dataset, out: Path) -> Li
 
 def run_experiment(spec: ExperimentSpec, dataset: Dataset) -> dict:
     """Execute the full sweep on ``dataset`` (``spec.data`` as
-    ``load_dataset`` reads it) and return (and write) the manifest.
+    ``data.load_dataset`` reads it) and return (and write) the manifest.
 
     Run ``i = k*S + j`` of a trial is criterion setting ``k`` under step
     size ``j`` (S step sizes): criterion-major, as the stack's blocks are
@@ -346,9 +318,7 @@ def run_experiment(spec: ExperimentSpec, dataset: Dataset) -> dict:
         split_seed = spec.seed + trial
         ds = preprocess(shuffle_split(dataset, split_seed))
         n_train = int(ds.split_indices("train").size)
-        if spec.batch_size > n_train:
-            raise ValueError(f"[experiment] batch_size {spec.batch_size} exceeds "
-                             f"train size {n_train}")
+        check_batch_size(spec.batch_size, n_train, "[experiment] ")
         lam = spec.lam if spec.lam is not None else default_lam(n_train)
         # every method and setting is checked before anything is written
         criteria = [make_criterion(method, setting, n_train, lam) for method, setting in settings]

@@ -67,6 +67,12 @@ def check_step_size(step: float) -> None:
         raise ValueError(f"step size must be finite and positive, got {step!r}")
 
 
+def check_batch_size(batch_size: int, n_train: int, prefix: str = "") -> None:
+    """Raise ValueError, its text after ``prefix``, unless a batch fits in the train split."""
+    if batch_size > n_train:
+        raise ValueError(f"{prefix}batch_size {batch_size} exceeds train size {n_train}")
+
+
 @dataclass
 class OptConfig:
     """Optimizer settings: batch mode (iterations) xor SGD mode (epochs+batch_size)."""
@@ -257,7 +263,7 @@ class _LiveRuns:
         if self.lone:
             self.h, self.a, self.b = init.h.copy(), float(init.a), float(init.b)
             self.step = configs[0].step_size
-            self.updates_b = criteria[0].updates_b
+            self.updates_b = criteria[0].record.updates_b
         else:
             self.h = np.repeat(init.h[None], r, axis=0)
             self.a = np.full(r, float(init.a))
@@ -335,8 +341,7 @@ def _minibatches(config: OptConfig, train, bind):
     order; with batch_size = n an epoch is bitwise one full-gradient step.
     Each batch is bound as it is cut.  A checkpoint falls at each epoch end.
     """
-    if config.batch_size > train.size:
-        raise ValueError(f"batch_size {config.batch_size} exceeds train size {train.size}")
+    check_batch_size(config.batch_size, train.size)
     rng = np.random.Generator(np.random.PCG64(config.seed))
     step = 0
     for epoch in range(1, config.epochs + 1):

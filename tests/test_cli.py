@@ -212,31 +212,48 @@ def test_train_setting_flag_that_is_not_a_finite_number_exits_2_naming_it(
     assert not (tmp_path / "run").exists()
 
 
+# how train's refusal of a flag's value that the data rule out starts: sunhuber's
+# beta0 / sqrt(n) must stay below lam, which ties --lam to --beta0, and an SGD
+# batch must fit in the train split (690 rows)
+REFUSED = {"--beta0": "--beta0: sunhuber setting ", "--xi": "--xi: cvar setting ",
+           "--eta-tilde": "--eta-tilde: chisq_dro setting ",
+           "--lam": "--beta0, --lam: sunhuber setting 0.9: beta = beta0/sqrt(n) = ",
+           "--batch-size": "--batch-size: batch_size 1000 exceeds train size 690\n"}
+
+
 @pytest.mark.parametrize("criterion, flag, value", [("sunhuber", "--beta0", "-1"),
                                                     ("cvar", "--xi", "7"),
-                                                    ("chisq_dro", "--eta-tilde", "1.5")])
+                                                    ("chisq_dro", "--eta-tilde", "1.5"),
+                                                    ("sunhuber", "--lam", "0.01"),
+                                                    ("erm", "--batch-size", "1000")])
 def test_train_setting_out_of_range_exits_1_naming_its_flag(tmp_path, capsys, criterion, flag,
                                                             value):
+    schedule = ["--epochs", "1"] if flag == "--batch-size" else ["--iterations", "1"]
     assert main(["train", "--data", "bundled:credit690", "--criterion", criterion, flag, value,
-                 "--iterations", "1", "--out", str(tmp_path / "run")]) == 1
-    assert capsys.readouterr().err.startswith(f"error: {flag}: {criterion} setting ")
+                 *schedule, "--out", str(tmp_path / "run")]) == 1
+    assert one_error_line(capsys).startswith(f"error: {REFUSED[flag]}")
+    assert not (tmp_path / "run").exists()
 
 
 # the setting flag of each criterion that takes one; erm takes none
 SETTING_FLAG = {"sunhuber": "--beta0", "cvar": "--xi", "chisq_dro": "--eta-tilde"}
+# the criterion flags each criterion reads: its setting's, and --lam where lam
+# is one of its coefficients
+READS = {**SETTING_FLAG, "sunhuber": "--beta0, --lam"}
 
 
 @pytest.mark.parametrize("criterion, flag", [
     (criterion, flag) for criterion in KINDS for flag in SETTING_FLAG.values()
     if SETTING_FLAG.get(criterion) != flag
-])
+] + [(criterion, "--lam") for criterion in KINDS if criterion != "sunhuber"])
 def test_train_setting_flag_the_criterion_does_not_take_exits_2_naming_it(
         tmp_path, capsys, criterion, flag):
+    value = "5" if flag == "--lam" else "0.5"
     with pytest.raises(SystemExit) as exit_:
-        main(["train", "--data", "bundled:credit690", "--criterion", criterion, flag, "0.5",
+        main(["train", "--data", "bundled:credit690", "--criterion", criterion, flag, value,
               "--iterations", "1", "--out", str(tmp_path / "run")])
     assert exit_.value.code == 2
-    takes = SETTING_FLAG.get(criterion, "no setting flag")
+    takes = READS.get(criterion, "no setting flag")
     assert f"argument {flag}: criterion {criterion} takes {takes}\n" in capsys.readouterr().err
     assert not (tmp_path / "run").exists()
 
@@ -287,6 +304,27 @@ def test_train_reads_each_flag_of_its_schedule(tmp_path):
     assert sgd == run("--epochs", "30", "--batch-size", "32", "--seed", "0")
     for flags in (["--epochs", "2"], ["--batch-size", "7"], ["--seed", "5"]):
         assert sgd != run(*flags)
+
+
+@pytest.mark.parametrize("criterion", KINDS)
+def test_train_takes_lam_auto_with_every_criterion_and_sunhuber_reads_lam(tmp_path, criterion):
+    def run(*lam):
+        out = tmp_path / "_".join(("run",) + lam)
+        assert main(["train", "--data", "bundled:credit690", "--criterion", criterion, *lam,
+                     "--iterations", "1", "--out", str(out)]) == 0
+        return (out / "trajectory.csv").read_bytes()
+
+    assert run() == run("--lam", "auto")
+    if criterion == "sunhuber":
+        assert run() != run("--lam", "0.5")
+
+
+def test_train_reads_a_bundled_dataset_as_csv_only(tmp_path, capsys):
+    # the format is read for every reference; a bundled dataset is a CSV
+    assert main(["train", "--data", "bundled:credit690", "--format", "svmlight", "--criterion",
+                 "erm", "--iterations", "1", "--out", str(tmp_path / "run")]) == 1
+    one_error_line(capsys, "'svmlight'", "'bundled:credit690'")
+    assert not (tmp_path / "run").exists()
 
 
 @pytest.mark.parametrize("criterion, flag", SETTING_FLAG.items())
@@ -484,13 +522,16 @@ def test_one_cpu_verify_writes_the_same_report(tmp_path, capsys, monkeypatch):
         "[data]\npath = bundled:credit690\nformat = json\n",  # unknown format
         # only a CSV has named columns
         "[data]\npath = bundled:credit690\nformat = svmlight\nlabel_col = label\n",
+        "[data]\npath = bundled:credit690\nformat = svmlight\n",  # a bundled dataset is a CSV
     ],
 )
-def test_experiment_malformed_config_exits_1(tmp_path, capsys, text):
+def test_experiment_malformed_config_exits_1(tmp_path, capsys, monkeypatch, text):
+    monkeypatch.chdir(tmp_path)  # where the default out directory, results, would go
     cfg = tmp_path / "bad.ini"
     cfg.write_text(text, encoding="latin-1")
     assert main(["experiment", "--config", str(cfg)]) == 1
     assert capsys.readouterr().err.startswith(f"error: config file {str(cfg)!r}: ")
+    assert [p.name for p in tmp_path.iterdir()] == ["bad.ini"]
 
 
 @pytest.mark.parametrize(

@@ -3,6 +3,7 @@
 import math
 import re
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from robustmsd.data import (
     Dataset,
     SynthConfig,
     generate_2d_outlier,
+    load_dataset,
     load_tabular,
     preprocess,
     shuffle_split,
@@ -528,3 +530,38 @@ def test_data_dir_env_override(monkeypatch):
     assert str(data_dir()) == "data"
     monkeypatch.setenv("ROBUSTMSD_DATA_DIR", "/somewhere/else")
     assert str(data_dir()) == "/somewhere/else"
+
+
+@pytest.mark.parametrize("ref, fmt, file", [
+    ("bundled:credit690", "csv", "BUNDLED"),
+    ("ABSOLUTE", "csv", "here.csv"),
+    ("here.csv", "csv", "here.csv"),  # relative to the working directory
+    ("under.csv", "csv", "store/under.csv"),  # relative to ROBUSTMSD_DATA_DIR
+    ("under.svm", "svmlight", "store/under.svm"),
+    ("nope.csv", "csv", "dataset 'nope.csv' not found (also tried store/nope.csv)"),
+    ("bundled:nope", "csv", "no bundled dataset 'nope'"),
+])
+def test_load_dataset_reads_the_one_file_a_reference_names(tmp_path, monkeypatch, ref, fmt,
+                                                           file):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv("ROBUSTMSD_DATA_DIR", "store")
+    write(tmp_path, "here.csv", "f,label\n1,0\n2,1\n")
+    (tmp_path / "store").mkdir()
+    write(tmp_path, "store/under.csv", "f,g,label\n1,5,a\n2,6,b\n3,7,c\n")
+    write(tmp_path, "store/under.svm", "1 2:0.5\n-1 1:2\n")
+    ref = str(tmp_path / "here.csv") if ref == "ABSOLUTE" else ref
+    if file == "BUNDLED":
+        file = Path(data.__file__).parent / "datasets" / "credit690.csv"
+    elif not Path(file).exists():
+        with pytest.raises(FileNotFoundError, match=re.escape(file)):
+            load_dataset(ref, fmt)
+        return
+    got, want = load_dataset(ref, fmt), load_tabular(file, fmt)
+    assert np.array_equal(got.features, want.features)
+    assert np.array_equal(got.labels, want.labels) and got.n_classes == want.n_classes
+
+
+def test_load_dataset_reads_a_bundled_dataset_as_csv_only():
+    with pytest.raises(DataError, match=re.escape(
+            "format 'svmlight': bundled dataset 'bundled:credit690' is a csv file")):
+        load_dataset("bundled:credit690", "svmlight")

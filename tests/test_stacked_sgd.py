@@ -256,8 +256,8 @@ def test_block_kernels_equal_scalar_objectives_bitwise(batch):
         ev = evaluate_objective(LossBatch(losses[i], dscore[i], rows), state, p)
         assert_bitwise(np.array([value[i]]), np.array([ev.value]))
         assert_bitwise(grad_h[i], ev.grad_h)
-        assert_bitwise(np.array([grad_a[i]]), np.array([ev.grad_a if p.updates_a else 0.0]))
-        want_b = ev.grad_b if p.updates_b else 0.0
+        assert_bitwise(np.array([grad_a[i]]), np.array([ev.grad_a if p.record.updates_a else 0.0]))
+        want_b = ev.grad_b if p.record.updates_b else 0.0
         assert_bitwise(np.array([grad_b[i]]), np.array([want_b]))
         assert_bitwise(
             np.array([values_only[i]]), np.array([criterion_value(losses[i], state, p)])
@@ -332,9 +332,9 @@ def test_train_stacks_runs_as_they_train_alone(problem):
             assert_same_finished_runs(stacked, alone, [(i, 0)])
             a, b = stacked.metrics[..., i, A_COLUMN], stacked.metrics[..., i, B_COLUMN]
             # a and b are recorded, at every checkpoint, exactly when the kind optimizes them
-            assert (np.isnan(a) != params.updates_a).all()
-            assert (np.isnan(b) != params.updates_b).all()
-            if params.updates_b:
+            assert (np.isnan(a) != params.record.updates_a).all()
+            assert (np.isnan(b) != params.record.updates_b).all()
+            if params.record.updates_b:
                 assert (b >= B_FLOOR).all() and stacked.b[i] >= B_FLOOR
         # an SGD epoch over the whole train split is one full-batch GD step
         epochs = schedule.get("epochs", 2)
