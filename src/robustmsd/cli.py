@@ -21,7 +21,6 @@ from .harness import (
     MethodGrid,
     aggregate_trials,
     build_initial_state,
-    default_lam,
     load_manifest,
     make_criterion,
     run_experiment,
@@ -37,8 +36,6 @@ def _cmd_synth(args) -> int:
     config = SynthConfig(
         n=args.n,
         seed=args.seed,
-        class_means=(args.mean0, args.mean1),
-        covariance_scale=args.covariance_scale,
         outlier_scale=args.outlier_scale,
     )
     ds = generate_2d_outlier(config)
@@ -72,10 +69,9 @@ def _cmd_train(args) -> int:
     n_train = int(dataset.split_indices("train").size)
     if not gd:
         check_batch_size(args.batch_size, n_train, "--batch-size: ")
-    lam = default_lam(n_train) if args.lam is None else args.lam
     setting = None if record.setting is None else getattr(args, record.setting)
     try:
-        params = make_criterion(args.criterion, setting, n_train, lam)
+        params = make_criterion(args.criterion, setting, n_train, args.lam)
     except ValueError as err:  # a setting out of its kind's range, or sunhuber's past lam
         named = reads if isinstance(err, BoundError) else (record.setting,)
         raise ValueError(f"{', '.join(map(_flag_name, named))}: {err}") from None
@@ -118,14 +114,6 @@ def _finite(text):
     if not math.isfinite(value):
         raise ValueError(text)
     return value
-
-
-def _pair(text):
-    """The two finite numbers of a comma-separated value."""
-    values = tuple(_finite(item) for item in text.split(","))
-    if len(values) != 2:
-        raise ValueError(text)
-    return values
 
 
 def _positive(text):
@@ -177,7 +165,7 @@ def _fill_flags(args, defaults, read, who):
             if getattr(args, field) is None:
                 setattr(args, field, default)
         elif getattr(args, field) is not None:
-            takes = ", ".join(map(_flag_name, read)) or "no setting flag"
+            takes = ", ".join(map(_flag_name, read)) or "no criterion flag"
             args.usage_error(f"argument {_flag_name(field)}: {who} takes {takes}")
 
 
@@ -201,8 +189,7 @@ def _flag(convert, what):
 
 _NON_NEGATIVE_FLAG = _flag(_non_negative, _NON_NEGATIVE)  # seeds, --iterations, --epochs
 _POSITIVE_FLAG = _flag(_at_least(1), "a positive integer")  # --batch-size, --checkpoint-every
-_FINITE_FLAG = _flag(_finite, "a finite number")  # synth's scales, train's settings
-_PAIR_FLAG = _flag(_pair, "two comma-separated finite numbers")  # synth's class means
+_FINITE_FLAG = _flag(_finite, "a finite number")  # synth's --outlier-scale, train's settings
 
 
 def _parse(text, key, convert, what):
@@ -357,9 +344,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=_NON_NEGATIVE_FLAG, default=0)
     p.add_argument("--out", default=".")
     p.add_argument("--outlier-scale", type=_FINITE_FLAG, default=-10.0)
-    p.add_argument("--covariance-scale", type=_FINITE_FLAG, default=1.0)
-    p.add_argument("--mean0", type=_PAIR_FLAG, default=(-2.0, -2.0))
-    p.add_argument("--mean1", type=_PAIR_FLAG, default=(2.0, 2.0))
     p.set_defaults(func=_cmd_synth)
 
     p = sub.add_parser("train", help="single training run with trajectory CSV")

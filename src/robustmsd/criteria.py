@@ -48,6 +48,7 @@ __all__ = [
     "ObjectiveEval",
     "BoundError",
     "schedule_params",
+    "default_lam",
     "make_criterion",
     "evaluate_objective",
     "criterion_value",
@@ -313,16 +314,21 @@ def schedule_params(n: int, beta0: float, lam: float) -> CriterionParams:
     return CriterionParams("sunhuber", alpha=beta, beta=beta, lam=lam, beta0=beta0)
 
 
-def make_criterion(kind: str, setting, n_train: int, lam: float) -> CriterionParams:
+def default_lam(n_train: int) -> float:
+    return math.log(n_train) / math.sqrt(n_train)
+
+
+def make_criterion(kind: str, setting, n_train: int, lam: Optional[float]) -> CriterionParams:
     """The criterion of one sweep setting (None for a kind that takes none).
 
-    A beta0 goes through the sqrt(n) schedule.  An unknown kind or a setting
-    the kind rejects raises ValueError naming the kind (BoundError where beta >= lam).
+    A beta0 goes through the sqrt(n) schedule, at ``default_lam(n_train)`` when
+    ``lam`` is None.  An unknown kind or a setting the kind rejects raises
+    ValueError naming the kind (BoundError where beta >= lam).
     """
     field = criterion_record(kind).setting
     try:
         if field == "beta0":
-            return schedule_params(n_train, setting, lam)
+            return schedule_params(n_train, setting, default_lam(n_train) if lam is None else lam)
         return CriterionParams(kind, **({field: setting} if field else {}))
     except ValueError as err:
         raise type(err)(f"{kind} setting {setting!r}: {err}") from None
@@ -421,8 +427,8 @@ class CriterionStack:
         return out
 
 
-def mean_sd(values, lam: float = 1.0, *, mean=None):
-    """Sample mean plus sqrt(lam * sample variance), variance with divisor n.
+def mean_sd(values, *, mean=None):
+    """Sample mean plus sample standard deviation, variance with divisor n.
 
     Reduces the last axis: a float for one sample, an array for a stack.
     A caller that already holds the sample mean, ``np.add.reduce(values,
@@ -432,14 +438,12 @@ def mean_sd(values, lam: float = 1.0, *, mean=None):
     n = values.shape[-1]
     if n == 0:
         raise ValueError("mean_sd requires at least one loss")
-    if lam < 0.0:
-        raise ValueError(f"lam must be nonnegative, got {lam!r}")
     # the sums and divisions of np.mean and np.var, without their call overhead
     if mean is None:
         mean = np.add.reduce(values, -1) / n
     dev = values - np.expand_dims(mean, -1)
     dev *= dev
-    out = mean + np.sqrt(lam * (np.add.reduce(dev, -1) / n))
+    out = mean + np.sqrt(np.add.reduce(dev, -1) / n)
     return float(out) if out.ndim == 0 else out
 
 

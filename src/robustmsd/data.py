@@ -104,39 +104,28 @@ class Dataset:
 
 @dataclass
 class SynthConfig:
-    """Two spherical Gaussian classes on the plane plus one scaled outlier."""
+    """Two classes on the plane, N((-2, -2), I) and N((2, 2), I), plus one scaled outlier."""
 
     n: int = 100
-    class_means: tuple = ((-2.0, -2.0), (2.0, 2.0))
-    covariance_scale: float = 1.0
     outlier_scale: float = -10.0
     seed: int = 0
 
     def __post_init__(self):
         if self.n <= 0 or self.n % 2 != 0:
             raise DataError(f"n must be even and positive, got {self.n!r}")
-        if self.covariance_scale <= 0.0:
-            raise DataError("covariance_scale must be positive")
 
 
 def generate_2d_outlier(config: SynthConfig) -> Dataset:
     """Generate the planar two-class task with a single multiplied outlier.
 
-    n/2 points per class are drawn from N(mean_k, covariance_scale * I); one
-    uniformly chosen row has its feature vector multiplied by
-    ``outlier_scale``.  All rows are tagged as training data.
+    n/2 points per class are drawn from N((-2, -2), I) and n/2 from
+    N((2, 2), I); one uniformly chosen row has its feature vector multiplied
+    by ``outlier_scale``.  All rows are tagged as training data.
     """
     rng = np.random.Generator(np.random.PCG64(config.seed))
     half = config.n // 2
-    sd = math.sqrt(config.covariance_scale)
-    mean0 = np.asarray(config.class_means[0], dtype=float)
-    mean1 = np.asarray(config.class_means[1], dtype=float)
-    X = np.vstack(
-        [
-            mean0 + sd * rng.standard_normal((half, 2)),
-            mean1 + sd * rng.standard_normal((half, 2)),
-        ]
-    )
+    X = np.vstack([-2.0 + rng.standard_normal((half, 2)),
+                   2.0 + rng.standard_normal((half, 2))])
     labels = np.repeat([0, 1], half)
     outlier_row = int(rng.integers(config.n))
     with np.errstate(over="ignore", invalid="ignore"):

@@ -42,7 +42,6 @@ __all__ = [
     "read_trajectory_csv",
     "make_criterion",
     "build_initial_state",
-    "default_lam",
     "run_experiment",
     "aggregate_records",
     "load_manifest",
@@ -192,10 +191,6 @@ class ExperimentSpec:
         check_format(self.data_format, self.label_col, self.data)
 
 
-def default_lam(n_train: int) -> float:
-    return math.log(n_train) / math.sqrt(n_train)
-
-
 @np.errstate(over="ignore", invalid="ignore")  # JointState rejects a non-finite a or b
 def build_initial_state(dataset: Dataset, h0: Optional[np.ndarray] = None) -> JointState:
     """Zero weights, or ``h0``'s K x (d + 1) values (flat or shaped; K = 1 for binary
@@ -319,9 +314,9 @@ def run_experiment(spec: ExperimentSpec, dataset: Dataset) -> dict:
         ds = preprocess(shuffle_split(dataset, split_seed))
         n_train = int(ds.split_indices("train").size)
         check_batch_size(spec.batch_size, n_train, "[experiment] ")
-        lam = spec.lam if spec.lam is not None else default_lam(n_train)
         # every method and setting is checked before anything is written
-        criteria = [make_criterion(method, setting, n_train, lam) for method, setting in settings]
+        criteria = [make_criterion(method, setting, n_train, spec.lam)
+                    for method, setting in settings]
         config = OptConfig(step_size=spec.step_sizes[0], epochs=spec.epochs,
                            batch_size=spec.batch_size, seed=split_seed)
         runs = [(params, replace(config, step_size=step))

@@ -111,7 +111,7 @@ _COLUMN = {name: k for k, name in enumerate(METRIC_FIELDS)}
 
 @dataclass
 class TrajectoryRecord:
-    """Metrics of one (checkpoint, split) cell; mean_sd is evaluated at lam=1."""
+    """Metrics of one (checkpoint, split) cell; mean_sd is the losses' mean plus their SD."""
 
     checkpoint: int
     split: str

@@ -88,13 +88,6 @@ class DiscreteDist:
         values = np.asarray(values, dtype=float)
         return cls(values, np.ones(values.size) / values.size)
 
-    def mean(self) -> float:
-        return float(self.probs @ self.values)
-
-    def var(self) -> float:
-        m = self.mean()
-        return float(self.probs @ (self.values - m) ** 2)
-
 
 def _stack(dist, *per_row):
     """One row from a DiscreteDist and floats, or N from (N, M) and (N,) arrays."""

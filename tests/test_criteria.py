@@ -176,14 +176,9 @@ def test_chisq_dro_zero_positive_part_gradient():
 
 
 def test_mean_sd_examples():
-    assert mean_sd([0.0, 0.0, 2.0, 2.0], 1.0) == pytest.approx(2.0, rel=1e-14)
-    assert mean_sd([3.0, 3.0, 3.0], 17.0) == 3.0
-    assert mean_sd([0.0, 0.0, 2.0, 2.0], 4.0) == pytest.approx(3.0, rel=1e-14)
-    assert mean_sd([1.0, 7.0, -2.0], 0.0) == np.mean([1.0, 7.0, -2.0])
+    assert mean_sd([0.0, 0.0, 2.0, 2.0]) == pytest.approx(2.0, rel=1e-14)
     with pytest.raises(ValueError):
-        mean_sd([], 1.0)
-    with pytest.raises(ValueError):
-        mean_sd([1.0], -0.5)
+        mean_sd([])
 
 
 def test_mean_sd_given_mean_keeps_the_bits():
@@ -191,7 +186,6 @@ def test_mean_sd_given_mean_keeps_the_bits():
     stack = rng.lognormal(0.0, 2.0, (6, 333))
     mean = np.add.reduce(stack, -1) / 333
     assert np.array_equal(mean_sd(stack, mean=mean), mean_sd(stack))
-    assert np.array_equal(mean_sd(stack, 3.0, mean=mean), mean_sd(stack, 3.0))
     one = stack[2]
     assert mean_sd(one, mean=mean[2]) == mean_sd(one)
     assert isinstance(mean_sd(one, mean=mean[2]), float)
@@ -565,4 +559,4 @@ def test_trajectory_metric_inequality_mean_sd_dominates_mean():
     rng = np.random.Generator(np.random.PCG64(47))
     for _ in range(50):
         losses = rng.normal(size=10)
-        assert mean_sd(losses, 1.0) >= float(np.mean(losses))
+        assert mean_sd(losses) >= float(np.mean(losses))

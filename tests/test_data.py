@@ -1,5 +1,6 @@
 """Synthetic generation, tabular parsing, preprocessing and splits."""
 
+import itertools
 import math
 import re
 import warnings
@@ -55,6 +56,18 @@ def test_synth_refuses_an_outlier_row_past_the_finite_range(scale):
         warnings.simplefilter("error")
         with pytest.raises(DataError, match="^outlier_scale .* past the finite range$"):
             generate_2d_outlier(SynthConfig(n=100, seed=0, outlier_scale=scale))
+
+
+def test_synth_keeps_the_bits_of_its_fixed_class_geometry():
+    # the arithmetic of N(mean, 1.0 * I) per class, then the scaled outlier row
+    for n, seed, scale in itertools.product((2, 100), range(4), (-10.0, 1.0, -1000.0)):
+        rng = np.random.Generator(np.random.PCG64(seed))
+        X = np.vstack([np.array([mean, mean]) + 1.0 * rng.standard_normal((n // 2, 2))
+                       for mean in (-2.0, 2.0)])
+        X[int(rng.integers(n))] *= scale
+        ds = generate_2d_outlier(SynthConfig(n=n, seed=seed, outlier_scale=scale))
+        assert ds.features.tobytes() == X.tobytes(), (n, seed, scale)
+        np.testing.assert_array_equal(ds.labels, np.repeat([0, 1], n // 2))
 
 
 def test_synth_identity_outlier_scale():

@@ -16,6 +16,7 @@ from conftest import use_cpus
 
 from robustmsd import harness
 from robustmsd.cli import main
+from robustmsd.criteria import default_lam
 from robustmsd.data import Dataset, load_tabular
 from robustmsd.harness import (
     METRIC_FIELDS,
@@ -26,7 +27,6 @@ from robustmsd.harness import (
     aggregate_records,
     aggregate_trials,
     build_initial_state,
-    default_lam,
     make_criterion,
     read_trajectory_csv,
     run_experiment,

@@ -235,7 +235,7 @@ def test_checkpoint_metrics_recomputable_from_final_state():
             continue
         idx = ds.split_indices(rec.split)
         values = loss_values(model, ds.features[idx], ds.labels[idx])
-        assert rec.mean_sd == mean_sd(values, 1.0)
+        assert rec.mean_sd == mean_sd(values)
         assert rec.mean_loss == float(np.mean(values))
         predicted = classes_from_scores(
             score_rows(model.weights, design_rows(model, ds.features[idx]))

@@ -22,6 +22,7 @@ from robustmsd.criteria import (
     CriterionStack,
     JointState,
     criterion_value,
+    default_lam,
     evaluate_objective,
 )
 from robustmsd.data import (
@@ -36,7 +37,6 @@ from robustmsd.harness import (
     DEFAULT_LEVELS,
     DEFAULT_STEP_SIZES,
     build_initial_state,
-    default_lam,
     make_criterion,
     write_trajectory_csv,
 )

@@ -22,12 +22,13 @@ from robustmsd.criteria import (
     CriterionParams,
     JointState,
     criterion_value,
+    default_lam,
     evaluate_objective,
     schedule_params,
 )
 from robustmsd.data import Dataset, SynthConfig, generate_2d_outlier, load_tabular
 from robustmsd.data import preprocess, shuffle_split
-from robustmsd.harness import build_initial_state, default_lam
+from robustmsd.harness import build_initial_state
 from robustmsd.model import LossBatch
 from robustmsd.optimizer import OptConfig, train
 
