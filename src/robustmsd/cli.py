@@ -80,13 +80,13 @@ def _cmd_train(args) -> int:
 
     config = OptConfig(step_size=args.step_size, iterations=args.iterations,
                        **{name: getattr(args, name) for name in schedule})
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)  # an unusable --out fails before training
     if gd:  # tests/test_acceptance.py imports run_batch_gd; perfbench counts its spans
         result = run_batch_gd(params, init, dataset, config)
     else:
         result = train([(params, config)], init, dataset).result(0)
 
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     path = out / "trajectory.csv"
     write_trajectory_csv(path, result.trajectory)
     if not result.trajectory:

@@ -381,10 +381,6 @@ class CriterionStack:
         if len(self.params) == 1:  # a lone run's kernel and float coefficients
             self._lone = self.params[0].record.objective, self.params[0].coefficients
 
-    def select(self, keep) -> "CriterionStack":
-        """The stack of the rows flagged in the boolean mask ``keep``."""
-        return CriterionStack([p for p, k in zip(self.params, keep) if k])
-
     def objective(self, values, dscore, rows, a, b):
         """(value, grad_h, grad_a, grad_b) of every row on one shared batch.
 

@@ -12,13 +12,15 @@ sweep's manifest records), so trajectories can be reproduced bit-for-bit.
 One entry point (``train``) trains any number of runs whose configs agree
 on all but the step size: they see the same batches, so their weights are
 stacked as one (R, K, d) array and each step is one array program over all
-of them.  The shared config picks the schedule, full-batch GD when it sets
-``iterations`` and mini-batch SGD otherwise, which binds each batch for
-scoring once.  ``run_batch_gd`` trains one GD run.  A lone run (R = 1)
-keeps (K, d) weights and float a, b and step size, which the kernels take
-as they are: its time is mostly per-step overhead, and as (1,) arrays a
-planar step costs ~90% more (~41 against ~77 us for the joint criterion).
-Per-run results are bitwise those of training each run alone.
+of them.  A run that diverges keeps its row to the end, flagged in one (R,)
+mask that the guard and the metrics pass over.  The shared config picks
+the schedule, full-batch GD when it sets ``iterations`` and mini-batch SGD
+otherwise, which binds each batch for scoring once.  ``run_batch_gd``
+trains one GD run.  A lone run (R = 1) keeps (K, d) weights and float a,
+b and step size, which the kernels take as they are: its time is mostly
+per-step overhead, and as (1,) arrays a planar step costs ~90% more (~41
+against ~77 us for the joint criterion).  Per-run results are bitwise
+those of training each run alone.
 """
 
 import math
@@ -136,12 +138,13 @@ def _norms(H: np.ndarray) -> np.ndarray:
     return np.sqrt(np.matmul(flat[:, None, :], flat[:, :, None])[:, 0, 0])
 
 
-def _diverged_rows(value, H, norms, where: str, *args) -> Dict[int, str]:
+def _diverged_rows(value, H, norms, where: str, *args, gone=False) -> Dict[int, str]:
     """The divergence guard: the message of every stacked run that trips it.
 
     A run trips on a non-finite objective or a weight norm above the limit
-    (the norm is finite only when every weight is).  ``where`` is formatted
-    with ``args`` only when a run trips.
+    (the norm is finite only when every weight is); a run flagged in the
+    boolean mask ``gone`` has diverged already and is passed over.  ``where``
+    is formatted with ``args`` only when a row is not ok.
     """
     ok = (norms <= H_NORM_LIMIT) & np.isfinite(value)
     if ok.all():
@@ -151,18 +154,20 @@ def _diverged_rows(value, H, norms, where: str, *args) -> Dict[int, str]:
         int(i): f"non-finite objective at {context}"
         if not np.isfinite(value[i]) or not np.all(np.isfinite(H[i]))
         else f"weight norm exceeded {H_NORM_LIMIT:g} at {context}"
-        for i in np.flatnonzero(~ok)
+        for i in np.flatnonzero(~(ok | gone))
     }
 
 
 def _checkpoint_records(
-    checkpoint: int, splits, stack: CriterionStack, H, a, b, dead: Dict[int, str]
+    checkpoint: int, splits, stack: CriterionStack, H, a, b, gone, dead: Dict[int, str]
 ) -> np.ndarray:
     """Metrics of stacked runs at one checkpoint, each split scored once.
 
-    Returns one row of ``METRIC_FIELDS`` per (split, run) record, split-major.
-    Adds to ``dead`` the divergence message of every run whose guard trips,
-    keyed by row; a run's message names the first split on which it tripped.
+    Returns one row of ``METRIC_FIELDS`` per (split, run) record, split-major;
+    a run flagged in the boolean mask ``gone`` diverged earlier, and its
+    records read nan.  Adds to ``dead`` the divergence message of every other
+    run whose guard trips, keyed by row; a run's message names the first
+    split on which it tripped.
     A split is scored for a chunk of runs at a time, which bounds the
     (runs, n) arrays that otherwise make the peak of a sweep's memory.
     """
@@ -185,7 +190,7 @@ def _checkpoint_records(
             del scores
             obj = stack.value(values, a[at], b[at], start=lo)
             for i, message in _diverged_rows(
-                obj, H[at], norms[at], "checkpoint {} ({})", checkpoint, split
+                obj, H[at], norms[at], "checkpoint {} ({})", checkpoint, split, gone=gone[at]
             ).items():
                 dead.setdefault(lo + i, message)
             out = rows[s, at]
@@ -194,6 +199,7 @@ def _checkpoint_records(
             out[:, _COLUMN["mean_loss"]] = mean
             out[:, _COLUMN["error_rate"]] = wrong / n
             out[:, _COLUMN["objective"]] = obj
+    rows[:, gone] = np.nan
     return rows.reshape(-1, len(METRIC_FIELDS))
 
 
@@ -224,10 +230,12 @@ class StackedRuns:
     sweep builds none: it writes each run's CSV from ``metrics[:, :, i]``,
     formatting ``model_norm``, ``a`` and ``b`` once per checkpoint, since
     ``_checkpoint_records`` gives a run one value of each on every split.
+    A diverged run's metrics read nan after the checkpoint where it tripped
+    (or the last one before the step where it did), and so do its h, a, b.
     """
 
     errors: List[Optional[str]]  # divergence message, None for a finished run
-    h: np.ndarray  # (R, K, d) final weights; rows of diverged runs are nan
+    h: np.ndarray  # (R, K, d) final weights
     a: np.ndarray
     b: np.ndarray
     split_names: Tuple[str, ...]
@@ -248,17 +256,20 @@ class StackedRuns:
 
 
 class _LiveRuns:
-    """State of the runs still training; diverged runs' rows are dropped.
+    """State of the runs in training, each one row from start to end.
 
     A stack keeps (R, K, d) weights and (R,) arrays of a, b and step size.
     A lone run keeps its (K, d) weights and floats, so each of its steps
     does the arithmetic of one run and none of the bookkeeping of a stack.
+    A run that diverges is flagged in the (R,) mask ``gone`` with its
+    message in ``errors``; its row goes on stepping, but nothing reads it.
     """
 
     def __init__(self, criteria, configs, init: JointState):
         r = len(criteria)
         self.lone = r == 1
-        self.ids = np.arange(r)
+        self.gone = np.zeros(r, dtype=bool)
+        self.errors: List[Optional[str]] = [None] * r
         self.stack = CriterionStack(criteria)
         if self.lone:
             self.h, self.a, self.b = init.h.copy(), float(init.a), float(init.b)
@@ -277,31 +288,21 @@ class _LiveRuns:
         return self.h, self.a, self.b
 
     def diverged(self, value, where: str, *args) -> Dict[int, str]:
-        """``_diverged_rows`` of the live runs; a lone run checks its float
-        norm and value in plain Python, a small part of the array checks' cost."""
+        """``_diverged_rows`` of the runs not yet flagged; a lone run checks its
+        float norm and value in plain Python, a small part of the array checks' cost."""
         if not self.lone:
-            return _diverged_rows(value, self.h, _norms(self.h), where, *args)
+            return _diverged_rows(value, self.h, _norms(self.h), where, *args, gone=self.gone)
         norm = math.sqrt(np.vdot(self.h, self.h))
         if norm <= H_NORM_LIMIT and math.isfinite(value):
             return {}
         return _diverged_rows(np.array([value]), self.h[None], np.array([norm]), where, *args)
 
-    def drop(self, dead: Dict[int, str], errors: List[Optional[str]]) -> np.ndarray:
-        """Flag each dead row's run with its message; returns the kept-row mask.
-
-        A lone run that dies leaves no run to train, so its state stays.
-        """
-        keep = np.ones(self.ids.size, dtype=bool)
+    def flag(self, dead: Dict[int, str]) -> bool:
+        """Flag each dead row's run with its message; True once every run is."""
         for i, message in dead.items():
-            errors[self.ids[i]] = message
-            keep[i] = False
-        self.ids = self.ids[keep]
-        if not self.lone:
-            self.h, self.a, self.b, self.step = (
-                x[keep] for x in (self.h, self.a, self.b, self.step)
-            )
-            self.stack = self.stack.select(keep)
-        return keep
+            self.errors[i] = message
+            self.gone[i] = True
+        return bool(self.gone.all())
 
     def update(self, grad_h, grad_a, grad_b):
         """One gradient step, b projected onto [B_FLOOR, inf).
@@ -361,9 +362,10 @@ def train(
 
     The configs must agree on every field but the step size; their
     ``iterations`` picks full-batch GD, their ``epochs`` and ``batch_size``
-    mini-batch SGD.  A run that trips the divergence guard stops there and
-    carries the message a lone run would raise, its only report (numpy's
-    overflow and invalid-value warnings are off in here); the others go on.
+    mini-batch SGD.  A run that trips the divergence guard carries the
+    message a lone run would raise, its only report (numpy's overflow and
+    invalid-value warnings are off in here), and its row steps on unread
+    while the others go on; the loop ends once every run has tripped.
     """
     if not runs:
         raise ValueError("no runs to train")
@@ -375,9 +377,7 @@ def train(
     bind, train_idx, splits = _bind_run(init.h, dataset)
     live = _LiveRuns(criteria, configs, init)
     model = LinearModel(weights=live.h, includes_bias=False)
-    errors: List[Optional[str]] = [None] * len(runs)
     checkpoints, metrics = [], []
-    shape = (len(splits), len(runs), len(METRIC_FIELDS))
     for batch, where, checkpoint in schedule(first, train_idx, bind):
         model.weights = live.h
         losses = loss_batch(model, batch)
@@ -385,30 +385,24 @@ def train(
             losses.values, losses.dscore, losses.rows, live.a, live.b
         )
         dead = live.diverged(value, *where)
-        if dead:
-            keep = live.drop(dead, errors)
-            if not live.ids.size:
-                break  # every run diverged
-            grad_h, grad_a, grad_b = grad_h[keep], grad_a[keep], grad_b[keep]
+        if dead and live.flag(dead):
+            break  # every run diverged
         live.update(grad_h, grad_a, grad_b)
         if checkpoint is not None:
             dead = {}
-            rows = _checkpoint_records(checkpoint, splits, live.stack, *live.stacked(), dead)
-            block = np.full(shape, np.nan)
-            block[:, live.ids] = rows.reshape(len(splits), live.ids.size, shape[2])
             checkpoints.append(checkpoint)
-            metrics.append(block)
-            if dead:
-                live.drop(dead, errors)
-                if not live.ids.size:
-                    break
-    h = np.full((len(runs),) + init.h.shape, np.nan)
-    a, b = np.full(len(runs), np.nan), np.full(len(runs), np.nan)
-    # a lone run that diverged has no id left, so its row fills nothing
-    h[live.ids], a[live.ids], b[live.ids] = live.stacked()
+            metrics.append(_checkpoint_records(
+                checkpoint, splits, live.stack, *live.stacked(), live.gone, dead
+            ))
+            if dead and live.flag(dead):
+                break
+    h, a, b = live.stacked()
+    gone = live.gone
     return StackedRuns(
-        errors, h, a, b, tuple(s[0] for s in splits),
-        tuple(checkpoints), np.array(metrics).reshape((len(checkpoints),) + shape),
+        live.errors, np.where(gone[:, None, None], np.nan, h),
+        np.where(gone, np.nan, a), np.where(gone, np.nan, b), tuple(s[0] for s in splits),
+        tuple(checkpoints),
+        np.array(metrics).reshape((len(checkpoints), len(splits), len(runs), len(METRIC_FIELDS))),
     )
 
 

@@ -12,7 +12,7 @@ from conftest import use_cpus
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from robustmsd import harness
+from robustmsd import cli, harness
 from robustmsd.cli import _spec_from_config, build_parser, main
 from robustmsd.criteria import KINDS
 from robustmsd.data import DataError
@@ -158,6 +158,21 @@ def test_train_runtime_error_exits_1(tmp_path):
         ]
     )
     assert code == 1
+
+
+def test_train_that_cannot_make_its_out_dir_exits_1_before_training(
+    tmp_path, capsys, monkeypatch
+):
+    main(["synth", "--n", "100", "--seed", "0", "--out", str(tmp_path)])
+    capsys.readouterr()
+    calls = []
+    monkeypatch.setattr(cli, "run_batch_gd", lambda *args: calls.append(args))
+    blocker = tmp_path / "file"
+    blocker.write_text("a file where a directory goes", encoding="utf-8")
+    assert main(["train", "--data", str(tmp_path / "synth.csv"), "--criterion", "erm",
+                 "--iterations", "5", "--out", str(blocker / "x")]) == 1
+    one_error_line(capsys, str(blocker / "x"))
+    assert calls == []
 
 
 def test_train_resolves_data_like_experiment(tmp_path, monkeypatch, capsys):

@@ -135,32 +135,31 @@ def test_three_class_stack_equals_each_run_alone(three_class):
         )
 
 
-# the diverging runs overflow on purpose before their guard trips
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
-@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
 def test_diverging_step_leaves_the_others_unchanged(credit, tmp_path):
     # 1e14 trips the weight-norm guard within the first epoch; 1e300 makes
     # the weights non-finite, and a full batch trips the guard at a checkpoint
-    for batch_size, steps in ((32, (0.01, 1e14, 0.1)), (552, (0.1, 1e11, 1e300))):
-        runs = grid_runs(credit, steps, epochs=3, batch_size=batch_size, seed=5)
-        init = build_initial_state(credit)
-        stacked = train(runs, init, credit)
-        assert any(e is not None for e in stacked.errors)
-        assert any(e is None for e in stacked.errors)
-        for i, (params, config) in enumerate(runs):
-            try:
-                alone = train([(params, config)], init, credit).result(0)
-            except DivergenceError as err:
-                with pytest.raises(DivergenceError) as got:
-                    stacked.result(i)
-                assert str(got.value) == str(err) == stacked.errors[i]
-                continue
-            assert stacked.errors[i] is None
-            write_trajectory_csv(tmp_path / "stacked.csv", stacked.result(i).trajectory)
-            write_trajectory_csv(tmp_path / "alone.csv", alone.trajectory)
-            assert (tmp_path / "stacked.csv").read_bytes() == (
-                tmp_path / "alone.csv"
-            ).read_bytes()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # diverged rows step on without a numpy warning
+        for batch_size, steps in ((32, (0.01, 1e14, 0.1)), (552, (0.1, 1e11, 1e300))):
+            runs = grid_runs(credit, steps, epochs=3, batch_size=batch_size, seed=5)
+            init = build_initial_state(credit)
+            stacked = train(runs, init, credit)
+            assert any(e is not None for e in stacked.errors)
+            assert any(e is None for e in stacked.errors)
+            for i, (params, config) in enumerate(runs):
+                try:
+                    alone = train([(params, config)], init, credit).result(0)
+                except DivergenceError as err:
+                    with pytest.raises(DivergenceError) as got:
+                        stacked.result(i)
+                    assert str(got.value) == str(err) == stacked.errors[i]
+                    continue
+                assert stacked.errors[i] is None
+                write_trajectory_csv(tmp_path / "stacked.csv", stacked.result(i).trajectory)
+                write_trajectory_csv(tmp_path / "alone.csv", alone.trajectory)
+                assert (tmp_path / "stacked.csv").read_bytes() == (
+                    tmp_path / "alone.csv"
+                ).read_bytes()
 
 
 def test_planar_gd_stack_equals_each_run_alone():
@@ -328,6 +327,12 @@ def test_train_stacks_runs_as_they_train_alone(problem):
             alone = stack(ds, init, [params], [step], **schedule)
             assert stacked.errors[i] == alone.errors[0]
             if alone.errors[0] is not None:
+                # a diverged run has its lone twin's metrics up to where it
+                # stopped, and nan metrics after that and a nan final state
+                k = len(alone.checkpoints)
+                assert_bitwise(stacked.metrics[:k, :, i], alone.metrics[:, :, 0])
+                assert np.isnan(stacked.metrics[k:, :, i]).all()
+                assert np.isnan([*stacked.h[i].ravel(), stacked.a[i], stacked.b[i]]).all()
                 continue
             assert_same_finished_runs(stacked, alone, [(i, 0)])
             a, b = stacked.metrics[..., i, A_COLUMN], stacked.metrics[..., i, B_COLUMN]

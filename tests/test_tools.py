@@ -1,6 +1,7 @@
 """The scripts under tools/: the output check ab.py and the credit690 generator."""
 
 import importlib.util
+import json
 from pathlib import Path
 
 REPO = Path(__file__).resolve().parents[1]
@@ -51,6 +52,20 @@ def test_ab_names_each_differing_file_and_a_side_whose_runs_differ():
         "B's own runs differ",
     ]
     assert tool.output_lines({"A": [same, same], "B": [same, same]}) == []
+
+
+def test_ab_counts_the_diverged_runs_of_a_manifest():
+    tool = load_tool("ab")
+
+    def manifest(*statuses_per_trial):
+        trials = [{"runs": [{"status": s} for s in statuses]} for statuses in statuses_per_trial]
+        return json.dumps({"trials": trials}).encode()
+    a = {"out/manifest.json": manifest(["ok", "diverged", "ok"], ["diverged", "diverged", "ok"]),
+         "out/runs/x.csv": b""}
+    b = {"out/manifest.json": manifest(["ok", "ok"])}
+    assert tool.diverged_runs(a) == "3 of 6"
+    assert tool.diverged_runs(b) == "0 of 2"
+    assert tool.diverged_runs({"synth.csv": b"x"}) is None
 
 
 def test_ab_same_tree_on_both_sides_gives_identical_outputs(monkeypatch, capsys):

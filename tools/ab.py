@@ -7,8 +7,10 @@ Each SRC holds the ``robustmsd`` package, or its ``src/`` does.  Each side
 runs a ``WORKLOADS`` row twice, each run a fresh process in a fresh
 directory, and every file the runs wrote, each command's standard output
 (``stdout.txt``) included, is compared byte for byte; a difference, or a
-command that exits non-zero, exits 1.  It times nothing: timings come from
-``perfbench/run.py`` pairs.  README.md ("Performance") has the details.
+command that exits non-zero, exits 1.  Where a run writes a
+``manifest.json``, each side's count of diverged runs in it is printed, so
+a sweep shows whether it reached the diverged-run path.  It times
+nothing: timings come from ``perfbench/run.py`` pairs.  README.md ("Performance") has the details.
 """
 
 import argparse
@@ -137,6 +139,16 @@ def output_lines(outputs):
                     if xs.count(xs[0]) < len(xs)]
 
 
+def diverged_runs(files):
+    """``k of n`` runs of a run's ``manifest.json`` that have status
+    ``diverged``, from its {relative path: bytes}; None without one."""
+    name = next((n for n in sorted(files) if Path(n).name == "manifest.json"), None)
+    if name is None:
+        return None
+    runs = [run for trial in json.loads(files[name])["trials"] for run in trial["runs"]]
+    return f"{sum(run['status'] == 'diverged' for run in runs)} of {len(runs)}"
+
+
 def main(argv):
     parser = argparse.ArgumentParser(prog="ab.py", description=__doc__.split("\n")[0])
     parser.add_argument("src_a")
@@ -169,6 +181,9 @@ def main(argv):
                     return 1
                 outputs[s].append(files)
     differ = output_lines(outputs)
+    diverged = [diverged_runs(outputs[s][0]) for s in "AB"]
+    if diverged != [None, None]:
+        print("runs diverged in manifest.json: {} in A, {} in B".format(*diverged))
     print(f"{len(outputs['A'][0])} files per run in A, {len(outputs['B'][0])} in B, "
           f"byte-identical: {'NO' if differ else 'yes'}", *differ, sep="\n")
     return 1 if differ else 0
