@@ -16,35 +16,11 @@ Library layout:
 - ``harness``: experiment orchestration, trajectory CSVs, trial aggregation.
 - ``parallel``: runs calls 2..k in forked children beside call 1.
 - ``cli``: the ``robustmsd`` command.
+
+Each name is imported from the module that defines it; the package itself
+exports only ``__version__``.
 """
 
 __version__ = "0.1.0"
 
-from .criteria import (
-    CriterionParams,
-    JointState,
-    ObjectiveEval,
-    mean_sd,
-    schedule_params,
-)
-from .data import Dataset, SynthConfig, generate_2d_outlier, load_tabular
-from .model import LinearModel, LossBatch
-from .optimizer import OptConfig, RunResult, run_batch_gd
-
-__all__ = [
-    "__version__",
-    "CriterionParams",
-    "JointState",
-    "ObjectiveEval",
-    "mean_sd",
-    "schedule_params",
-    "Dataset",
-    "SynthConfig",
-    "generate_2d_outlier",
-    "load_tabular",
-    "LinearModel",
-    "LossBatch",
-    "OptConfig",
-    "RunResult",
-    "run_batch_gd",
-]
+__all__ = ["__version__"]

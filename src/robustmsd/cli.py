@@ -12,7 +12,7 @@ import sys
 import time
 from pathlib import Path
 
-from .criteria import KINDS, BoundError, criterion_record
+from .criteria import KINDS, BoundError, criterion_record, make_criterion
 from .data import (FORMATS, DataError, SynthConfig, generate_2d_outlier, load_dataset,
                    preprocess, shuffle_split)
 from .harness import (
@@ -22,7 +22,6 @@ from .harness import (
     aggregate_trials,
     build_initial_state,
     load_manifest,
-    make_criterion,
     run_experiment,
     write_aggregate_csv,
     write_trajectory_csv,
@@ -277,7 +276,7 @@ def _cmd_experiment(args) -> int:
     spec = _spec_from_config(args.config, args.out, args.seed)
     try:
         dataset = load_dataset(spec.data, spec.data_format, spec.label_col)
-    except FileNotFoundError as err:  # [data] path names no dataset
+    except OSError as err:  # [data] path names no dataset, or no readable file
         raise _config_error(args.config, err) from None
     try:
         manifest = run_experiment(spec, dataset)

@@ -7,6 +7,7 @@ tags, and a one-hot column mask so preprocessing can tell the columns it
 min-max scales with train-split statistics from those it keeps or drops.
 """
 
+import codecs
 import csv
 import io
 import math
@@ -143,8 +144,9 @@ def generate_2d_outlier(config: SynthConfig) -> Dataset:
 
 def open_text(path, newline=None) -> io.StringIO:
     """The file as ``open(path, encoding="utf-8", newline=newline)`` reads it, decoded
-    up front: a byte that is not UTF-8 raises DataError naming its line."""
-    data = Path(path).read_bytes()
+    up front and without a leading UTF-8 byte-order mark: a byte that is not
+    UTF-8 raises DataError naming its line."""
+    data = Path(path).read_bytes().removeprefix(codecs.BOM_UTF8)
     try:
         return io.StringIO(data.decode("utf-8"), newline=newline)
     except UnicodeDecodeError as err:
@@ -199,11 +201,12 @@ def _load_csv(path: Path, label_col: Optional[str]):
         raise DataError(f"{path}: no data rows")
     if label_col is None:
         label_idx = len(header) - 1
+    elif label_col not in header:
+        raise DataError(f"{path}: no column named {label_col!r}")
+    elif (count := header.count(label_col)) > 1:
+        raise DataError(f"{path}: {count} columns are named {label_col!r}")
     else:
-        try:
-            label_idx = header.index(label_col)
-        except ValueError:
-            raise DataError(f"{path}: no column named {label_col!r}") from None
+        label_idx = header.index(label_col)
 
     raw_labels = [r[label_idx] for r in rows]
     feature_cols = [j for j in range(len(header)) if j != label_idx]

@@ -35,12 +35,10 @@ from .optimizer import (
 from .parallel import run_calls, usable_cpus
 
 __all__ = [
-    "TrajectoryRecord",
     "MethodGrid",
     "ExperimentSpec",
     "write_trajectory_csv",
     "read_trajectory_csv",
-    "make_criterion",
     "build_initial_state",
     "run_experiment",
     "aggregate_records",

@@ -178,7 +178,7 @@ def _scale_limit() -> PropertyOutcome:
         check_scale_optimized_limit(const, 2.0, 1.0, 1.0),
         check_scale_optimized_limit(shifted, 3.0, 1.0, 1.0),
     ]
-    ok = all(r.verdict == "pass" for r in reports)
+    ok = all(r.passed for r in reports)
     vals = ", ".join(f"{r.scaled_values[-1]:.4f}" for r in reports)
     return PropertyOutcome("scale_optimized_sandwich", ok, f"limits: {vals}")
 

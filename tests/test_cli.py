@@ -559,6 +559,7 @@ def test_config_that_does_not_parse_exits_1_with_one_error_line(tmp_path, capsys
 @pytest.mark.parametrize("path, named", [
     ("nope.csv", "dataset 'nope.csv' not found (also tried "),
     ("bundled:nope", "no bundled dataset 'nope'"),
+    (".", "[Errno 21] Is a directory: '.'"),
 ])
 def test_config_naming_no_dataset_exits_1_naming_the_config_file(tmp_path, capsys, path, named):
     cfg = sweep_config(tmp_path, "erm = yes")

@@ -189,13 +189,27 @@ def test_csv_field_over_the_size_limit_names_file_and_line(tmp_path):
 
 @pytest.mark.parametrize(
     "fmt, raw, line",
-    [("csv", b"f,label\n1.0,1\n2.0,caf\xe9\n", 3), ("svmlight", b"1 1:2\n-1 1:\xff\n", 2)],
+    [("csv", b"f,label\n1.0,1\n2.0,caf\xe9\n", 3), ("svmlight", b"1 1:2\n-1 1:\xff\n", 2),
+     # a byte-order mark does not shift the line count
+     ("csv", b"\xef\xbb\xbfa,b\n1,2\n\xff3,4\n", 3)],
 )
 def test_non_utf8_file_names_file_and_line(tmp_path, fmt, raw, line):
     p = tmp_path / "latin1.txt"
     p.write_bytes(raw)
     with pytest.raises(DataError, match=rf"latin1\.txt: line {line}: not UTF-8 text"):
         load_tabular(p, fmt)
+
+
+@pytest.mark.parametrize("fmt, body, label_col", [
+    ("csv", "label,f\n1,1.0\n0,2.0\n1,3.0\n", "label"),
+    ("svmlight", "1 1:1.0\n-1 1:2.0\n1 1:3.0\n", None),
+], ids=["csv-label-col", "svmlight"])
+def test_utf8_byte_order_mark_is_not_part_of_the_data(tmp_path, fmt, body, label_col):
+    plain = load_tabular(write(tmp_path, "plain.txt", body), fmt, label_col)
+    bom = load_tabular(write(tmp_path, "bom.txt", "\ufeff" + body), fmt, label_col)
+    np.testing.assert_array_equal(bom.features, plain.features)
+    np.testing.assert_array_equal(bom.labels, plain.labels)
+    np.testing.assert_array_equal(bom.labels, [1, 0, 1])
 
 
 @pytest.mark.parametrize("value", ["nan", "inf", "1e400"])
@@ -215,8 +229,9 @@ def test_non_finite_value_names_file(tmp_path, fmt, body, where, value):
 
 @pytest.mark.parametrize("fmt, body, label_col, where", [
     ("csv", "f,label\n1.0,1\n2.0,0\n", "y", "no column named 'y'"),
+    ("csv", "a,a,label\n1.0,2.0,1\n3.0,4.0,0\n", "a", "2 columns are named 'a'"),
     ("svmlight", "1 1:2\n-1 0:1\n", None, "line 2: feature index 0 < 1"),
-], ids=["csv-label-col", "svmlight-index"])
+], ids=["csv-label-col", "csv-label-col-twice", "svmlight-index"])
 def test_loader_refusal_names_file_and_fault(tmp_path, fmt, body, label_col, where):
     p = write(tmp_path, "bad.txt", body)
     with pytest.raises(DataError, match=re.escape(f"bad.txt: {where}")):

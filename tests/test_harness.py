@@ -16,24 +16,21 @@ from conftest import use_cpus
 
 from robustmsd import harness
 from robustmsd.cli import main
-from robustmsd.criteria import default_lam
+from robustmsd.criteria import default_lam, make_criterion
 from robustmsd.data import Dataset, load_tabular
 from robustmsd.harness import (
-    METRIC_FIELDS,
     TRAJECTORY_HEADER,
     ExperimentSpec,
     MethodGrid,
-    TrajectoryRecord,
     aggregate_records,
     aggregate_trials,
     build_initial_state,
-    make_criterion,
     read_trajectory_csv,
     run_experiment,
     write_aggregate_csv,
     write_trajectory_csv,
 )
-from robustmsd.optimizer import DivergenceError
+from robustmsd.optimizer import METRIC_FIELDS, DivergenceError, TrajectoryRecord
 from robustmsd.parallel import ForkError
 
 BUNDLED = "src/robustmsd/datasets/credit690.csv"

@@ -24,6 +24,7 @@ from robustmsd.criteria import (
     criterion_value,
     default_lam,
     evaluate_objective,
+    make_criterion,
 )
 from robustmsd.data import (
     Dataset,
@@ -37,7 +38,6 @@ from robustmsd.harness import (
     DEFAULT_LEVELS,
     DEFAULT_STEP_SIZES,
     build_initial_state,
-    make_criterion,
     write_trajectory_csv,
 )
 from robustmsd.model import LossBatch
